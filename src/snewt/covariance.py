@@ -224,9 +224,11 @@ class BatchMeansAccumulator:
     iterates with indices in (a_{m-1}, a_m].  With at least two completed
     batches the estimate is
 
-        sum_m n_m (bbar_m - xbar)(bbar_m - xbar)^T / sum_m n_m,
+        sum_m n_m^2 (bbar_m - xbar)(bbar_m - xbar)^T / sum_m n_m,
 
-    with bbar_m the batch means and xbar their n_m-weighted mean.  ``mean``
+    with bbar_m the batch means and xbar their n_m-weighted mean (Zhu, Chen
+    & Wu, JASA 2023): a batch mean has covariance about Omega / n_m, so the
+    n_m^2 weight makes each term estimate n_m Omega.  ``mean``
     tracks the running average of every iterate seen (the natural center
     for averaged-iterate confidence intervals).
     """
@@ -243,9 +245,11 @@ class BatchMeansAccumulator:
         self._next_boundary = self.boundary(1)
         self._batch_sum = np.zeros(d)
         self._batch_n = 0
-        self._S2 = np.zeros((d, d))
-        self._S1 = np.zeros(d)
-        self._N = 0
+        self._S2 = np.zeros((d, d))  # sum n_m^2 bbar_m bbar_m^T
+        self._S1 = np.zeros(d)  # sum n_m bbar_m
+        self._T1 = np.zeros(d)  # sum n_m^2 bbar_m
+        self._N = 0  # sum n_m
+        self._N2 = 0  # sum n_m^2
         self.n_completed = 0
 
     def boundary(self, m: int) -> int:
@@ -261,9 +265,11 @@ class BatchMeansAccumulator:
         if self.t == self._next_boundary:
             n = self._batch_n
             bbar = self._batch_sum / n
-            self._S2 += n * np.outer(bbar, bbar)
+            self._S2 += n * n * np.outer(bbar, bbar)
             self._S1 += n * bbar
+            self._T1 += n * n * bbar
             self._N += n
+            self._N2 += n * n
             self.n_completed += 1
             self._batch_sum = np.zeros(self.d)
             self._batch_n = 0
@@ -274,5 +280,7 @@ class BatchMeansAccumulator:
         if self.n_completed < 2:
             raise InsufficientData("need at least two completed batches")
         xw = self._S1 / self._N
-        est = (self._S2 - self._N * np.outer(xw, xw)) / self._N
+        cross = np.outer(self._T1, xw)
+        est = (self._S2 - cross - cross.T
+               + self._N2 * np.outer(xw, xw)) / self._N
         return 0.5 * (est + est.T)

@@ -155,7 +155,11 @@ def _plugin_estimate_batched(G: np.ndarray, B: np.ndarray,
 
 
 class _BatchedBatchMeans:
-    """Increasing-batch spread estimator for a stack of replications."""
+    """Increasing-batch spread estimator for a stack of replications.
+
+    Same estimate as covariance.BatchMeansAccumulator, replication by
+    replication: sum_m n_m^2 (bbar_m - xbar)(bbar_m - xbar)^T / sum_m n_m.
+    """
 
     def __init__(self, n: int, d: int, beta: float):
         if not 0.5 < beta < 1.0:
@@ -167,9 +171,11 @@ class _BatchedBatchMeans:
         self._next_boundary = self.boundary(1)
         self._batch_sum = np.zeros((n, d))
         self._batch_n = 0
-        self._S2 = np.zeros((n, d, d))
-        self._S1 = np.zeros((n, d))
-        self._N = 0
+        self._S2 = np.zeros((n, d, d))  # sum n_m^2 bbar_m bbar_m^T
+        self._S1 = np.zeros((n, d))  # sum n_m bbar_m
+        self._T1 = np.zeros((n, d))  # sum n_m^2 bbar_m
+        self._N = 0  # sum n_m
+        self._N2 = 0  # sum n_m^2
         self.n_completed = 0
 
     def boundary(self, m: int) -> int:
@@ -184,9 +190,11 @@ class _BatchedBatchMeans:
         if self.t == self._next_boundary:
             nb = self._batch_n
             bbar = self._batch_sum / nb
-            self._S2 += nb * np.einsum("ri,rj->rij", bbar, bbar)
+            self._S2 += nb * nb * np.einsum("ri,rj->rij", bbar, bbar)
             self._S1 += nb * bbar
+            self._T1 += nb * nb * bbar
             self._N += nb
+            self._N2 += nb * nb
             self.n_completed += 1
             self._batch_sum = np.zeros_like(self._batch_sum)
             self._batch_n = 0
@@ -197,7 +205,9 @@ class _BatchedBatchMeans:
         if self.n_completed < 2:
             return None
         xw = self._S1 / self._N
-        est = (self._S2 - self._N * np.einsum("ri,rj->rij", xw, xw)) / self._N
+        cross = np.einsum("ri,rj->rij", self._T1, xw)
+        est = (self._S2 - cross - cross.transpose(0, 2, 1)
+               + self._N2 * np.einsum("ri,rj->rij", xw, xw)) / self._N
         return 0.5 * (est + est.transpose(0, 2, 1))
 
 
@@ -472,23 +482,33 @@ def _run_shard_regression(
     t_done = 0
     while t_done < n_iters:
         K = min(chunk, n_iters - t_done)
+        # fill the (R, K, ...) blocks in place, one replication's generators
+        # at a time (no per-replication copies to stack)
         if lin:
-            data_blk = np.stack(
-                [g.data.standard_normal((K, d + 1)) for g in streams])
+            data_blk = np.empty((R, K, d + 1))
         else:
-            znorm_blk = np.stack(
-                [g.data.standard_normal((K, d)) for g in streams])
-            ulab_blk = np.stack([g.data.random(K) for g in streams])
+            znorm_blk = np.empty((R, K, d))
+            ulab_blk = np.empty((R, K))
         if tau is not None:
             if uc:
-                idx_blk = np.stack(
-                    [g.sketch.integers(0, d, size=(K, tau)) for g in streams])
+                idx_blk = np.empty((R, K, tau), dtype=np.int64)
             else:
-                sk_blk = np.stack(
-                    [g.sketch.standard_normal((K, tau, d, q))
-                     for g in streams])
+                sk_blk = np.empty((R, K, tau, d, q))
         if uniform:
-            u_blk = np.stack([g.step.random(K) for g in streams])
+            u_blk = np.empty((R, K))
+        for j, g in enumerate(streams):
+            if lin:
+                g.data.standard_normal(out=data_blk[j])
+            else:
+                g.data.standard_normal(out=znorm_blk[j])
+                g.data.random(out=ulab_blk[j])
+            if tau is not None:
+                if uc:
+                    idx_blk[j] = g.sketch.integers(0, d, size=(K, tau))
+                else:
+                    g.sketch.standard_normal(out=sk_blk[j])
+            if uniform:
+                g.step.random(out=u_blk[j])
 
         for k in range(K):
             t = t_done + k
@@ -696,18 +716,24 @@ def _run_shard_sqp(
     t_done = 0
     while t_done < n_iters:
         K = min(chunk, n_iters - t_done)
-        data_blk = np.stack(
-            [g.data.standard_normal((K, d + nt)) for g in streams])
+        # filled replication by replication, as in _run_shard_regression
+        data_blk = np.empty((R, K, d + nt))
         if tau is not None:
             if uc:
-                idx_blk = np.stack(
-                    [g.sketch.integers(0, n, size=(K, tau)) for g in streams])
+                idx_blk = np.empty((R, K, tau), dtype=np.int64)
             else:
-                sk_blk = np.stack(
-                    [g.sketch.standard_normal((K, tau, n, q))
-                     for g in streams])
+                sk_blk = np.empty((R, K, tau, n, q))
         if uniform:
-            u_blk = np.stack([g.step.random(K) for g in streams])
+            u_blk = np.empty((R, K))
+        for j, g in enumerate(streams):
+            g.data.standard_normal(out=data_blk[j])
+            if tau is not None:
+                if uc:
+                    idx_blk[j] = g.sketch.integers(0, n, size=(K, tau))
+                else:
+                    g.sketch.standard_normal(out=sk_blk[j])
+            if uniform:
+                g.step.random(out=u_blk[j])
 
         for k in range(K):
             t = t_done + k

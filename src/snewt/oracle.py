@@ -20,12 +20,16 @@ Xi* = Omega* / (2 - delta).
 
 Uniform-coordinate sketching admits closed forms for every expectation; the
 Gaussian sketch falls back to Monte Carlo with reported standard errors.
+That Monte Carlo is vectorised: samples are drawn in blocks, each block's
+sketches are read from the generator in the order one-at-a-time draws would
+read them, their projectors are formed as one stack, and the sum and sum of
+squares are accumulated per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -51,6 +55,44 @@ __all__ = [
 
 def _delta(beta: float, c_beta: float) -> float:
     return 1.0 / c_beta if beta == 1.0 else 0.0
+
+
+# Gaussian-sketch Monte Carlo forms its projectors in blocks of about this
+# many matrix entries (1 MB of float64): large enough that per-block Python
+# overhead is negligible, small next to the memory of a study.
+_MC_BLOCK_ENTRIES = 1 << 17
+
+
+def _gaussian_mc(B: np.ndarray, dist: SketchDistribution, steps: int,
+                 stat: Callable[[np.ndarray], np.ndarray], n_mc: int,
+                 rng: np.random.Generator, chunk: Optional[int]):
+    """MC mean and stderr of stat over samples of `steps` Gaussian sketches.
+
+    Each sample is `steps` sketches S = chol Z with Z a (d, q) standard
+    normal block.  A block of n samples reads the generator as one
+    (n, steps, d, q) array, the same order as n * steps separate (d, q)
+    draws.  stat maps the (n, steps, d, d) projector stack to (n, d, d).
+    chunk is the number of samples per block (default: about
+    _MC_BLOCK_ENTRIES projector entries per block).
+    """
+    d, q = B.shape[0], dist.q
+    chol = dist.cov_factor(d)
+    per_block = chunk or max(1, _MC_BLOCK_ENTRIES // (steps * d * d))
+    total = np.zeros((d, d))
+    total2 = np.zeros((d, d))
+    done = 0
+    while done < n_mc:
+        n = min(per_block, n_mc - done)
+        z = rng.standard_normal((n, steps, d, q))
+        s = z if chol is None else np.einsum("ij,nsjq->nsiq", chol, z)
+        pis = projection_matrix(B, s.reshape(n * steps, d, q))
+        x = stat(pis.reshape(n, steps, d, d))
+        total += x.sum(axis=0)
+        total2 += np.einsum("nij,nij->ij", x, x)
+        done += n
+    mean = total / n_mc
+    se = np.sqrt(np.maximum(total2 / n_mc - mean**2, 0.0) / n_mc)
+    return 0.5 * (mean + mean.T), se
 
 
 def _mc_hessian_moments(model: RegressionModel, n_mc: int,
@@ -144,12 +186,15 @@ def single_step_projection_expectation(
     dist: SketchDistribution,
     n_mc: int = 200_000,
     rng: Optional[np.random.Generator] = None,
+    *,
+    chunk: Optional[int] = None,
 ):
     """(P, stderr) with P = E[Pi], Pi = B S (S^T B^2 S)^+ S^T B.
 
     Uniform-coordinate sketches give the closed form
     P = (1/d) sum_i B e_i e_i^T B / (B^2)_{ii}; the Gaussian sketch is
-    averaged by Monte Carlo.
+    averaged by Monte Carlo over n_mc sketches, formed in blocks of
+    ``chunk`` samples (default: about 1 MB of projectors per block).
     """
     d = B.shape[0]
     if dist.kind == "uniform_coordinate":
@@ -161,18 +206,7 @@ def single_step_projection_expectation(
     if dist.kind != "gaussian":
         raise ValueError(f"no oracle for sketch kind {dist.kind!r}")
     rng = np.random.default_rng(0) if rng is None else rng
-    chol = dist.cov_factor(d)
-    total = np.zeros((d, d))
-    total2 = np.zeros((d, d))
-    for _ in range(n_mc):
-        z = rng.standard_normal((d, dist.q))
-        s = z if chol is None else chol @ z
-        pi = projection_matrix(B, s)
-        total += pi
-        total2 += pi * pi
-    mean = total / n_mc
-    se = np.sqrt(np.maximum(total2 / n_mc - mean**2, 0.0) / n_mc)
-    return 0.5 * (mean + mean.T), se
+    return _gaussian_mc(B, dist, 1, lambda pis: pis[:, 0], n_mc, rng, chunk)
 
 
 def _uc_projectors(B: np.ndarray) -> np.ndarray:
@@ -213,6 +247,8 @@ def lambda_matrix(
     tau: Optional[int],
     n_mc: int = 100_000,
     rng: Optional[np.random.Generator] = None,
+    *,
+    chunk: Optional[int] = None,
 ):
     """(Lambda, stderr) with Lambda = E[(I - Ctilde) Omega (I - Ctilde)^T].
 
@@ -220,7 +256,9 @@ def lambda_matrix(
     with Q_tau the tau-fold spread operator applied to Omega; independence
     of the per-step sketches makes Q_tau = T^tau(Omega).  This is evaluated
     exactly for uniform-coordinate sketches and by sequence-level Monte
-    Carlo for Gaussian sketches.
+    Carlo for Gaussian sketches: n_mc sequences of tau sketches, formed in
+    blocks of ``chunk`` sequences (default: about 1 MB of projectors per
+    block).
     """
     d = B.shape[0]
     if tau is None:
@@ -236,22 +274,17 @@ def lambda_matrix(
     if dist.kind != "gaussian":
         raise ValueError(f"no oracle for sketch kind {dist.kind!r}")
     rng = np.random.default_rng(0) if rng is None else rng
-    chol = dist.cov_factor(d)
     eye = np.eye(d)
-    total = np.zeros((d, d))
-    total2 = np.zeros((d, d))
-    for _ in range(n_mc):
-        resid = eye.copy()
-        for _ in range(tau):
-            z = rng.standard_normal((d, dist.q))
-            s = z if chol is None else chol @ z
-            resid = (eye - projection_matrix(B, s)) @ resid
-        half = (eye - resid) @ omega @ (eye - resid).T
-        total += half
-        total2 += half * half
-    mean = total / n_mc
-    se = np.sqrt(np.maximum(total2 / n_mc - mean**2, 0.0) / n_mc)
-    return 0.5 * (mean + mean.T), se
+
+    def spread(pis: np.ndarray) -> np.ndarray:
+        # (I - Ctilde) Omega (I - Ctilde)^T, Ctilde = (I - Pi_tau)...(I - Pi_1)
+        resid = eye - pis[:, 0]
+        for j in range(1, tau):
+            resid = (eye - pis[:, j]) @ resid
+        half = eye - resid
+        return half @ omega @ half.swapaxes(1, 2)
+
+    return _gaussian_mc(B, dist, tau, spread, n_mc, rng, chunk)
 
 
 def xi_star(

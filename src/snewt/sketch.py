@@ -148,20 +148,26 @@ def sketch_project_step(
 
 
 def projection_matrix(B: np.ndarray, S: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """The projector Pi = B S (S^T B^2 S)^+ S^T B (symmetric idempotent)."""
+    """The projector Pi = B S (S^T B^2 S)^+ S^T B (symmetric idempotent).
+
+    S is one sketch of shape (d, q), giving a (d, d) projector, or a stack
+    of shape (k, d, q), giving the (k, d, d) projectors slice by slice.
+    For q = 1 a slice whose denominator S^T B^2 S is <= tol projects onto
+    nothing (zero matrix); for q > 1 eigenvalues of S^T B^2 S that are
+    <= max(tol, 0) are dropped from the pseudo-inverse.
+    """
     BS = B @ S
-    M = BS.T @ BS
-    if S.shape[1] == 1:
-        den = float(M[0, 0])
-        if den <= tol:
-            return np.zeros_like(B)
-        return np.outer(BS[:, 0], BS[:, 0]) / den
-    evals, evecs = np.linalg.eigh(M)
-    keep = evals > max(tol, 0.0)
-    if not np.any(keep):
-        return np.zeros_like(B)
-    W = BS @ (evecs[:, keep] / np.sqrt(evals[keep]))
-    return W @ W.T
+    if S.shape[-1] == 1:
+        col = BS[..., 0]
+        den = np.einsum("...i,...i->...", col, col)
+        ok = (den > tol)[..., None, None]
+        outer = col[..., :, None] * col[..., None, :]
+        return np.where(ok, outer / np.where(ok, den[..., None, None], 1.0), 0.0)
+    evals, evecs = np.linalg.eigh(BS.swapaxes(-1, -2) @ BS)
+    keep = (evals > max(tol, 0.0))[..., None, :]
+    vecs = evecs / np.sqrt(np.where(keep, evals[..., None, :], 1.0))
+    W = BS @ np.where(keep, vecs, 0.0)
+    return W @ W.swapaxes(-1, -2)
 
 
 def exact_newton_solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:

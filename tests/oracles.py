@@ -10,7 +10,7 @@ shares no algebra with them.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,6 +142,64 @@ def lambda_by_enumeration(B: np.ndarray, omega: np.ndarray,
         half = eye - resid
         total = total + half @ omega @ half.T
     return total / float(d) ** tau
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-sketch Monte Carlo, one sample at a time
+
+
+def _gaussian_sketch(rng: np.random.Generator, d: int, q: int,
+                     cov: Optional[np.ndarray]) -> np.ndarray:
+    z = rng.standard_normal((d, q))
+    return z if cov is None else np.linalg.cholesky(cov) @ z
+
+
+def _pinv_projector(B: np.ndarray, S: np.ndarray) -> np.ndarray:
+    BS = B @ S
+    return BS @ np.linalg.pinv(BS.T @ BS) @ BS.T
+
+
+def _mean_and_stderr(samples: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    n = len(samples)
+    total = np.zeros_like(samples[0])
+    total2 = np.zeros_like(samples[0])
+    for x in samples:
+        total = total + x
+        total2 = total2 + x * x
+    mean = total / n
+    se = np.sqrt(np.maximum(total2 / n - mean**2, 0.0) / n)
+    return 0.5 * (mean + mean.T), se
+
+
+def projection_expectation_replay(B: np.ndarray, q: int,
+                                  cov: Optional[np.ndarray], n_mc: int,
+                                  rng: np.random.Generator):
+    """(E[Pi], stderr) from n_mc sketches, each drawn as its own (d, q) block."""
+    d = B.shape[0]
+    return _mean_and_stderr([
+        _pinv_projector(B, _gaussian_sketch(rng, d, q, cov))
+        for _ in range(n_mc)])
+
+
+def lambda_replay(B: np.ndarray, omega: np.ndarray, q: int,
+                  cov: Optional[np.ndarray], tau: int, n_mc: int,
+                  rng: np.random.Generator):
+    """(Lambda, stderr): mean of (I - Ctilde) Omega (I - Ctilde)^T per sample.
+
+    Each sample multiplies out its tau residual factors (I - Pi_j), drawing
+    the sketches one (d, q) block at a time.
+    """
+    d = B.shape[0]
+    eye = np.eye(d)
+    samples = []
+    for _ in range(n_mc):
+        resid = eye.copy()
+        for _ in range(tau):
+            pi = _pinv_projector(B, _gaussian_sketch(rng, d, q, cov))
+            resid = (eye - pi) @ resid
+        half = eye - resid
+        samples.append(half @ omega @ half.T)
+    return _mean_and_stderr(samples)
 
 
 # ---------------------------------------------------------------------------

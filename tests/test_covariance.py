@@ -243,36 +243,28 @@ def test_batch_means_boundaries():
     assert [bm.boundary(m) for m in (1, 2, 3)] == [1, 16, 84]
 
 
-def test_batch_means_matches_direct_formula():
-    d = 2
+def test_batch_means_is_unbiased_for_iid_iterates():
+    # For i.i.d. N(0, Sigma) iterates the batch means are independent
+    # N(0, Sigma / n_m), so the n_m^2-weighted estimate has expectation
+    # exactly Sigma (1 - sum n_m^2 / N^2), N = sum n_m.
+    d, n_steps, n_reps = 2, 700, 200
+    sigma = np.array([[2.0, 0.6], [0.6, 1.0]])
     rng = np.random.default_rng(8)
-    xs = rng.standard_normal((1000, d))
-    bm = BatchMeansAccumulator(d, beta=0.505)
-    for x in xs:
-        bm.update(x)
-    # direct replay of the non-overlapping batch construction
-    boundaries = []
-    m = 1
-    while bm.boundary(m) <= 1000:
-        boundaries.append(bm.boundary(m))
-        m += 1
-    s2 = np.zeros((d, d))
-    s1 = np.zeros(d)
-    n_tot = 0
-    prev = 0
-    for b in boundaries:
-        block = xs[prev:b]
-        n = block.shape[0]
-        bbar = block.mean(axis=0)
-        s2 += n * np.outer(bbar, bbar)
-        s1 += n * bbar
-        n_tot += n
-        prev = b
-    xw = s1 / n_tot
-    direct = (s2 - n_tot * np.outer(xw, xw)) / n_tot
-    assert bm.n_completed == len(boundaries)
-    assert np.abs(bm.estimate() - direct).max() <= 1e-12
-    assert np.allclose(bm.mean, xs.mean(axis=0), atol=1e-12)
+    xs = rng.standard_normal((n_reps, n_steps, d)) @ np.linalg.cholesky(sigma).T
+    ests = []
+    for rep in xs:
+        bm = BatchMeansAccumulator(d, beta=0.505)
+        for x in rep:
+            bm.update(x)
+        ests.append(bm.estimate())
+    assert np.allclose(bm.mean, xs[-1].mean(axis=0), atol=1e-12)
+    assert bm.n_completed == 5
+    ends = [bm.boundary(m) for m in range(1, bm.n_completed + 1)]
+    sizes = np.diff([0] + ends)
+    expected = sigma * (1.0 - (sizes**2).sum() / sizes.sum() ** 2)
+    ests = np.array(ests)
+    se = ests.std(axis=0, ddof=1) / np.sqrt(n_reps)
+    assert np.all(np.abs(ests.mean(axis=0) - expected) <= 5.0 * se)
 
 
 def test_batch_means_identical_batches_give_zero():

@@ -20,7 +20,11 @@ from snewt.oracle import (
 )
 from snewt.problems import DesignCovSpec, RegressionModel, default_x_star
 from snewt.sketch import SketchDistribution
-from tests.oracles import lambda_by_enumeration
+from tests.oracles import (
+    lambda_by_enumeration,
+    lambda_replay,
+    projection_expectation_replay,
+)
 
 
 UC = SketchDistribution()
@@ -96,6 +100,49 @@ def test_gaussian_projection_expectation_monte_carlo():
         np.eye(3), dist, n_mc=3000, rng=np.random.default_rng(3))
     assert se is not None
     assert np.abs(P - np.eye(3) / 3.0).max() < 0.04
+
+
+def _gaussian_case(rng, q, with_cov):
+    d = 4
+    A = rng.standard_normal((d, d))
+    B = A @ A.T + 0.5 * np.eye(d)
+    A = rng.standard_normal((d, d))
+    cov = A @ A.T + np.eye(d) if with_cov else None
+    return B, SketchDistribution(kind="gaussian", q=q, cov=cov)
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("with_cov", [False, True])
+@pytest.mark.parametrize("q", [1, 2])
+def test_gaussian_projection_expectation_matches_per_sample_replay(
+        q, with_cov):
+    B, dist = _gaussian_case(np.random.default_rng(11), q, with_cov)
+    # 1001 samples in blocks of 300: the last block is partial
+    P, se = single_step_projection_expectation(
+        B, dist, n_mc=1001, rng=np.random.default_rng(12), chunk=300)
+    P_ref, se_ref = projection_expectation_replay(
+        B, q, dist.cov, 1001, np.random.default_rng(12))
+    assert _rel(P, P_ref) < 1e-12
+    assert _rel(se, se_ref) < 1e-12
+
+
+@pytest.mark.parametrize("with_cov", [False, True])
+@pytest.mark.parametrize("tau", [1, 3])
+@pytest.mark.parametrize("q", [1, 2])
+def test_gaussian_lambda_matches_per_sample_replay(q, tau, with_cov):
+    rng = np.random.default_rng(13)
+    B, dist = _gaussian_case(rng, q, with_cov)
+    A = rng.standard_normal((4, 4))
+    omega = A @ A.T + np.eye(4)
+    lam, se = lambda_matrix(B, omega, dist, tau, n_mc=701,
+                            rng=np.random.default_rng(14), chunk=200)
+    lam_ref, se_ref = lambda_replay(B, omega, q, dist.cov, tau, 701,
+                                    np.random.default_rng(14))
+    assert _rel(lam, lam_ref) < 1e-12
+    assert _rel(se, se_ref) < 1e-12
 
 
 def test_c_star_values_and_bounds():

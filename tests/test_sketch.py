@@ -150,6 +150,42 @@ def test_projection_matrix_is_symmetric_idempotent():
         assert abs(np.trace(P) - q) < 1e-10
 
 
+def test_stacked_projection_matrix_matches_single_calls():
+    rng = np.random.default_rng(10)
+    for q in (1, 2):
+        B = _random_spd(rng, 4)
+        S = rng.standard_normal((6, 4, q))
+        P = projection_matrix(B, S)
+        assert P.shape == (6, 4, 4)
+        for k in range(6):
+            assert np.allclose(P[k], projection_matrix(B, S[k]),
+                               rtol=1e-12, atol=1e-14)
+            assert np.allclose(P[k], P[k].T, atol=1e-12)
+            assert np.allclose(P[k] @ P[k], P[k], atol=1e-10)
+            assert abs(np.trace(P[k]) - q) < 1e-10
+
+
+def test_stacked_projection_matrix_zeroes_exactly_the_degenerate_slices():
+    # B has a null direction e3: sketches inside it project onto nothing
+    B = np.diag([2.0, 1.0, 0.0])
+    e1, e2, e3 = np.eye(3)
+    ones = np.ones(3)
+    S1 = np.stack([e1, e3, ones, 2.0 * e3])[:, :, None]
+    P1 = projection_matrix(B, S1, tol=1e-12)
+    for k in (1, 3):
+        assert np.array_equal(P1[k], np.zeros((3, 3)))
+    for k in (0, 2):
+        assert np.allclose(P1[k], projection_matrix(B, S1[k]), atol=1e-14)
+        assert abs(np.trace(P1[k]) - 1.0) < 1e-12
+    S2 = np.stack([np.column_stack(pair) for pair in
+                   [(e1, e2), (e3, 2.0 * e3), (e1, e3)]])
+    P2 = projection_matrix(B, S2, tol=1e-12)
+    assert np.array_equal(P2[1], np.zeros((3, 3)))
+    assert np.allclose(P2[0], np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    # a rank-deficient slice keeps only its non-degenerate direction
+    assert np.allclose(P2[2], np.outer(e1, e1), atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # full solves
 
