@@ -2,7 +2,8 @@
 
 Library layout:
 
-- problems: streaming regression models and noisy deterministic oracles
+- problems: streaming regression models and the Gaussian noise of the
+  constrained problems' gradient and Hessian observations
 - sketch: sketch-and-project solvers for symmetric linear systems
 - optimizer: the averaged-Hessian stochastic Newton iteration
 - covariance: running covariance estimators (weighted sample covariance
@@ -12,7 +13,9 @@ Library layout:
   intervals and ellipsoidal confidence regions
 - oracle: ground-truth limiting covariances (closed forms where they
   exist, seeded Monte Carlo elsewhere)
-- sqp: equality-constrained extension (stochastic SQP on the KKT system)
+- sqp: equality-constrained extension (stochastic SQP on the KKT system);
+  its problems and its step work on stacks of replications, so run_sqp
+  and the batched harness share one step
 - config / experiment / cli: study configs, the replication-batched
   Monte-Carlo harness, and the ``snewt`` command-line entry point
 """

@@ -28,7 +28,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .experiment import run_experiment, write_aggregate_csv, write_summary_csv
+from .experiment import (_SUFFIX, run_experiment, write_aggregate_csv,
+                         write_summary_csv)
 from .oracle import omega_star, oracle_covariance
 
 __all__ = ["main", "tail_slope", "EXIT_OK", "EXIT_CONFIG", "EXIT_DIVERGED",
@@ -96,7 +97,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"wrote {cfg.output.aggregate} ({len(result.rows)} checkpoints) "
           f"and {cfg.output.summary}")
     for name in cfg.experiment.estimators:
-        suffix = {"wsc": "wsc", "plugin": "plugin", "batchmeans": "bm"}[name]
+        suffix = _SUFFIX[name]
         cov = result.final.get("cov_" + suffix)
         err = result.final.get("rel_cov_err_" + suffix)
         parts = [f"{name}:"]

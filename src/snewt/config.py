@@ -252,6 +252,8 @@ def parse_config_string(text: str) -> ExperimentConfig:
         # zero response noise makes the limiting covariance identically
         # zero, so every relative metric in the harness would divide by it
         raise ConfigError("[problem] sigma must be > 0 for linear studies")
+    if problem.sigma2 < 0.0:
+        raise ConfigError("[problem] sigma2 must be >= 0")
 
     sketch = _get(parser, "method", "sketch", str, "kaczmarz")
     if sketch not in ("kaczmarz", "gaussian"):

@@ -4,9 +4,9 @@ run_experiment advances every replication of a configured study at once:
 iterates are stacked (n_reps, d) arrays, Hessian averages (n_reps, d, d),
 and each replication owns three seeded generator streams (data / sketch /
 stepsize, seeded base_seed XOR replication index) consumed in fixed-size
-blocks.  Per-replication randomness therefore never depends on how the
-replications are sharded across workers, and a fixed seed reproduces every
-output byte for byte.  A replication that trips the divergence guard is
+blocks.  Per-replication randomness therefore depends only on the base
+seed and the replication index, and a fixed seed reproduces every output
+byte for byte.  A replication that trips the divergence guard is
 frozen, excluded from every aggregate from that point on, and counted.
 
 At every record_every-th iteration the harness compares the running
@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +31,7 @@ from .optimizer import RngStreams, StepsizeSchedule
 from .oracle import omega_star, oracle_covariance
 from .problems import RegressionModel, grad_noise_factor
 from .sketch import SketchSolveConfig
-from .sqp import EqConstrainedProblem
+from .sqp import EqConstrainedProblem, SqpState, sqp_step
 
 __all__ = [
     "AGGREGATE_COLUMNS",
@@ -313,6 +311,45 @@ def _gaussian_solve_batched(B: np.ndarray, g: np.ndarray, zblk: np.ndarray,
     return dx
 
 
+def _sketch_and_step_blocks(
+    streams: List[RngStreams], K: int, n: int,
+    solve_cfg: SketchSolveConfig, uniform: bool,
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """One chunk of sketch draws and band uniforms, filled in place.
+
+    Sketch blocks are (R, K, tau) coordinate indices, stored in the
+    narrowest integer type that holds n - 1, or (R, K, tau, n, q) Gaussian
+    normals; each replication's generators are read in per-step order.
+    """
+    R = len(streams)
+    tau = solve_cfg.tau
+    sk_blk = u_blk = None
+    if tau is not None:
+        if solve_cfg.dist.kind == "uniform_coordinate":
+            sk_blk = np.empty((R, K, tau), dtype=np.min_scalar_type(n - 1))
+            for j, g in enumerate(streams):
+                sk_blk[j] = g.sketch.integers(0, n, size=(K, tau))
+        else:
+            sk_blk = np.empty((R, K, tau, n, solve_cfg.dist.q))
+            for j, g in enumerate(streams):
+                g.sketch.standard_normal(out=sk_blk[j])
+    if uniform:
+        u_blk = np.empty((R, K))
+        for j, g in enumerate(streams):
+            g.step.random(out=u_blk[j])
+    return sk_blk, u_blk
+
+
+def _sweep_solve(M: np.ndarray, rhs: np.ndarray, draws: np.ndarray,
+                 solve_cfg: SketchSolveConfig,
+                 chol: Optional[np.ndarray]) -> np.ndarray:
+    """One tau-step sketch sweep on the stacked systems M delta = -rhs."""
+    tol = solve_cfg.pinv_tol * (M * M).sum(axis=(1, 2)) / M.shape[-1]
+    if solve_cfg.dist.kind == "uniform_coordinate":
+        return _uc_solve_batched(M, rhs, draws, tol)
+    return _gaussian_solve_batched(M, rhs, draws, chol, tol)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint metrics
 
@@ -436,9 +473,6 @@ def _run_shard_regression(
     target = float(w @ x_star)
     uniform = schedule.mode == "uniform_band"
 
-    tau = solve_cfg.tau
-    uc = solve_cfg.dist.kind == "uniform_coordinate"
-    q = solve_cfg.dist.q
     sk_chol = (solve_cfg.dist.cov_factor(d)
                if solve_cfg.dist.kind == "gaussian" else None)
 
@@ -483,32 +517,22 @@ def _run_shard_regression(
     while t_done < n_iters:
         K = min(chunk, n_iters - t_done)
         # fill the (R, K, ...) blocks in place, one replication's generators
-        # at a time (no per-replication copies to stack)
+        # at a time (no per-replication copies to stack); the previous
+        # chunk's blocks are dropped first, or the heap creeps up over a run
+        sk_blk = u_blk = data_blk = znorm_blk = ulab_blk = None
+        sk_blk, u_blk = _sketch_and_step_blocks(streams, K, d, solve_cfg,
+                                                uniform)
         if lin:
             data_blk = np.empty((R, K, d + 1))
         else:
             znorm_blk = np.empty((R, K, d))
             ulab_blk = np.empty((R, K))
-        if tau is not None:
-            if uc:
-                idx_blk = np.empty((R, K, tau), dtype=np.int64)
-            else:
-                sk_blk = np.empty((R, K, tau, d, q))
-        if uniform:
-            u_blk = np.empty((R, K))
         for j, g in enumerate(streams):
             if lin:
                 g.data.standard_normal(out=data_blk[j])
             else:
                 g.data.standard_normal(out=znorm_blk[j])
                 g.data.random(out=ulab_blk[j])
-            if tau is not None:
-                if uc:
-                    idx_blk[j] = g.sketch.integers(0, d, size=(K, tau))
-                else:
-                    g.sketch.standard_normal(out=sk_blk[j])
-            if uniform:
-                g.step.random(out=u_blk[j])
 
         for k in range(K):
             t = t_done + k
@@ -541,15 +565,10 @@ def _run_shard_regression(
                         fro = fro * hw_vec
                     ridge = schedule.beta_t(t) * fro
                     Bs = B + ridge[:, None, None] * eye
-                if tau is None:
+                if solve_cfg.tau is None:
                     DX = _exact_solve_batched(Bs, G, solve_cfg.pinv_tol)
                 else:
-                    tol = solve_cfg.pinv_tol * (Bs * Bs).sum(axis=(1, 2)) / d
-                    if uc:
-                        DX = _uc_solve_batched(Bs, G, idx_blk[:, k], tol)
-                    else:
-                        DX = _gaussian_solve_batched(Bs, G, sk_blk[:, k],
-                                                     sk_chol, tol)
+                    DX = _sweep_solve(Bs, G, sk_blk[:, k], solve_cfg, sk_chol)
             if uniform:
                 alpha = schedule.beta_t(t) + u_blk[:, k] * schedule.chi_t(t)
                 X = X + alpha[:, None] * DX
@@ -570,9 +589,7 @@ def _run_shard_regression(
             norms = np.einsum("rd,rd->r", X, X)
             bad = ~np.isfinite(norms) | (norms > _DIVERGENCE_NORM ** 2)
             if bad.any():
-                newly = alive & bad
-                if newly.any():
-                    alive &= ~newly
+                alive &= ~bad
                 dead = ~alive
                 X[dead] = 0.0
                 if B is not None:
@@ -593,77 +610,6 @@ def _run_shard_regression(
 # constrained shard engine
 
 
-class _VecSqp(NamedTuple):
-    """Vectorized (stacked over replications) views of a constrained problem."""
-
-    grads: Callable[[np.ndarray], np.ndarray]
-    hesses: Callable[[np.ndarray], np.ndarray]
-    cons: Callable[[np.ndarray], np.ndarray]
-    jacs: Callable[[np.ndarray], np.ndarray]
-    cons_hess_weighted: Callable[[np.ndarray, np.ndarray], object]
-
-
-def _vectorize_sqp(problem: EqConstrainedProblem) -> _VecSqp:
-    if problem.name == "eqqp":
-        A = problem.hess(np.zeros(problem.dim))
-        b = problem.grad(np.zeros(problem.dim))
-        J0 = problem.jac(np.zeros(problem.dim))
-
-        return _VecSqp(
-            grads=lambda X: X @ A + b,
-            hesses=lambda X: np.broadcast_to(A, (X.shape[0],) + A.shape),
-            cons=lambda X: X[:, :1] - 1.0,
-            jacs=lambda X: np.broadcast_to(J0, (X.shape[0],) + J0.shape),
-            cons_hess_weighted=lambda X, Lam: 0.0,
-        )
-    if problem.name == "maratos":
-        eye2 = np.eye(2)
-        e0 = np.array([1.0, 0.0])
-        return _VecSqp(
-            grads=lambda X: 4.0 * X - e0,
-            hesses=lambda X: np.broadcast_to(4.0 * eye2, (X.shape[0], 2, 2)),
-            cons=lambda X: (X ** 2).sum(axis=1, keepdims=True) - 1.0,
-            jacs=lambda X: 2.0 * X[:, None, :],
-            cons_hess_weighted=lambda X, Lam:
-                (2.0 * Lam[:, 0])[:, None, None] * eye2,
-        )
-    if problem.name == "hs7":
-        def grads(X: np.ndarray) -> np.ndarray:
-            g = np.empty_like(X)
-            x0 = X[:, 0]
-            g[:, 0] = 2.0 * x0 / (1.0 + x0 ** 2)
-            g[:, 1] = -1.0
-            return g
-
-        def hesses(X: np.ndarray) -> np.ndarray:
-            H = np.zeros((X.shape[0], 2, 2))
-            x0 = X[:, 0]
-            H[:, 0, 0] = 2.0 * (1.0 - x0 ** 2) / (1.0 + x0 ** 2) ** 2
-            return H
-
-        def jacs(X: np.ndarray) -> np.ndarray:
-            J = np.empty((X.shape[0], 1, 2))
-            J[:, 0, 0] = 4.0 * X[:, 0] * (1.0 + X[:, 0] ** 2)
-            J[:, 0, 1] = 2.0 * X[:, 1]
-            return J
-
-        def cons_hess_weighted(X: np.ndarray, Lam: np.ndarray) -> np.ndarray:
-            T = np.zeros((X.shape[0], 2, 2))
-            T[:, 0, 0] = Lam[:, 0] * (4.0 + 12.0 * X[:, 0] ** 2)
-            T[:, 1, 1] = 2.0 * Lam[:, 0]
-            return T
-
-        return _VecSqp(
-            grads=grads,
-            hesses=hesses,
-            cons=lambda X:
-                (1.0 + X[:, :1] ** 2) ** 2 + X[:, 1:] ** 2 - 4.0,
-            jacs=jacs,
-            cons_hess_weighted=cons_hess_weighted,
-        )
-    raise ValueError(f"no vectorized adapter for problem {problem.name!r}")
-
-
 def _run_shard_sqp(
     cfg: ExperimentConfig,
     problem: EqConstrainedProblem,
@@ -679,36 +625,33 @@ def _run_shard_sqp(
     d, m = problem.dim, problem.n_cons
     n = d + m
     sigma2 = cfg.problem.sigma2
-    sig = math.sqrt(sigma2)
     L = grad_noise_factor(d, sigma2)
-    vec = _vectorize_sqp(problem)
-    iu = np.triu_indices(d)
     nt = d * (d + 1) // 2
     n_iters, rec = exp.n_iters, exp.record_every
     z_level = normal_quantile(0.5 + 0.5 * exp.ci_level)
     target = float(w @ problem.x_star)
     uniform = schedule.mode == "uniform_band"
 
-    tau = solve_cfg.tau
-    uc = solve_cfg.dist.kind == "uniform_coordinate"
-    q = solve_cfg.dist.q
     sk_chol = (solve_cfg.dist.cov_factor(n)
                if solve_cfg.dist.kind == "gaussian" else None)
 
     streams = [RngStreams.from_seed(exp.base_seed ^ int(r)) for r in rep_ids]
-    X = np.tile(problem.x0, (R, 1))
-    Lam = np.zeros((R, m))
-    B = np.tile(np.eye(d), (R, 1, 1))
+    state = SqpState(t=0, x=np.tile(problem.x0, (R, 1)), lam=np.zeros((R, m)),
+                     B=np.tile(np.eye(d), (R, 1, 1)))
     wsc = _BatchedWsc(R, d)
     alive = np.ones(R, dtype=bool)
-    eye_d = np.eye(d)
-    x0 = problem.x0.copy()
+
+    def solve(Kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        # the sweep reads the sketch draws of the current step k
+        if solve_cfg.tau is None:
+            return _lu_solve_batched(Kmat, rhs)
+        return _sweep_solve(Kmat, rhs, sk_blk[:, k], solve_cfg, sk_chol)
 
     def snapshot(t_now: int) -> Tuple[Dict[str, np.ndarray],
                                       Dict[str, Optional[np.ndarray]]]:
         ests: Dict[str, Optional[np.ndarray]] = {"wsc": wsc.estimate()}
         raw = _checkpoint_metrics(t_now, schedule, w, target, z_level, alive,
-                                  X, None, ests, refs, sgd=False)
+                                  state.x, None, ests, refs, sgd=False)
         return raw, ests
 
     ts: List[int] = []
@@ -717,78 +660,33 @@ def _run_shard_sqp(
     while t_done < n_iters:
         K = min(chunk, n_iters - t_done)
         # filled replication by replication, as in _run_shard_regression
+        sk_blk = u_blk = data_blk = None
+        sk_blk, u_blk = _sketch_and_step_blocks(streams, K, n, solve_cfg,
+                                                uniform)
         data_blk = np.empty((R, K, d + nt))
-        if tau is not None:
-            if uc:
-                idx_blk = np.empty((R, K, tau), dtype=np.int64)
-            else:
-                sk_blk = np.empty((R, K, tau, n, q))
-        if uniform:
-            u_blk = np.empty((R, K))
         for j, g in enumerate(streams):
             g.data.standard_normal(out=data_blk[j])
-            if tau is not None:
-                if uc:
-                    idx_blk[j] = g.sketch.integers(0, n, size=(K, tau))
-                else:
-                    g.sketch.standard_normal(out=sk_blk[j])
-            if uniform:
-                g.step.random(out=u_blk[j])
 
         for k in range(K):
             t = t_done + k
-            gbar = vec.grads(X) + data_blk[:, k, :d] @ L.T
-            T = np.zeros((R, d, d))
-            T[:, iu[0], iu[1]] = sig * data_blk[:, k, d:]
-            noise = T + np.triu(T, 1).transpose(0, 2, 1)
-            J = vec.jacs(X)
-            rhs = np.concatenate(
-                [gbar + np.einsum("rmd,rm->rd", J, Lam), vec.cons(X)], axis=1)
-            H = vec.hesses(X) + noise + vec.cons_hess_weighted(X, Lam)
-            # assemble the KKT system from the sample-scaled ridged
-            # average (see sqp_step)
-            Kmat = np.zeros((R, n, n))
-            if t == 0:
-                Kmat[:, :d, :d] = B
-            else:
-                fro = np.sqrt(np.einsum("rij,rij->r", H, H))
-                ridge = schedule.beta_t(t) * fro
-                Kmat[:, :d, :d] = B + ridge[:, None, None] * eye_d
-            Kmat[:, :d, d:] = J.transpose(0, 2, 1)
-            Kmat[:, d:, :d] = J
-            if tau is None:
-                delta = _lu_solve_batched(Kmat, rhs)
-            else:
-                tol = solve_cfg.pinv_tol * (Kmat * Kmat).sum(axis=(1, 2)) / n
-                if uc:
-                    delta = _uc_solve_batched(Kmat, rhs, idx_blk[:, k], tol)
-                else:
-                    delta = _gaussian_solve_batched(Kmat, rhs, sk_blk[:, k],
-                                                    sk_chol, tol)
             if uniform:
                 alpha = schedule.beta_t(t) + u_blk[:, k] * schedule.chi_t(t)
-                X = X + alpha[:, None] * delta[:, :d]
-                Lam = Lam + alpha[:, None] * delta[:, d:]
             else:
-                phi_t = schedule.phi(t)
-                X = X + phi_t * delta[:, :d]
-                Lam = Lam + phi_t * delta[:, d:]
-            B *= t
-            B += H
-            B /= t + 1
+                alpha = schedule.phi(t)
+            state = sqp_step(state, problem, sigma2, schedule, data_blk[:, k],
+                             alpha, solve, L)
+            X, Lam = state.x, state.lam
             t_now = t + 1
             wsc.update(X, schedule.phi(t))
             norms = (np.sqrt(np.einsum("rd,rd->r", X, X))
                      + np.sqrt(np.einsum("rm,rm->r", Lam, Lam)))
             bad = ~np.isfinite(norms) | (norms > _DIVERGENCE_NORM)
             if bad.any():
-                newly = alive & bad
-                if newly.any():
-                    alive &= ~newly
+                alive &= ~bad
                 dead = ~alive
-                X[dead] = x0
+                X[dead] = problem.x0
                 Lam[dead] = 0.0
-                B[dead] = eye_d
+                state.B[dead] = np.eye(d)
             if t_now % rec == 0:
                 raw, _ = snapshot(t_now)
                 ts.append(t_now)
@@ -797,8 +695,9 @@ def _run_shard_sqp(
 
     final_raw, final_ests = snapshot(n_iters)
     return _ShardResult(ts=ts, rows=rows, final_raw=final_raw,
-                        final_estimates=final_ests, final_x=X.copy(),
-                        final_lam=Lam.copy(), n_diverged=int(R - alive.sum()))
+                        final_estimates=final_ests, final_x=state.x.copy(),
+                        final_lam=state.lam.copy(),
+                        n_diverged=int(R - alive.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -830,15 +729,6 @@ class ExperimentResult:
         return 2 * self.n_diverged >= self.n_reps
 
 
-def _worker_count(n_reps: int) -> int:
-    raw = os.environ.get("SNEWT_THREADS", "")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 1
-    return max(1, min(workers if workers >= 1 else 1, n_reps))
-
-
 def _aggregate_raw(raw: Dict[str, np.ndarray]) -> Dict[str, object]:
     """Mean of each per-replication metric over live replications."""
     alive = raw["alive"]
@@ -852,11 +742,6 @@ def _aggregate_raw(raw: Dict[str, np.ndarray]) -> Dict[str, object]:
         vals = vals[np.isfinite(vals)]
         out[col] = float(vals.mean()) if vals.size else None
     return out
-
-
-def _merge_raw(parts: List[Dict[str, np.ndarray]]) -> Dict[str, np.ndarray]:
-    keys = parts[0].keys()
-    return {k: np.concatenate([p[k] for p in parts]) for k in keys}
 
 
 def run_experiment(
@@ -873,8 +758,7 @@ def run_experiment(
     analytic ground truth exists, so relative-error and oracle-CI columns
     stay empty unless ``oracle_xi`` is supplied (see sqp_empirical_xi).
     Replication r draws its randomness from streams seeded with
-    base_seed XOR r, so results do not depend on worker count; the
-    SNEWT_THREADS environment variable caps the worker pool (default 1).
+    base_seed XOR r; all replications advance together in one engine call.
     """
     problem = cfg.build_problem()
     schedule = cfg.build_schedule()
@@ -895,39 +779,25 @@ def run_experiment(
     target = float(w @ problem.x_star)
 
     runner = _run_shard_sqp if constrained else _run_shard_regression
-    workers = _worker_count(exp.n_reps)
-    shards = [s for s in np.array_split(np.arange(exp.n_reps), workers)
-              if s.size]
-    call = lambda ids: runner(cfg, problem, schedule, solve_cfg, w, refs,
-                              ids, chunk)
-    if len(shards) == 1 or workers == 1:
-        outs = [call(ids) for ids in shards]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(call, shards))
+    out = runner(cfg, problem, schedule, solve_cfg, w, refs,
+                 np.arange(exp.n_reps), chunk)
 
-    ts = outs[0].ts
     rows: List[Dict[str, object]] = []
-    for i, t in enumerate(ts):
-        merged = _merge_raw([o.rows[i] for o in outs])
+    for t, raw in zip(out.ts, out.rows):
         row: Dict[str, object] = {"t": t}
-        row.update(_aggregate_raw(merged))
+        row.update(_aggregate_raw(raw))
         rows.append(row)
 
-    final_raw = _merge_raw([o.final_raw for o in outs])
+    final_raw = out.final_raw
     final: Dict[str, object] = {"t": exp.n_iters}
     final.update(_aggregate_raw(final_raw))
 
     alive = final_raw["alive"]
-    final_estimates: Dict[str, Optional[np.ndarray]] = {}
-    for name in outs[0].final_estimates:
-        parts = [o.final_estimates[name] for o in outs]
-        if any(p is None for p in parts):
-            final_estimates[name] = None
-        else:
-            full = np.concatenate(parts)
-            final_estimates[name] = (full[alive].mean(axis=0)
-                                     if alive.any() else None)
+    final_estimates: Dict[str, Optional[np.ndarray]] = {
+        name: est[alive].mean(axis=0) if est is not None and alive.any()
+        else None
+        for name, est in out.final_estimates.items()
+    }
 
     return ExperimentResult(
         config=cfg,
@@ -936,15 +806,14 @@ def run_experiment(
         final=final,
         final_per_rep=final_raw,
         final_estimates=final_estimates,
-        final_x=np.concatenate([o.final_x for o in outs]),
-        final_lam=(np.concatenate([o.final_lam for o in outs])
-                   if constrained else None),
+        final_x=out.final_x,
+        final_lam=out.final_lam,
         oracle_xi=refs.xi,
         oracle_omega=refs.omega,
         w=w,
         target=target,
         n_reps=exp.n_reps,
-        n_diverged=sum(o.n_diverged for o in outs),
+        n_diverged=out.n_diverged,
     )
 
 

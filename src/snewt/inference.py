@@ -25,7 +25,6 @@ __all__ = [
     "ConfidenceRegion",
     "directional_ci",
     "confidence_region",
-    "region_contains",
     "clamp_count",
 ]
 
@@ -216,7 +215,3 @@ def confidence_region(
         threshold=chi2_quantile(level, d),
         level=level,
     )
-
-
-def region_contains(region: ConfidenceRegion, point: np.ndarray) -> bool:
-    return region.contains(point)

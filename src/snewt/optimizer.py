@@ -133,7 +133,6 @@ def newton_step(
     cfg: SketchSolveConfig,
     schedule: StepsizeSchedule,
     rngs: RngStreams,
-    update_b: bool = True,
 ) -> NewtonState:
     """One online Newton step.
 
@@ -143,8 +142,6 @@ def newton_step(
 
         B_{t+1} = (t B_t + H_t) / (t + 1).
 
-    With update_b=False the Hessian average is left untouched (this is how
-    a plain first-order baseline reuses the engine: B frozen at identity).
     ``problem`` provides draw(rng), grad(x, s), hess(x, s).
 
     Solve stabilization: the average B_t drops the initial B_0 after the
@@ -180,12 +177,9 @@ def newton_step(
         dx = pinv_newton_solve(b_solve, g, cfg.pinv_tol)
     alpha = schedule.draw(t, rngs.step)
     x_new = state.x + alpha * dx
-    if update_b:
-        B_new = state.B * t
-        B_new += H
-        B_new /= t + 1
-    else:
-        B_new = state.B
+    B_new = state.B * t
+    B_new += H
+    B_new /= t + 1
     return NewtonState(t=t + 1, x=x_new, B=B_new, last_alpha=alpha, last_grad=g)
 
 
@@ -199,7 +193,6 @@ def run(
     grad_sinks: Iterable[GradSink] = (),
     x0: Optional[np.ndarray] = None,
     B0: Optional[np.ndarray] = None,
-    freeze_hessian: bool = False,
     divergence_norm: float = 1e8,
 ) -> NewtonState:
     """Run n_iters Newton steps, streaming (t, x_t, alpha_{t-1}) to sinks.
@@ -218,8 +211,7 @@ def run(
     grad_sinks = tuple(grad_sinks)
     for _ in range(n_iters):
         t_eval = state.t
-        state = newton_step(state, problem, cfg, schedule, rngs,
-                            update_b=not freeze_hessian)
+        state = newton_step(state, problem, cfg, schedule, rngs)
         norm = float(np.linalg.norm(state.x))
         if not np.isfinite(norm) or norm > divergence_norm:
             raise DivergenceError(state.t, norm)

@@ -203,8 +203,6 @@ def single_step_projection_expectation(
             raise ValueError("B has a zero column; projection undefined")
         P = (B / coldens) @ B / d
         return 0.5 * (P + P.T), None
-    if dist.kind != "gaussian":
-        raise ValueError(f"no oracle for sketch kind {dist.kind!r}")
     rng = np.random.default_rng(0) if rng is None else rng
     return _gaussian_mc(B, dist, 1, lambda pis: pis[:, 0], n_mc, rng, chunk)
 
@@ -271,8 +269,6 @@ def lambda_matrix(
             q = spread_operator_uc(B, q)
         lam = omega - C @ omega - omega @ C.T + q
         return 0.5 * (lam + lam.T), None
-    if dist.kind != "gaussian":
-        raise ValueError(f"no oracle for sketch kind {dist.kind!r}")
     rng = np.random.default_rng(0) if rng is None else rng
     eye = np.eye(d)
 

@@ -1,14 +1,14 @@
 """Stochastic optimization test problems.
 
-Streaming linear / logistic regression with Gaussian features, plus a
-"noisy oracle" wrapper that perturbs exact gradients and Hessians with
-structured Gaussian noise.
+Streaming linear / logistic regression with Gaussian features, plus the
+structured Gaussian noise with which the constrained problems (see sqp)
+observe their exact gradients and Hessians.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,15 +16,14 @@ __all__ = [
     "DesignCovSpec",
     "RegressionModel",
     "Sample",
-    "NoisyOracleProblem",
     "default_x_star",
     "materialize_design",
     "draw_sample",
     "sample_loss",
     "sample_grad",
     "sample_hess",
-    "noisy_grad",
-    "noisy_hess",
+    "grad_noise_factor",
+    "symmetric_noise",
 ]
 
 
@@ -175,27 +174,6 @@ def sample_hess(model: RegressionModel, x: np.ndarray, s: Sample) -> np.ndarray:
     return (p * (1.0 - p)) * np.outer(s.xi_a, s.xi_a)
 
 
-@dataclass
-class NoisyOracleProblem:
-    """Exact gradient/Hessian oracles observed through Gaussian noise.
-
-    Gradient noise has covariance sigma2 * (I + 1 1^T); Hessian noise is a
-    symmetric matrix whose upper triangle (diagonal included) is i.i.d.
-    N(0, sigma2), mirrored below.
-    """
-
-    true_grad: Callable[[np.ndarray], np.ndarray]
-    true_hess: Callable[[np.ndarray], np.ndarray]
-    sigma2: float
-    dim: int
-    grad_noise_chol: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
-        self.grad_noise_chol = grad_noise_factor(self.dim, self.sigma2)
-
-
 def grad_noise_factor(d: int, sigma2: float) -> np.ndarray:
     """Symmetric factor L with L @ L.T = sigma2 * (I + 1 1^T).
 
@@ -205,25 +183,12 @@ def grad_noise_factor(d: int, sigma2: float) -> np.ndarray:
     return np.sqrt(sigma2) * (np.eye(d) + c * np.ones((d, d)))
 
 
-def noisy_grad(
-    problem: NoisyOracleProblem, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """True gradient plus correlated Gaussian noise (consumes d normals)."""
-    z = rng.standard_normal(problem.dim)
-    return problem.true_grad(x) + problem.grad_noise_chol @ z
+def symmetric_noise(z: np.ndarray, d: int, sigma2: float) -> np.ndarray:
+    """Symmetric (..., d, d) noise from (..., d(d+1)/2) standard normals.
 
-def symmetric_noise(d: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric matrix, upper triangle i.i.d. N(0, sigma2), mirrored.
-
-    Consumes d(d+1)/2 normals filling the upper triangle row-major.
+    The normals, scaled by sqrt(sigma2), fill the upper triangle row-major
+    and are mirrored below, so the upper triangle is i.i.d. N(0, sigma2).
     """
-    vals = np.sqrt(sigma2) * rng.standard_normal(d * (d + 1) // 2)
-    e = np.zeros((d, d))
-    e[np.triu_indices(d)] = vals
-    return e + np.triu(e, 1).T
-
-
-def noisy_hess(
-    problem: NoisyOracleProblem, x: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    return problem.true_hess(x) + symmetric_noise(problem.dim, problem.sigma2, rng)
+    e = np.zeros(z.shape[:-1] + (d, d))
+    e[(...,) + np.triu_indices(d)] = np.sqrt(sigma2) * z
+    return e + np.swapaxes(np.triu(e, 1), -1, -2)

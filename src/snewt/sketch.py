@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "SketchDistribution",
     "SketchSolveConfig",
-    "draw_sketch",
     "sketch_project_step",
     "projection_matrix",
     "solve_newton_sketched",
@@ -35,8 +34,6 @@ class SketchDistribution:
     kind "uniform_coordinate": S is a uniformly random canonical basis
         column (q = 1).  Equivalent to randomized Kaczmarz on the rows.
     kind "gaussian": q i.i.d. columns N(0, cov); cov defaults to identity.
-    kind "column_block": q distinct canonical columns drawn uniformly
-        without replacement.
     """
 
     kind: str = "uniform_coordinate"
@@ -44,7 +41,7 @@ class SketchDistribution:
     cov: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uniform_coordinate", "gaussian", "column_block"):
+        if self.kind not in ("uniform_coordinate", "gaussian"):
             raise ValueError(f"unknown sketch kind {self.kind!r}")
         if self.q < 1:
             raise ValueError("sketch width q must be >= 1")
@@ -87,29 +84,6 @@ class SketchSolveConfig:
     @property
     def is_exact(self) -> bool:
         return self.tau is None
-
-
-def draw_sketch(
-    dist: SketchDistribution, d: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw one sketch matrix of shape (d, q).
-
-    uniform_coordinate consumes one integer; gaussian consumes d*q standard
-    normals (filled as a (d, q) block); column_block consumes one
-    without-replacement choice of q indices.
-    """
-    if dist.kind == "uniform_coordinate":
-        s = np.zeros((d, 1))
-        s[int(rng.integers(0, d)), 0] = 1.0
-        return s
-    if dist.kind == "gaussian":
-        z = rng.standard_normal((d, dist.q))
-        chol = dist.cov_factor(d)
-        return z if chol is None else chol @ z
-    cols = rng.choice(d, size=dist.q, replace=False)
-    s = np.zeros((d, dist.q))
-    s[cols, np.arange(dist.q)] = 1.0
-    return s
 
 
 def _pinv_tol_abs(B: np.ndarray, pinv_tol: float) -> float:
@@ -226,14 +200,9 @@ def solve_newton_sketched(
             r = B[i] @ dx + g[i]
             dx = dx - (r / den) * B[i]
         return dx
-    if cfg.dist.kind == "gaussian":
-        z = rng.standard_normal((tau, d, cfg.dist.q))
-        chol = cfg.dist.cov_factor(d)
-        for j in range(tau):
-            s = z[j] if chol is None else chol @ z[j]
-            dx = sketch_project_step(B, g, dx, s, tol)
-        return dx
-    for _ in range(tau):
-        s = draw_sketch(cfg.dist, d, rng)
+    z = rng.standard_normal((tau, d, cfg.dist.q))
+    chol = cfg.dist.cov_factor(d)
+    for j in range(tau):
+        s = z[j] if chol is None else chol @ z[j]
         dx = sketch_project_step(B, g, dx, s, tol)
     return dx

@@ -11,6 +11,11 @@ solves it exactly (LU; the KKT matrix is symmetric indefinite) or with tau
 sketch-and-project steps on the full (d+m)-dimensional system, and moves
 the primal-dual pair by a banded stepsize.  The covariance machinery
 applies to the primal block unchanged: trace sinks receive (t, x_t, alpha).
+
+Problems and the step work on stacks of replications as well as on single
+points: run_sqp steps one replication with sqp_step, and the batched
+harness (experiment.run_experiment) steps all of its replications at once
+with the same function.
 """
 
 from __future__ import annotations
@@ -45,6 +50,13 @@ __all__ = [
 class EqConstrainedProblem:
     """min f(x) subject to c(x) = 0 (m equality constraints).
 
+    Every callable works on arrays with any leading axes, so one definition
+    serves a single point x of shape (d,) and a stack of replications of
+    shape (R, d) alike: objective maps (..., d) to (...), grad and hess give
+    (..., d) and (..., d, d), cons and jac give (..., m) and (..., m, d),
+    and cons_hess gives (..., m, d, d).  The values may be read-only
+    broadcast views.
+
     ``inactive`` lists the coordinates whose optimal value is not pinned by
     the constraints to first order (the tangent space at x* has a nonzero
     component there); only those coordinates carry asymptotic randomness,
@@ -54,7 +66,7 @@ class EqConstrainedProblem:
     name: str
     dim: int
     n_cons: int
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
     cons: Callable[[np.ndarray], np.ndarray]
@@ -65,18 +77,22 @@ class EqConstrainedProblem:
     inactive: Tuple[int, ...]
     x0: np.ndarray
 
+    def weighted_cons_hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """sum_i lam[..., i] hess c_i(x), shape (..., d, d)."""
+        return np.einsum("...m,...mij->...ij", lam, self.cons_hess(x))
+
     def lagrangian_hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self.hess(x) + np.tensordot(lam, self.cons_hess(x), axes=1)
+        return self.hess(x) + self.weighted_cons_hess(x, lam)
 
 
 def kkt_assemble(B: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Symmetric KKT matrix [[B, G^T], [G, 0]]."""
-    d = B.shape[0]
-    m = G.shape[0]
-    K = np.zeros((d + m, d + m))
-    K[:d, :d] = B
-    K[:d, d:] = G.T
-    K[d:, :d] = G
+    """Symmetric KKT matrices [[B, G^T], [G, 0]], stacked over leading axes."""
+    d = B.shape[-1]
+    m = G.shape[-2]
+    K = np.zeros(B.shape[:-2] + (d + m, d + m))
+    K[..., :d, :d] = B
+    K[..., :d, d:] = np.swapaxes(G, -1, -2)
+    K[..., d:, :d] = G
     return K
 
 
@@ -85,9 +101,9 @@ def kkt_residual(
 ) -> np.ndarray:
     """Stacked first-order residual [grad f + G^T lam; c(x)]."""
     return np.concatenate([
-        problem.grad(x) + problem.jac(x).T @ lam,
+        problem.grad(x) + np.einsum("...md,...m->...d", problem.jac(x), lam),
         problem.cons(x),
-    ])
+    ], axis=-1)
 
 
 def newton_kkt_solve(
@@ -120,31 +136,43 @@ def newton_kkt_solve(
 
 @dataclass
 class SqpState:
+    """Step count t plus iterate, multipliers and Lagrangian-Hessian average.
+
+    x, lam and B have shapes (..., d), (..., m) and (..., d, d): one
+    replication, or a stack of them sharing t.
+    """
+
     t: int
     x: np.ndarray
     lam: np.ndarray
     B: np.ndarray
-    last_alpha: Optional[float] = None
+    last_alpha: Optional[Union[float, np.ndarray]] = None
 
 
 def sqp_step(
     state: SqpState,
     problem: EqConstrainedProblem,
     sigma2: float,
-    cfg: SketchSolveConfig,
     schedule: StepsizeSchedule,
-    rngs: RngStreams,
+    z: np.ndarray,
+    alpha: Union[float, np.ndarray],
+    solve: Callable[[np.ndarray, np.ndarray], np.ndarray],
     grad_chol: Optional[np.ndarray] = None,
 ) -> SqpState:
-    """One stochastic SQP step.
+    """One stochastic SQP step, for one replication or a stack of them.
 
-    The data stream is consumed in a fixed order: d normals for the
-    gradient noise, then d(d+1)/2 normals for the symmetric Hessian noise.
-    The Lagrangian Hessian sample uses the exact constraint Hessians
-    weighted by the current multipliers:
+    ``z`` holds each replication's d + d(d+1)/2 standard normals: the
+    first d give gradient noise of covariance sigma2 (I + 1 1^T), the rest
+    the symmetric Hessian noise (see problems.symmetric_noise).
+    Constraints are exact.  The Lagrangian Hessian sample weights the
+    constraint Hessians by the current multipliers:
 
         H_t = (hess f(x_t) + noise) + sum_i lam_t[i] hess c_i(x_t),
         B_{t+1} = (t B_t + H_t) / (t + 1).
+
+    ``solve(K, rhs)`` returns delta with K delta = -rhs (exactly or by a
+    sketch sweep); the primal-dual pair then moves by ``alpha``, a scalar
+    or one stepsize per replication.
 
     As in the unconstrained step, the KKT system's upper-left block is
     damped for t >= 1 with the vanishing sample-scaled ridge
@@ -154,33 +182,30 @@ def sqp_step(
     """
     d = problem.dim
     t = state.t
+    X, Lam, B = state.x, state.lam, state.B
     if grad_chol is None:
         grad_chol = grad_noise_factor(d, sigma2)
-    zg = rngs.data.standard_normal(d)
-    gbar = problem.grad(state.x) + grad_chol @ zg
-    h_noise = symmetric_noise(d, sigma2, rngs.data)
-    G = problem.jac(state.x)
-    rhs = np.concatenate([gbar + G.T @ state.lam, problem.cons(state.x)])
-    H = problem.hess(state.x) + h_noise \
-        + np.tensordot(state.lam, problem.cons_hess(state.x), axes=1)
+    gbar = problem.grad(X) + z[..., :d] @ grad_chol.T
+    H = (problem.hess(X) + symmetric_noise(z[..., d:], d, sigma2)
+         + problem.weighted_cons_hess(X, Lam))
+    J = problem.jac(X)
+    rhs = np.concatenate(
+        [gbar + np.einsum("...md,...m->...d", J, Lam), problem.cons(X)],
+        axis=-1)
     if t == 0:
-        b_solve = state.B
+        b_solve = B
     else:
-        ridge = schedule.beta_t(t) * float(np.linalg.norm(H, "fro"))
-        b_solve = state.B + ridge * np.eye(d)
-    K = kkt_assemble(b_solve, G)
-    if cfg.is_exact:
-        # the KKT matrix is indefinite, so the exact path is a plain LU solve
-        delta = np.linalg.solve(K, -rhs)
-    else:
-        delta = solve_newton_sketched(K, rhs, cfg, rngs.sketch)
-    alpha = schedule.draw(t, rngs.step)
-    x_new = state.x + alpha * delta[:d]
-    lam_new = state.lam + alpha * delta[d:]
-    B_new = state.B * t
+        fro = np.sqrt(np.einsum("...ij,...ij->...", H, H))
+        ridge = schedule.beta_t(t) * fro
+        b_solve = B + ridge[..., None, None] * np.eye(d)
+    delta = solve(kkt_assemble(b_solve, J), rhs)
+    step = np.asarray(alpha)[..., None]
+    B_new = B * t
     B_new += H
     B_new /= t + 1
-    return SqpState(t=t + 1, x=x_new, lam=lam_new, B=B_new, last_alpha=alpha)
+    return SqpState(t=t + 1, x=X + step * delta[..., :d],
+                    lam=Lam + step * delta[..., d:], B=B_new,
+                    last_alpha=alpha)
 
 
 def run_sqp(
@@ -193,19 +218,29 @@ def run_sqp(
     sinks: Iterable[TraceSink] = (),
     divergence_norm: float = 1e8,
 ) -> SqpState:
-    """Run n_iters SQP steps; sinks receive (t, x_t, alpha_{t-1})."""
+    """Run n_iters SQP steps; sinks receive (t, x_t, alpha_{t-1}).
+
+    Per step, the data stream gives d + d(d+1)/2 normals (see sqp_step),
+    the sketch stream gives the draws of solve_newton_sketched on the
+    assembled KKT system, and the step stream gives one uniform in band
+    mode only.  The three are separate generators, so the order in which
+    they are read does not matter.
+    """
     rngs = seed if isinstance(seed, RngStreams) else RngStreams.from_seed(seed)
-    grad_chol = grad_noise_factor(problem.dim, sigma2)
-    state = SqpState(
-        t=0,
-        x=problem.x0.copy(),
-        lam=np.zeros(problem.n_cons),
-        B=np.eye(problem.dim),
-    )
+    d = problem.dim
+    n_normals = d + d * (d + 1) // 2
+    grad_chol = grad_noise_factor(d, sigma2)
+    # the KKT matrix is indefinite, so the exact path is a plain LU solve
+    solve = ((lambda K, rhs: np.linalg.solve(K, -rhs)) if cfg.is_exact else
+             (lambda K, rhs: solve_newton_sketched(K, rhs, cfg, rngs.sketch)))
+    state = SqpState(t=0, x=problem.x0.copy(), lam=np.zeros(problem.n_cons),
+                     B=np.eye(d))
     sinks = tuple(sinks)
     for _ in range(n_iters):
-        state = sqp_step(state, problem, sigma2, cfg, schedule, rngs,
-                         grad_chol=grad_chol)
+        z = rngs.data.standard_normal(n_normals)
+        alpha = schedule.draw(state.t, rngs.step)
+        state = sqp_step(state, problem, sigma2, schedule, z, alpha, solve,
+                         grad_chol)
         norm = float(np.linalg.norm(state.x)) + float(np.linalg.norm(state.lam))
         if not np.isfinite(norm) or norm > divergence_norm:
             raise DivergenceError(state.t, norm)
@@ -233,6 +268,11 @@ def inactive_functional_ci(
 # built-in problems
 
 
+def _stacked(value: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A constant value broadcast over the leading axes of X (read-only)."""
+    return np.broadcast_to(value, X.shape[:-1] + value.shape)
+
+
 def equality_qp() -> EqConstrainedProblem:
     """Convex QP with the first coordinate pinned: min .5 x'Ax + b'x, x_0 = 1.
 
@@ -249,17 +289,19 @@ def equality_qp() -> EqConstrainedProblem:
     y = np.linalg.solve(A[np.ix_(free, free)], -(b[free] + A[free, 0] * 1.0))
     x_star = np.concatenate([[1.0], y])
     lam_star = np.array([-(A @ x_star + b)[0]])
+    jac = np.array([[1.0, 0.0, 0.0]])
     zeros_ch = np.zeros((1, 3, 3))
     return EqConstrainedProblem(
         name="eqqp",
         dim=3,
         n_cons=1,
-        objective=lambda x: 0.5 * x @ A @ x + b @ x,
-        grad=lambda x: A @ x + b,
-        hess=lambda x: A.copy(),
-        cons=lambda x: np.array([x[0] - 1.0]),
-        jac=lambda x: np.array([[1.0, 0.0, 0.0]]),
-        cons_hess=lambda x: zeros_ch,
+        # A is symmetric, so x A = A x
+        objective=lambda X: np.einsum("...i,...i->...", 0.5 * X @ A + b, X),
+        grad=lambda X: X @ A + b,
+        hess=lambda X: _stacked(A, X),
+        cons=lambda X: X[..., :1] - 1.0,
+        jac=lambda X: _stacked(jac, X),
+        cons_hess=lambda X: _stacked(zeros_ch, X),
         x_star=x_star,
         lam_star=lam_star,
         inactive=(1, 2),
@@ -273,17 +315,19 @@ def maratos() -> EqConstrainedProblem:
     Solution (1, 0) with multiplier -3/2; the tangent direction at the
     solution is e_1, so only x_1 is asymptotically random.
     """
+    e0 = np.array([1.0, 0.0])
+    hess = 4.0 * np.eye(2)
     ch = 2.0 * np.eye(2)[None, :, :]
     return EqConstrainedProblem(
         name="maratos",
         dim=2,
         n_cons=1,
-        objective=lambda x: 2.0 * (x[0] ** 2 + x[1] ** 2 - 1.0) - x[0],
-        grad=lambda x: np.array([4.0 * x[0] - 1.0, 4.0 * x[1]]),
-        hess=lambda x: 4.0 * np.eye(2),
-        cons=lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 1.0]),
-        jac=lambda x: np.array([[2.0 * x[0], 2.0 * x[1]]]),
-        cons_hess=lambda x: ch,
+        objective=lambda X: 2.0 * ((X ** 2).sum(axis=-1) - 1.0) - X[..., 0],
+        grad=lambda X: 4.0 * X - e0,
+        hess=lambda X: _stacked(hess, X),
+        cons=lambda X: (X ** 2).sum(axis=-1, keepdims=True) - 1.0,
+        jac=lambda X: 2.0 * X[..., None, :],
+        cons_hess=lambda X: _stacked(ch, X),
         x_star=np.array([1.0, 0.0]),
         lam_star=np.array([-1.5]),
         inactive=(1,),
@@ -298,26 +342,40 @@ def hs7() -> EqConstrainedProblem:
     direction at the solution is e_0, so only x_0 is asymptotically random.
     """
 
-    def hess(x: np.ndarray) -> np.ndarray:
-        h = np.zeros((2, 2))
-        h[0, 0] = 2.0 * (1.0 - x[0] ** 2) / (1.0 + x[0] ** 2) ** 2
+    def grad(X: np.ndarray) -> np.ndarray:
+        g = np.empty_like(X)
+        x0 = X[..., 0]
+        g[..., 0] = 2.0 * x0 / (1.0 + x0 ** 2)
+        g[..., 1] = -1.0
+        return g
+
+    def hess(X: np.ndarray) -> np.ndarray:
+        h = np.zeros(X.shape[:-1] + (2, 2))
+        x0 = X[..., 0]
+        h[..., 0, 0] = 2.0 * (1.0 - x0 ** 2) / (1.0 + x0 ** 2) ** 2
         return h
 
-    def cons_hess(x: np.ndarray) -> np.ndarray:
-        ch = np.zeros((1, 2, 2))
-        ch[0, 0, 0] = 4.0 + 12.0 * x[0] ** 2
-        ch[0, 1, 1] = 2.0
+    def jac(X: np.ndarray) -> np.ndarray:
+        j = np.empty(X.shape[:-1] + (1, 2))
+        j[..., 0, 0] = 4.0 * X[..., 0] * (1.0 + X[..., 0] ** 2)
+        j[..., 0, 1] = 2.0 * X[..., 1]
+        return j
+
+    def cons_hess(X: np.ndarray) -> np.ndarray:
+        ch = np.zeros(X.shape[:-1] + (1, 2, 2))
+        ch[..., 0, 0, 0] = 4.0 + 12.0 * X[..., 0] ** 2
+        ch[..., 0, 1, 1] = 2.0
         return ch
 
     return EqConstrainedProblem(
         name="hs7",
         dim=2,
         n_cons=1,
-        objective=lambda x: np.log1p(x[0] ** 2) - x[1],
-        grad=lambda x: np.array([2.0 * x[0] / (1.0 + x[0] ** 2), -1.0]),
+        objective=lambda X: np.log1p(X[..., 0] ** 2) - X[..., 1],
+        grad=grad,
         hess=hess,
-        cons=lambda x: np.array([(1.0 + x[0] ** 2) ** 2 + x[1] ** 2 - 4.0]),
-        jac=lambda x: np.array([[4.0 * x[0] * (1.0 + x[0] ** 2), 2.0 * x[1]]]),
+        cons=lambda X: (1.0 + X[..., :1] ** 2) ** 2 + X[..., 1:] ** 2 - 4.0,
+        jac=jac,
         cons_hess=cons_hess,
         x_star=np.array([0.0, np.sqrt(3.0)]),
         lam_star=np.array([1.0 / (2.0 * np.sqrt(3.0))]),

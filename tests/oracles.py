@@ -115,6 +115,66 @@ def coordinate_sketches(indices: Sequence[int], d: int) -> List[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# stochastic SQP, one replication, written from the KKT step in vector form
+
+
+def sqp_replay(problem, sigma2: float, tau: Optional[int], schedule,
+               n_iters: int, rngs) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Straight-line SQP loop; returns the iterates x_1..x_n and final lam.
+
+    Step t reads d + d(d+1)/2 data normals z: gradient noise
+    sigma (I + c 1 1^T) z[:d] with c = (sqrt(d+1) - 1)/d, then the Hessian
+    noise's upper triangle, row by row, as sigma z[d:].  The Lagrangian
+    Hessian sample H = hess f + noise + sum_i lam_i hess c_i enters the
+    average B after the step; the KKT matrix uses B + beta_t ||H||_F I for
+    t >= 1.  tau = None solves with np.linalg.solve; otherwise tau
+    coordinate indices from the sketch stream drive sketch_loop.  In band
+    mode the step stream gives one uniform per step.
+    """
+    d, m = problem.dim, problem.n_cons
+    n = d + m
+    sigma = np.sqrt(sigma2)
+    c = (np.sqrt(d + 1.0) - 1.0) / d
+    noise_factor = sigma * (np.eye(d) + c * np.ones((d, d)))
+    x = np.array(problem.x0, dtype=float)
+    lam = np.zeros(m)
+    B = np.eye(d)
+    xs: List[np.ndarray] = []
+    for t in range(n_iters):
+        z = rngs.data.standard_normal(d + d * (d + 1) // 2)
+        g = problem.grad(x) + noise_factor @ z[:d]
+        E = np.zeros((d, d))
+        k = d
+        for i in range(d):
+            for j in range(i, d):
+                E[i, j] = E[j, i] = sigma * z[k]
+                k += 1
+        H = problem.hess(x) + E
+        for i in range(m):
+            H = H + lam[i] * problem.cons_hess(x)[i]
+        G = problem.jac(x)
+        B_solve = B
+        if t > 0:
+            B_solve = B + schedule.beta_t(t) * np.sqrt((H * H).sum()) * np.eye(d)
+        K = np.block([[B_solve, G.T], [G, np.zeros((m, m))]])
+        rhs = np.concatenate([g + G.T @ lam, problem.cons(x)])
+        if tau is None:
+            delta = np.linalg.solve(K, -rhs)
+        else:
+            idx = rngs.sketch.integers(0, n, size=tau)
+            delta = sketch_loop(K, rhs, coordinate_sketches(idx, n))
+        if schedule.mode == "deterministic":
+            alpha = schedule.phi(t)
+        else:
+            alpha = schedule.beta_t(t) + rngs.step.random() * schedule.chi_t(t)
+        x = x + alpha * delta[:d]
+        lam = lam + alpha * delta[d:]
+        B = (t * B + H) / (t + 1)
+        xs.append(x.copy())
+    return xs, lam
+
+
+# ---------------------------------------------------------------------------
 # exhaustive enumeration of the sketched-residual spread
 
 

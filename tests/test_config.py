@@ -64,6 +64,8 @@ def test_bad_values_name_the_key():
         parse_config_string("[method]\nsketch = hadamard\n")
     with pytest.raises(ConfigError, match="solver"):
         parse_config_string("[method]\nsolver = adam\n")
+    with pytest.raises(ConfigError, match="sigma2"):
+        parse_config_string("[problem]\nfamily = eqqp\nsigma2 = -1\n")
 
 
 def test_tau_parsing():

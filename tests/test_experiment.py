@@ -28,7 +28,9 @@ from snewt.experiment import (
     write_summary_csv,
 )
 from snewt.optimizer import RngStreams, run
+from snewt.sketch import pinv_newton_solve
 from snewt.sqp import run_sqp
+from tests.oracles import sqp_replay, wsc_two_pass
 
 
 EYE3 = np.eye(3)
@@ -148,35 +150,72 @@ def test_sgd_engine_matches_manual_first_order_loop():
     _close(result.final_estimates["batchmeans"], bm.estimate())
 
 
+def _check_sqp_against_replay(method, seed, n_iters):
+    # the harness (one replication) and run_sqp share sqp_step; both are
+    # checked against the straight-line replay, not against each other
+    for family in ("eqqp", "maratos", "hs7"):
+        cfg = _cfg(problem=ProblemConfig(family=family, sigma2=1e-2),
+                   method=method, estimators=("wsc",), direction="inactive",
+                   seed=seed, n_iters=n_iters)
+        problem = cfg.build_problem()
+        sched = cfg.build_schedule()
+        xs, lam = sqp_replay(problem, 1e-2, method.tau, sched, n_iters,
+                             RngStreams.from_seed(seed))
+        expected_wsc = wsc_two_pass(xs, [sched.phi(t) for t in range(n_iters)])
+
+        result = run_experiment(cfg)
+        _close(result.final_x[0], xs[-1])
+        _close(result.final_lam[0], lam)
+        _close(result.final_estimates["wsc"], expected_wsc)
+
+        acc = WscAccumulator(problem.dim)
+        final = run_sqp(problem, 1e-2, cfg.build_solve_config(), sched,
+                        n_iters, RngStreams.from_seed(seed),
+                        sinks=(WscSink(sched, acc),))
+        _close(final.x, xs[-1])
+        _close(final.lam, lam)
+        _close(acc.estimate(), expected_wsc)
+
+
 def test_exact_sqp_engine_matches_sequential_run():
-    cfg = _cfg(problem=ProblemConfig(family="eqqp", sigma2=1e-2),
-               method=MethodConfig(tau=None),
-               estimators=("wsc",), direction="inactive", seed=14)
-    result = run_experiment(cfg)
-    problem = cfg.build_problem()
-    sched = cfg.build_schedule()
-    acc = WscAccumulator(3)
-    final = run_sqp(problem, 1e-2, cfg.build_solve_config(), sched, 300,
-                    RngStreams.from_seed(14), sinks=(WscSink(sched, acc),))
-    _close(result.final_x[0], final.x)
-    _close(result.final_lam[0], final.lam)
-    _close(result.final_estimates["wsc"], acc.estimate())
+    _check_sqp_against_replay(MethodConfig(tau=None), seed=14, n_iters=300)
 
 
 def test_sketched_sqp_engine_matches_sequential_run():
-    cfg = _cfg(problem=ProblemConfig(family="maratos", sigma2=1e-2),
-               method=MethodConfig(tau=2),
-               estimators=("wsc",), direction="inactive", seed=6,
-               n_iters=200)
-    result = run_experiment(cfg)
-    problem = cfg.build_problem()
-    sched = cfg.build_schedule()
-    acc = WscAccumulator(2)
-    final = run_sqp(problem, 1e-2, cfg.build_solve_config(), sched, 200,
-                    RngStreams.from_seed(6), sinks=(WscSink(sched, acc),))
-    _close(result.final_x[0], final.x)
-    _close(result.final_lam[0], final.lam)
-    _close(result.final_estimates["wsc"], acc.estimate())
+    _check_sqp_against_replay(MethodConfig(tau=2), seed=6, n_iters=200)
+
+
+# ---------------------------------------------------------------------------
+# fallbacks of the batched solves
+
+
+def test_lu_solve_falls_back_to_lstsq_on_a_singular_slice():
+    rng = np.random.default_rng(31)
+    K = rng.standard_normal((3, 4, 4))
+    K = K + K.transpose(0, 2, 1)
+    K[1, 2, :] = 0.0  # an exactly singular slice: LU meets a zero pivot
+    K[1, :, 2] = 0.0
+    rhs = rng.standard_normal((3, 4))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(K[1], -rhs[1])
+    out = experiment._lu_solve_batched(K, rhs)
+    assert np.array_equal(out[1], np.linalg.lstsq(K[1], -rhs[1], rcond=None)[0])
+    for r in (0, 2):
+        assert np.array_equal(out[r], np.linalg.solve(K[r], -rhs[r]))
+
+
+def test_exact_solve_falls_back_to_pseudo_inverse_per_replication():
+    rng = np.random.default_rng(32)
+    A = rng.standard_normal((3, 3, 3))
+    B = A @ A.transpose(0, 2, 1) + 0.5 * np.eye(3)
+    B[1] = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    g = rng.standard_normal((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(B[1])
+    out = experiment._exact_solve_batched(B, g, 1e-12)
+    _close(out[1], pinv_newton_solve(B[1], g[1], 1e-12), tol=1e-14)
+    for r in (0, 2):
+        assert np.array_equal(out[r], np.linalg.solve(B[r], -g[r]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,21 +231,6 @@ def test_chunk_size_does_not_change_linear_results():
     assert len(small.rows) == len(large.rows) == 3
     for a, b in zip(small.rows, large.rows):
         assert a == b
-
-
-def test_worker_count_does_not_change_the_output(tmp_path, monkeypatch):
-    cfg = _cfg(method=MethodConfig(tau=2), n_iters=120, n_reps=3,
-               record_every=40)
-    paths = {}
-    for workers in ("1", "3"):
-        monkeypatch.setenv("SNEWT_THREADS", workers)
-        result = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3)
-        agg = tmp_path / f"agg_{workers}.csv"
-        summ = tmp_path / f"sum_{workers}.csv"
-        write_aggregate_csv(result, str(agg))
-        write_summary_csv(result, str(summ))
-        paths[workers] = (agg.read_bytes(), summ.read_bytes())
-    assert paths["1"] == paths["3"]
 
 
 def test_rerunning_a_study_is_byte_identical(tmp_path):

@@ -12,7 +12,6 @@ from snewt.inference import (
     directional_ci,
     normal_cdf,
     normal_quantile,
-    region_contains,
 )
 
 
@@ -124,7 +123,6 @@ def test_region_contains_center_and_rejects_far_points():
     x = np.array([1.0, -1.0])
     region = confidence_region(x, alpha=0.01, xi_inv=np.eye(2))
     assert region.contains(x)
-    assert region_contains(region, x)
     assert not region.contains(x + np.array([10.0, 0.0]))
 
 

@@ -225,14 +225,6 @@ def test_same_seed_runs_are_bitwise_identical():
     assert np.array_equal(a.x, c.x)
 
 
-def test_frozen_hessian_average_is_left_untouched():
-    model = RegressionModel(family="linear", x_star=default_x_star(2))
-    B0 = 2.0 * np.eye(2)
-    final = run(model, SketchSolveConfig(), StepsizeSchedule(), 20, 3,
-                B0=B0, freeze_hessian=True)
-    assert np.array_equal(final.B, B0)
-
-
 def test_divergence_raises_with_step_and_norm():
     sched = StepsizeSchedule(c_beta=1.0, beta=0.6, c_chi=0.0,
                              mode="deterministic")

@@ -2,24 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from snewt.optimizer import StepsizeSchedule
 from snewt.problems import (
     DesignCovSpec,
-    NoisyOracleProblem,
     RegressionModel,
     Sample,
     default_x_star,
     draw_sample,
     grad_noise_factor,
     materialize_design,
-    noisy_grad,
-    noisy_hess,
     sample_grad,
     sample_hess,
     sample_loss,
     symmetric_noise,
 )
+from snewt.sqp import SqpState, equality_qp, hs7, sqp_step
 from tests.oracles import fd_grad, fd_jac
 
 
@@ -54,6 +53,8 @@ def test_equicorr_design_hand_example():
     d=st.integers(min_value=1, max_value=8),
 )
 def test_design_matrices_are_spd(kind, r, d):
+    # equi-correlation is positive definite only for r > -1/(d-1)
+    assume(kind == "toeplitz" or d == 1 or r > -1.0 / (d - 1))
     sigma = materialize_design(DesignCovSpec(kind=kind, r=r), d)
     assert np.array_equal(sigma, sigma.T)
     assert np.linalg.eigvalsh(sigma).min() > 0.0
@@ -206,48 +207,45 @@ def test_grad_noise_factor_closed_form_identity():
         assert np.array_equal(L, L.T)
 
 
+def _first_steps(prob, x, lam, sigma2, n):
+    """n independent t = 0 SQP steps from (x, lam) with B = I and alpha = 1."""
+    d, m = prob.dim, prob.n_cons
+    state = SqpState(t=0, x=np.tile(x, (n, 1)), lam=np.tile(lam, (n, 1)),
+                     B=np.tile(np.eye(d), (n, 1, 1)))
+    z = np.random.default_rng(2).standard_normal((n, d + d * (d + 1) // 2))
+    return sqp_step(state, prob, sigma2, StepsizeSchedule(), z, np.ones(n),
+                    lambda K, rhs: np.linalg.solve(K, -rhs[..., None])[..., 0])
+
+
 def test_noisy_grad_covariance_law_monte_carlo():
-    d = 3
-    prob = NoisyOracleProblem(
-        true_grad=lambda x: np.zeros(d),
-        true_hess=lambda x: np.eye(d),
-        sigma2=0.5,
-        dim=d,
-    )
-    rng = np.random.default_rng(2)
+    # eqqp pins x_0, so with B = I the first step moves the free block by
+    # minus its noisy gradient: covariance sigma2 (I + 1 1^T) on that block
+    prob = equality_qp()
     n = 100_000
-    draws = np.empty((n, d))
-    for i in range(n):
-        draws[i] = noisy_grad(prob, np.zeros(d), rng)
-    emp = draws.T @ draws / n
-    target = 0.5 * (np.eye(d) + np.ones((d, d)))
-    dev = np.linalg.norm(emp - target, 2) / np.linalg.norm(target, 2)
-    assert dev < 0.05
+    out = _first_steps(prob, prob.x_star, prob.lam_star, 0.5, n)
+    dev = out.x[:, 1:] - prob.x_star[1:]
+    emp = dev.T @ dev / n
+    target = 0.5 * (np.eye(2) + np.ones((2, 2)))
+    assert np.linalg.norm(emp - target, 2) / np.linalg.norm(target, 2) < 0.05
+    assert np.abs(out.x[:, 0] - 1.0).max() < 1e-12
 
 
 def test_symmetric_noise_is_exactly_symmetric_and_scaled():
-    e = symmetric_noise(4, 0.25, np.random.default_rng(7))
-    assert np.array_equal(e, e.T)
-    # variance scale: entries are 0.5 * standard normals drawn in fixed order
     z = np.random.default_rng(7).standard_normal(10)
-    assert np.allclose(e[np.triu_indices(4)], 0.5 * z, atol=1e-15)
+    e = symmetric_noise(z, 4, 0.25)
+    assert np.array_equal(e, e.T)
+    # variance scale: the normals, times 0.5, fill the upper triangle row-major
+    assert np.array_equal(e[np.triu_indices(4)], 0.5 * z)
+    stack = symmetric_noise(np.stack([z, -z]), 4, 0.25)
+    assert np.array_equal(stack[0], e) and np.array_equal(stack[1], -e)
 
 
 def test_noisy_hess_centers_on_true_hessian():
-    d = 3
-    H = np.diag([1.0, 2.0, 3.0])
-    prob = NoisyOracleProblem(
-        true_grad=lambda x: np.zeros(d),
-        true_hess=lambda x: H,
-        sigma2=0.01,
-        dim=d,
-    )
-    rng = np.random.default_rng(5)
-    acc = np.zeros((d, d))
+    # at t = 0 the new average is the Lagrangian Hessian sample itself
+    prob = hs7()
+    x, lam = np.array([0.3, 1.6]), np.array([0.4])
     n = 4000
-    for _ in range(n):
-        acc += noisy_hess(prob, np.zeros(d), rng)
-    assert np.allclose(acc / n, H, atol=0.02)
-    with pytest.raises(ValueError):
-        NoisyOracleProblem(true_grad=lambda x: x, true_hess=lambda x: np.eye(d),
-                           sigma2=-1.0, dim=d)
+    out = _first_steps(prob, x, lam, 0.01, n)
+    assert np.array_equal(out.B, out.B.transpose(0, 2, 1))
+    assert np.allclose(out.B.mean(axis=0), prob.lagrangian_hess(x, lam),
+                       atol=0.02)

@@ -6,7 +6,6 @@ import pytest
 from snewt.sketch import (
     SketchDistribution,
     SketchSolveConfig,
-    draw_sketch,
     exact_newton_solve,
     pinv_newton_solve,
     projection_matrix,
@@ -25,38 +24,40 @@ def _random_spd(rng, d, ridge=0.5):
 # sketch draws
 
 
+def _one_step(dist, d, seed, g=None):
+    """A one-step sketched solve on B = I: dx = -S (S^T S)^+ S^T g."""
+    g = np.arange(1.0, d + 1.0) if g is None else g
+    cfg = SketchSolveConfig(dist=dist, tau=1)
+    return solve_newton_sketched(np.eye(d), g, cfg, np.random.default_rng(seed))
+
+
 def test_uniform_coordinate_sketch_is_canonical_column():
-    rng = np.random.default_rng(0)
     expected_idx = int(np.random.default_rng(0).integers(0, 4))
-    s = draw_sketch(SketchDistribution(), 4, rng)
-    assert s.shape == (4, 1)
-    col = np.zeros((4, 1))
-    col[expected_idx, 0] = 1.0
-    assert np.array_equal(s, col)
+    dx = _one_step(SketchDistribution(), 4, 0)
+    col = np.zeros(4)
+    col[expected_idx] = -(expected_idx + 1.0)
+    assert np.array_equal(dx, col)
 
 
 def test_uniform_coordinate_frequencies_are_uniform():
     rng = np.random.default_rng(1)
     d, n = 4, 100_000
     counts = np.zeros(d)
-    dist = SketchDistribution()
+    cfg = SketchSolveConfig(dist=SketchDistribution(), tau=1)
+    g = np.ones(d)
     for _ in range(n):
-        s = draw_sketch(dist, d, rng)
-        counts[int(np.argmax(s[:, 0]))] += 1
+        dx = solve_newton_sketched(np.eye(d), g, cfg, rng)
+        counts[int(np.argmin(dx))] += 1
     assert np.abs(counts / n - 1.0 / d).max() < 0.01
 
 
 def test_gaussian_sketch_moments():
+    # a solve forms its sketches as cov_factor(d) @ z from standard normals
     d, q, n = 3, 2, 20_000
     cov = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.0]])
     dist = SketchDistribution(kind="gaussian", q=q, cov=cov)
-    rng = np.random.default_rng(2)
-    cols = np.empty((n * q, d))
-    for i in range(n):
-        s = draw_sketch(dist, d, rng)
-        assert s.shape == (d, q)
-        cols[2 * i] = s[:, 0]
-        cols[2 * i + 1] = s[:, 1]
+    z = np.random.default_rng(2).standard_normal((n, d, q))
+    cols = np.einsum("ij,njq->nqi", dist.cov_factor(d), z).reshape(n * q, d)
     emp = cols.T @ cols / (n * q)
     assert np.abs(cols.mean(axis=0)).max() < 0.02
     assert np.linalg.norm(emp - cov, 2) / np.linalg.norm(cov, 2) < 0.05
@@ -64,17 +65,13 @@ def test_gaussian_sketch_moments():
 
 def test_gaussian_sketch_without_cov_is_standard_normal_block():
     dist = SketchDistribution(kind="gaussian", q=2)
-    s = draw_sketch(dist, 3, np.random.default_rng(5))
+    assert dist.cov_factor(3) is None
+    B = _random_spd(np.random.default_rng(6), 3)
+    g = np.array([1.0, -2.0, 0.5])
+    dx = solve_newton_sketched(B, g, SketchSolveConfig(dist=dist, tau=1),
+                               np.random.default_rng(5))
     z = np.random.default_rng(5).standard_normal((3, 2))
-    assert np.array_equal(s, z)
-
-
-def test_column_block_sketch_selects_distinct_columns():
-    dist = SketchDistribution(kind="column_block", q=2)
-    s = draw_sketch(dist, 5, np.random.default_rng(3))
-    assert s.shape == (5, 2)
-    assert np.array_equal(np.sort(s.sum(axis=0)), [1.0, 1.0])
-    assert np.array_equal(s.T @ s, np.eye(2))  # distinct canonical columns
+    assert np.abs(dx - sketch_loop(B, g, [z])).max() < 1e-12
 
 
 def test_distribution_validation():
@@ -252,19 +249,4 @@ def test_gaussian_solve_matches_straight_line_replay():
     z = np.random.default_rng(seed).standard_normal((4, 3, 2))
     chol = dist.cov_factor(3)
     expected = sketch_loop(B, g, [chol @ z[j] for j in range(4)])
-    assert np.abs(dx - expected).max() < 1e-10
-
-
-def test_column_block_solve_matches_straight_line_replay():
-    rng = np.random.default_rng(15)
-    B = _random_spd(rng, 4)
-    g = rng.standard_normal(4)
-    dist = SketchDistribution(kind="column_block", q=2)
-    cfg = SketchSolveConfig(dist=dist, tau=3)
-    seed = 4321
-    dx = solve_newton_sketched(B, g, cfg, np.random.default_rng(seed))
-    # replay: one without-replacement choice per projection step
-    rng2 = np.random.default_rng(seed)
-    sketches = [draw_sketch(dist, 4, rng2) for _ in range(3)]
-    expected = sketch_loop(B, g, sketches)
     assert np.abs(dx - expected).max() < 1e-10

@@ -104,17 +104,39 @@ def test_builtin_problem_lookup():
         builtin_problem("rosenbrock")
 
 
+@pytest.mark.parametrize("factory", ALL_PROBLEMS)
+def test_callables_on_a_stack_equal_row_by_row_calls(factory):
+    prob = factory()
+    d, m = prob.dim, prob.n_cons
+    X = prob.x_star + 0.3 * np.random.default_rng(12).standard_normal((6, d))
+    shapes = {"objective": (), "grad": (d,), "hess": (d, d), "cons": (m,),
+              "jac": (m, d), "cons_hess": (m, d, d)}
+    for name, shape in shapes.items():
+        fn = getattr(prob, name)
+        stacked = fn(X)
+        rows = np.stack([fn(x) for x in X])
+        assert stacked.shape == rows.shape == (6,) + shape, name
+        assert np.array_equal(stacked, rows), name
+        # any number of leading axes
+        assert np.array_equal(fn(X.reshape(2, 3, d)),
+                              stacked.reshape((2, 3) + shape)), name
+
+
 # ---------------------------------------------------------------------------
 # stochastic stepping
+
+
+def _lu(K, rhs):
+    return np.linalg.solve(K, -rhs[..., None])[..., 0]
 
 
 def test_noise_free_step_leaves_the_solution_fixed():
     prob = equality_qp()
     state = SqpState(t=0, x=prob.x_star.copy(), lam=prob.lam_star.copy(),
                      B=np.eye(3))
-    out = sqp_step(state, prob, 0.0, SketchSolveConfig(),
-                   StepsizeSchedule(mode="deterministic"),
-                   RngStreams.from_seed(0))
+    sched = StepsizeSchedule(mode="deterministic")
+    z = np.random.default_rng(0).standard_normal(9)
+    out = sqp_step(state, prob, 0.0, sched, z, sched.phi(0), _lu)
     # the stored solution satisfies the optimality system to one ulp, so
     # the step may move by rounding noise but nothing more
     assert np.abs(out.x - prob.x_star).max() <= 1e-15
@@ -124,7 +146,6 @@ def test_noise_free_step_leaves_the_solution_fixed():
 def test_noise_free_iteration_converges_at_the_measured_rate():
     prob = equality_qp()
     sched = StepsizeSchedule(mode="deterministic")
-    residuals = {}
     xs = {}
 
     def sink(t, x, alpha):
@@ -132,14 +153,34 @@ def test_noise_free_iteration_converges_at_the_measured_rate():
 
     final = run_sqp(prob, 0.0, SketchSolveConfig(), sched, 600, 0,
                     sinks=(sink,))
-    state = SqpState(t=0, x=prob.x0.copy(), lam=np.zeros(1), B=np.eye(3))
-    rngs = RngStreams.from_seed(0)
-    for i in range(1, 201):
-        state = sqp_step(state, prob, 0.0, SketchSolveConfig(), sched, rngs)
+    state = run_sqp(prob, 0.0, SketchSolveConfig(), sched, 200, 0)
     res200 = np.abs(kkt_residual(prob, state.x, state.lam)).max()
     assert res200 <= 1e-8
     assert np.abs(final.x - prob.x_star).max() <= 1e-12
     assert np.abs(xs[600] - prob.x_star).max() <= 1e-12
+
+
+@pytest.mark.parametrize("factory", ALL_PROBLEMS)
+def test_stacked_step_equals_row_by_row_steps(factory):
+    prob = factory()
+    rng = np.random.default_rng(8)
+    R, d, m = 4, prob.dim, prob.n_cons
+    X = prob.x_star + 0.2 * rng.standard_normal((R, d))
+    Lam = prob.lam_star + 0.2 * rng.standard_normal((R, m))
+    A = rng.standard_normal((R, d, d))
+    B = A @ A.transpose(0, 2, 1) + np.eye(d)
+    Z = rng.standard_normal((R, d + d * (d + 1) // 2))
+    alpha = rng.uniform(0.1, 0.5, size=R)
+    sched = StepsizeSchedule()
+    out = sqp_step(SqpState(t=5, x=X, lam=Lam, B=B), prob, 0.04, sched, Z,
+                   alpha, _lu)
+    for r in range(R):
+        row = sqp_step(SqpState(t=5, x=X[r], lam=Lam[r], B=B[r]), prob, 0.04,
+                       sched, Z[r], alpha[r], _lu)
+        assert np.allclose(out.x[r], row.x, rtol=1e-13, atol=1e-15)
+        assert np.allclose(out.lam[r], row.lam, rtol=1e-13, atol=1e-15)
+        assert np.allclose(out.B[r], row.B, rtol=1e-13, atol=1e-15)
+    assert out.t == 6
 
 
 def test_sketched_run_controls_the_constraint_violation():
