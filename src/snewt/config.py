@@ -315,6 +315,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("[experiment] n_iters must be >= 1")
     if exp.n_reps < 1:
         raise ConfigError("[experiment] n_reps must be >= 1")
+    if exp.base_seed < 0:
+        raise ConfigError("[experiment] base_seed must be >= 0")
     if exp.record_every < 1:
         raise ConfigError("[experiment] record_every must be >= 1")
     if not 0.0 < exp.ci_level < 1.0:

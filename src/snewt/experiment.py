@@ -265,20 +265,31 @@ def _uc_solve_batched(B: np.ndarray, g: np.ndarray, idx: np.ndarray,
                       tol: np.ndarray) -> np.ndarray:
     """Stacked coordinate sketch-and-project sweep (tau steps each).
 
-    B must be symmetric (its rows equal its columns), which lets the
-    column-energy denominators come from rows.  Degenerate rows (energy
-    below tol) leave the iterate unchanged, replication by replication.
+    B is (R, n, n), g (R, n), idx (R, tau) and tol (R,).  B must be
+    symmetric (its rows equal its columns), which lets the column-energy
+    denominators come from rows.  Degenerate rows (energy not above tol,
+    NaN included) leave the iterate unchanged, replication by replication.
+
+    Nothing but the iterate changes between the tau steps, so the selected
+    rows, their right-hand-side entries, their energies and the degenerate
+    mask are gathered once, step-major as (tau, R, ...); each step then
+    does one dot, add, divide, masked zero and axpy, on the same operands
+    and in the same order as a step that gathers its own row.
     """
-    n_rep = g.shape[0]
-    dx = np.zeros_like(g)
+    n_rep, tau = idx.shape
     rows = np.arange(n_rep)
-    for s in range(idx.shape[1]):
-        i = idx[:, s]
-        brow = B[rows, i, :]
-        den = np.einsum("rn,rn->r", brow, brow)
-        ok = den > tol
-        res = np.einsum("rn,rn->r", brow, dx) + g[rows, i]
-        coef = np.where(ok, res / np.where(ok, den, 1.0), 0.0)
+    brows = B[rows, idx.T]
+    gsel = g[rows, idx.T]
+    den = np.einsum("srn,srn->sr", brows, brows)
+    skip = ~(den > tol)
+    den[skip] = 1.0
+    dx = np.zeros_like(g)
+    for s in range(tau):
+        brow = brows[s]
+        coef = np.einsum("rn,rn->r", brow, dx)
+        coef += gsel[s]
+        coef /= den[s]
+        coef[skip[s]] = 0.0
         dx -= coef[:, None] * brow
     return dx
 
@@ -586,10 +597,10 @@ def _run_shard_regression(
                 wsc.update(X, schedule.phi(t))
             if bm is not None:
                 bm.update(X)
-            norms = np.einsum("rd,rd->r", X, X)
-            bad = ~np.isfinite(norms) | (norms > _DIVERGENCE_NORM ** 2)
-            if bad.any():
-                alive &= ~bad
+            # NaN and inf fail the <= test, so they freeze a replication too
+            ok = np.einsum("rd,rd->r", X, X) <= _DIVERGENCE_NORM ** 2
+            if not ok.all():
+                alive &= ok
                 dead = ~alive
                 X[dead] = 0.0
                 if B is not None:
@@ -680,9 +691,9 @@ def _run_shard_sqp(
             wsc.update(X, schedule.phi(t))
             norms = (np.sqrt(np.einsum("rd,rd->r", X, X))
                      + np.sqrt(np.einsum("rm,rm->r", Lam, Lam)))
-            bad = ~np.isfinite(norms) | (norms > _DIVERGENCE_NORM)
-            if bad.any():
-                alive &= ~bad
+            ok = norms <= _DIVERGENCE_NORM  # NaN and inf fail it too
+            if not ok.all():
+                alive &= ok
                 dead = ~alive
                 X[dead] = problem.x0
                 Lam[dead] = 0.0

@@ -25,18 +25,10 @@ __all__ = [
     "ConfidenceRegion",
     "directional_ci",
     "confidence_region",
-    "clamp_count",
 ]
 
 _EPS = 1e-16
 _MAX_ITER = 500
-
-# Number of times directional_ci clamped a (numerically) negative variance.
-_n_clamped = 0
-
-
-def clamp_count() -> int:
-    return _n_clamped
 
 
 def _gamma_p(a: float, x: float) -> float:
@@ -141,6 +133,7 @@ class ConfidenceInterval:
     center: float
     half_width: float
     level: float
+    clamped: bool = False  # the variance was negative and set to zero
 
     @property
     def lo(self) -> float:
@@ -178,22 +171,22 @@ def directional_ci(
 ) -> ConfidenceInterval:
     """Two-sided CI for w^T x_star:  w^T x +- z sqrt(alpha w^T Xi w).
 
-    A numerically negative quadratic form is clamped to zero (counted in
-    clamp_count()).
+    A numerically negative quadratic form is clamped to zero, and the
+    interval says so in its ``clamped`` field.
     """
-    global _n_clamped
     _check_prob(level)
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     quad = float(w @ xi_hat @ w)
-    if quad < 0.0:
-        _n_clamped += 1
+    clamped = quad < 0.0
+    if clamped:
         quad = 0.0
     z = normal_quantile(0.5 + 0.5 * level)
     return ConfidenceInterval(
         center=float(w @ x),
         half_width=z * math.sqrt(alpha * quad),
         level=level,
+        clamped=clamped,
     )
 
 

@@ -8,7 +8,8 @@ observe their exact gradients and Hessians.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import lru_cache
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -188,7 +189,22 @@ def symmetric_noise(z: np.ndarray, d: int, sigma2: float) -> np.ndarray:
 
     The normals, scaled by sqrt(sigma2), fill the upper triangle row-major
     and are mirrored below, so the upper triangle is i.i.d. N(0, sigma2).
+    The + 0.0 keeps every zero positive: with sigma2 = 0 a negative normal
+    would otherwise leave a -0.0.
     """
-    e = np.zeros(z.shape[:-1] + (d, d))
-    e[(...,) + np.triu_indices(d)] = np.sqrt(sigma2) * z
-    return e + np.swapaxes(np.triu(e, 1), -1, -2)
+    iu, ju = _upper_triangle(d)
+    e = np.empty(z.shape[:-1] + (d, d))
+    e[..., iu, ju] = e[..., ju, iu] = np.sqrt(sigma2) * z + 0.0
+    return e
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row-major (rows, cols) of the upper triangle of a d x d matrix.
+
+    Cached and shared by every caller, hence read-only.
+    """
+    iu, ju = np.triu_indices(d)
+    iu.flags.writeable = False
+    ju.flags.writeable = False
+    return iu, ju

@@ -104,6 +104,35 @@ def sketch_loop(B: np.ndarray, g: np.ndarray,
     return dx
 
 
+def uc_sweep_replay(B: np.ndarray, g: np.ndarray, idx: np.ndarray,
+                    tol: np.ndarray) -> np.ndarray:
+    """Stacked coordinate sweep with each step gathering its own row.
+
+    The per-step batched loop the engine's sweep is held to bit for bit:
+    step s reads row idx[r, s] of B[r] and g[r], and a row of energy not
+    above tol[r] leaves replication r's direction unchanged.
+    """
+    dx = np.zeros_like(g)
+    rows = np.arange(g.shape[0])
+    for s in range(idx.shape[1]):
+        i = idx[:, s]
+        brow = B[rows, i, :]
+        den = np.einsum("rn,rn->r", brow, brow)
+        ok = den > tol
+        res = np.einsum("rn,rn->r", brow, dx) + g[rows, i]
+        coef = np.where(ok, res / np.where(ok, den, 1.0), 0.0)
+        dx -= coef[:, None] * brow
+    return dx
+
+
+def symmetric_noise_replay(z: np.ndarray, d: int,
+                           sigma2: float) -> np.ndarray:
+    """Upper triangle filled row-major, then its strict part mirrored."""
+    e = np.zeros(z.shape[:-1] + (d, d))
+    e[(...,) + np.triu_indices(d)] = np.sqrt(sigma2) * z
+    return e + np.swapaxes(np.triu(e, 1), -1, -2)
+
+
 def coordinate_sketches(indices: Sequence[int], d: int) -> List[np.ndarray]:
     """Canonical-basis sketch columns for a recorded index sequence."""
     out = []

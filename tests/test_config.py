@@ -66,6 +66,8 @@ def test_bad_values_name_the_key():
         parse_config_string("[method]\nsolver = adam\n")
     with pytest.raises(ConfigError, match="sigma2"):
         parse_config_string("[problem]\nfamily = eqqp\nsigma2 = -1\n")
+    with pytest.raises(ConfigError, match="base_seed"):
+        parse_config_string("[experiment]\nbase_seed = -1\n")
 
 
 def test_tau_parsing():

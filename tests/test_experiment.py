@@ -30,7 +30,8 @@ from snewt.experiment import (
 from snewt.optimizer import RngStreams, run
 from snewt.sketch import pinv_newton_solve
 from snewt.sqp import run_sqp
-from tests.oracles import sqp_replay, wsc_two_pass
+from tests.oracles import (coordinate_sketches, sketch_loop, sqp_replay,
+                           uc_sweep_replay, wsc_two_pass)
 
 
 EYE3 = np.eye(3)
@@ -216,6 +217,75 @@ def test_exact_solve_falls_back_to_pseudo_inverse_per_replication():
     _close(out[1], pinv_newton_solve(B[1], g[1], 1e-12), tol=1e-14)
     for r in (0, 2):
         assert np.array_equal(out[r], np.linalg.solve(B[r], -g[r]))
+
+
+# ---------------------------------------------------------------------------
+# the coordinate sweep and its skipped degenerate rows
+
+
+def _sweep_problem(rng, R, n):
+    A = rng.standard_normal((R, n, n))
+    B = A + A.transpose(0, 2, 1)
+    g = rng.standard_normal((R, n))
+    return B, g
+
+
+def _shrink(B, r, i, scale):
+    """Scale row and column i of B[r]; at 1e-7 the row energy is far below
+    the sweep tolerance, at 0 the row is exactly zero."""
+    B[r, i, :] *= scale
+    B[r, :, i] *= scale
+
+
+def _sweep_tol(B):
+    return 1e-12 * (B * B).sum(axis=(1, 2)) / B.shape[-1]  # as _sweep_solve
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("R", [1, 7, 200])
+@pytest.mark.parametrize("tau", [1, 2, 40])
+def test_uc_sweep_matches_per_step_replay_bit_for_bit(tau, R, dtype):
+    n = 4
+    rng = np.random.default_rng(1000 * tau + R)
+    B, g = _sweep_problem(rng, R, n)
+    _shrink(B, 0, 2, 1e-7)  # a degenerate row, yet not an exactly zero one
+    tol = _sweep_tol(B)
+    idx = rng.integers(0, n, size=(R, tau)).astype(dtype)
+    idx[0, 0] = 2  # replication 0 meets it at the first step
+    out = experiment._uc_solve_batched(B, g, idx, tol)
+    ref = uc_sweep_replay(B, g, idx, tol)
+    assert np.array_equal(out, ref)
+    assert _same_bits(out, ref)
+
+
+def test_uc_sweep_skips_degenerate_rows_and_leaves_the_rest_alone():
+    n, R = 4, 5
+    rng = np.random.default_rng(41)
+    B, g = _sweep_problem(rng, R, n)
+    _shrink(B, 0, 1, 0.0)
+    _shrink(B, 1, 2, 1e-7)
+    tol = _sweep_tol(B)
+    idx = rng.integers(0, n, size=(R, 6)).astype(np.uint8)
+    idx[0] = [1, 0, 1, 3, 2, 1]  # replication 0 picks its zero row 3 times
+    idx[1] = [0, 2, 3, 2, 1, 0]  # replication 1 its tiny row twice
+    out = experiment._uc_solve_batched(B, g, idx, tol)
+    # the reference's pseudo-inverse skips the zero row by itself
+    _close(out[0], sketch_loop(B[0], g[0], coordinate_sketches(idx[0], n)))
+    # it would project onto the tiny row, so its steps are left out
+    kept = [i for i in idx[1] if i != 2]
+    _close(out[1], sketch_loop(B[1], g[1], coordinate_sketches(kept, n)))
+    # the other rows still move both directions
+    assert (np.abs(out[:2]).max(axis=1) > 0.0).all()
+    # the other replications are what they are without the first two
+    rest = experiment._uc_solve_batched(B[2:], g[2:], idx[2:], tol[2:])
+    assert _same_bits(out[2:], rest)
+    for r in range(2, R):
+        _close(out[r], sketch_loop(B[r], g[r], coordinate_sketches(idx[r], n)))
 
 
 # ---------------------------------------------------------------------------

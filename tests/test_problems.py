@@ -18,8 +18,9 @@ from snewt.problems import (
     sample_loss,
     symmetric_noise,
 )
+from snewt.problems import _upper_triangle
 from snewt.sqp import SqpState, equality_qp, hs7, sqp_step
-from tests.oracles import fd_grad, fd_jac
+from tests.oracles import fd_grad, fd_jac, symmetric_noise_replay
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,23 @@ def test_symmetric_noise_is_exactly_symmetric_and_scaled():
     assert np.array_equal(e[np.triu_indices(4)], 0.5 * z)
     stack = symmetric_noise(np.stack([z, -z]), 4, 0.25)
     assert np.array_equal(stack[0], e) and np.array_equal(stack[1], -e)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+def test_symmetric_noise_equals_the_triu_plus_mirror_form(d, lead):
+    z = np.random.default_rng(d).standard_normal(lead + (d * (d + 1) // 2,))
+    for sigma2 in (0.3, 0.0):  # sigma2 = 0 would expose a signed zero
+        e = symmetric_noise(z, d, sigma2)
+        ref = symmetric_noise_replay(z, d, sigma2)
+        assert e.shape == lead + (d, d)
+        assert e.tobytes() == ref.tobytes()
+
+
+def test_symmetric_noise_index_cache_is_read_only():
+    for arr in _upper_triangle(3):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_noisy_hess_centers_on_true_hessian():
