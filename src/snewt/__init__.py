@@ -2,10 +2,13 @@
 
 Library layout:
 
-- problems: streaming regression models and the Gaussian noise of the
-  constrained problems' gradient and Hessian observations
+- problems: streaming regression models, defined on stacks of
+  replications, and the Gaussian noise of the constrained problems'
+  gradient and Hessian observations
 - sketch: sketch-and-project solvers for symmetric linear systems
-- optimizer: the averaged-Hessian stochastic Newton iteration
+- optimizer: the averaged-Hessian stochastic Newton iteration; its step
+  works on stacks of replications, so run and the batched harness share
+  one step
 - covariance: running covariance estimators (weighted sample covariance
   with O(d^2) state and a rank-3 inverse recursion, plus plug-in and
   batch-means baselines)

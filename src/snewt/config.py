@@ -205,6 +205,15 @@ def _parse_x_star(raw: str) -> Optional[Tuple[float, ...]]:
     return tuple(float(v) for v in raw.split(","))
 
 
+def _check_direction(raw: str) -> str:
+    # the weights themselves need the problem's dimension (direction_vector)
+    if raw.startswith("coord:"):
+        int(raw.split(":", 1)[1])
+    elif raw not in ("mean", "inactive"):
+        [float(v) for v in raw.split(",")]
+    return raw
+
+
 def _parse_estimators(raw: str) -> Tuple[str, ...]:
     names = tuple(v.strip() for v in raw.split(",") if v.strip())
     for name in names:
@@ -235,14 +244,20 @@ def parse_config_string(text: str) -> ExperimentConfig:
     if solver not in ("newton", "sgd"):
         raise ConfigError(f"[method] unknown solver {solver!r}")
 
+    # without d, the dimension follows x_star; with both, they must agree
+    x_star = _get(parser, "problem", "x_star", _parse_x_star, None)
+    d = _get(parser, "problem", "d", int, 5 if x_star is None else len(x_star))
+    if x_star is not None and d != len(x_star):
+        raise ConfigError(f"[problem] d = {d} but x_star has {len(x_star)} "
+                          "values")
     problem = ProblemConfig(
         family=family,
-        d=_get(parser, "problem", "d", int, 5),
+        d=d,
         design=_get(parser, "problem", "design", str, "identity"),
         r=_get(parser, "problem", "r", float, 0.0),
         sigma=_get(parser, "problem", "sigma", float, 1.0),
         sigma2=_get(parser, "problem", "sigma2", float, 0.01),
-        x_star=_get(parser, "problem", "x_star", _parse_x_star, None),
+        x_star=x_star,
     )
     if problem.design not in ("identity", "toeplitz", "equicorr"):
         raise ConfigError(f"[problem] unknown design {problem.design!r}")
@@ -264,6 +279,8 @@ def parse_config_string(text: str) -> ExperimentConfig:
         sketch=sketch,
         gaussian_q=_get(parser, "method", "gaussian_q", int, 1),
     )
+    if method.gaussian_q < 1:
+        raise ConfigError("[method] gaussian_q must be >= 1")
 
     # schedule defaults depend on the solver: the first-order baseline uses
     # the deterministic half-rate rule, Newton uses the uniform band with
@@ -291,8 +308,8 @@ def parse_config_string(text: str) -> ExperimentConfig:
         base_seed=_get(parser, "experiment", "base_seed", int, 0),
         record_every=_get(parser, "experiment", "record_every", int, 100),
         ci_level=_get(parser, "experiment", "ci_level", float, 0.95),
-        ci_direction=_get(parser, "experiment", "ci_direction", str,
-                          default_direction),
+        ci_direction=_get(parser, "experiment", "ci_direction",
+                          _check_direction, default_direction),
         estimators=_get(parser, "experiment", "estimators", _parse_estimators,
                         default_estimators),
     )

@@ -6,7 +6,9 @@ and each replication owns three seeded generator streams (data / sketch /
 stepsize, seeded base_seed XOR replication index) consumed in fixed-size
 blocks.  Per-replication randomness therefore depends only on the base
 seed and the replication index, and a fixed seed reproduces every output
-byte for byte.  A replication that trips the divergence guard is
+byte for byte.  Each step is the library's own, applied to the whole
+stack: optimizer.newton_step for regression studies, sqp.sqp_step for
+constrained ones.  A replication that trips the divergence guard is
 frozen, excluded from every aggregate from that point on, and counted.
 
 At every record_every-th iteration the harness compares the running
@@ -27,10 +29,10 @@ import numpy as np
 from .config import (ExperimentConfig, ExperimentSection, MethodConfig,
                      ProblemConfig, ScheduleConfig)
 from .inference import normal_quantile
-from .optimizer import RngStreams, StepsizeSchedule
+from .optimizer import NewtonState, RngStreams, StepsizeSchedule, newton_step
 from .oracle import omega_star, oracle_covariance
 from .problems import RegressionModel, grad_noise_factor
-from .sketch import SketchSolveConfig
+from .sketch import SketchSolveConfig, pinv_newton_solve
 from .sqp import EqConstrainedProblem, SqpState, sqp_step
 
 __all__ = [
@@ -76,16 +78,6 @@ _CHUNK = 1024
 _DIVERGENCE_NORM = 1e8
 
 _SUFFIX = {"wsc": "wsc", "plugin": "plugin", "batchmeans": "bm"}
-
-
-def _sigmoid_vec(a: np.ndarray) -> np.ndarray:
-    """Elementwise overflow-safe logistic function."""
-    out = np.empty_like(a)
-    pos = a >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +205,6 @@ class _BatchedBatchMeans:
 # batched linear-system solves
 
 
-def _pinv_solve_batched(B: np.ndarray, g: np.ndarray,
-                        pinv_tol: float) -> np.ndarray:
-    """Stacked minimum-norm least-squares directions -B^+ g."""
-    evals, evecs = np.linalg.eigh(B)
-    tol = pinv_tol * (B * B).sum(axis=(1, 2)) / B.shape[1]
-    keep = evals > tol[:, None]
-    proj = np.einsum("rdk,rd->rk", evecs, g)
-    inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
-    return -np.einsum("rdk,rk->rd", evecs, inv * proj)
-
-
 def _exact_solve_batched(B: np.ndarray, g: np.ndarray,
                          pinv_tol: float) -> np.ndarray:
     """Stacked exact Newton directions: Cholesky-gated solve of B dx = -g.
@@ -242,8 +223,7 @@ def _exact_solve_batched(B: np.ndarray, g: np.ndarray,
                 np.linalg.cholesky(B[r])
                 out[r] = np.linalg.solve(B[r], -g[r])
             except np.linalg.LinAlgError:
-                out[r] = _pinv_solve_batched(B[r][None], g[r][None],
-                                             pinv_tol)[0]
+                out[r] = pinv_newton_solve(B[r], g[r], pinv_tol)
         return out
 
 
@@ -476,12 +456,9 @@ def _run_shard_regression(
     d = model.dim
     sgd = cfg.method.solver == "sgd"
     lin = model.family == "linear"
-    feat_chol = model.chol_a
-    x_star = model.x_star
-    sigma = model.sigma
     n_iters, rec = exp.n_iters, exp.record_every
     z_level = normal_quantile(0.5 + 0.5 * exp.ci_level)
-    target = float(w @ x_star)
+    target = float(w @ model.x_star)
     uniform = schedule.mode == "uniform_band"
 
     sk_chol = (solve_cfg.dist.cov_factor(d)
@@ -496,6 +473,12 @@ def _run_shard_regression(
           if "batchmeans" in exp.estimators else None)
     alive = np.ones(R, dtype=bool)
     eye = np.eye(d)
+
+    def solve(Bs: np.ndarray, G: np.ndarray) -> np.ndarray:
+        # the sweep reads the sketch draws of the current step k
+        if solve_cfg.tau is None:
+            return _exact_solve_batched(Bs, G, solve_cfg.pinv_tol)
+        return _sweep_solve(Bs, G, sk_blk[:, k], solve_cfg, sk_chol)
 
     def estimates(t_now: int) -> Dict[str, Optional[np.ndarray]]:
         out: Dict[str, Optional[np.ndarray]] = {}
@@ -530,68 +513,33 @@ def _run_shard_regression(
         # fill the (R, K, ...) blocks in place, one replication's generators
         # at a time (no per-replication copies to stack); the previous
         # chunk's blocks are dropped first, or the heap creeps up over a run
-        sk_blk = u_blk = data_blk = znorm_blk = ulab_blk = None
+        sk_blk = u_blk = data_blk = ulab_blk = None
         sk_blk, u_blk = _sketch_and_step_blocks(streams, K, d, solve_cfg,
                                                 uniform)
-        if lin:
-            data_blk = np.empty((R, K, d + 1))
-        else:
-            znorm_blk = np.empty((R, K, d))
-            ulab_blk = np.empty((R, K))
+        # linear: d feature normals plus the response noise per step;
+        # logistic: d feature normals per step, then K label uniforms
+        data_blk = np.empty((R, K, d + 1 if lin else d))
+        ulab_blk = None if lin else np.empty((R, K))
         for j, g in enumerate(streams):
-            if lin:
-                g.data.standard_normal(out=data_blk[j])
-            else:
-                g.data.standard_normal(out=znorm_blk[j])
+            g.data.standard_normal(out=data_blk[j])
+            if not lin:
                 g.data.random(out=ulab_blk[j])
 
         for k in range(K):
             t = t_done + k
-            if lin:
-                Z = data_blk[:, k, :d] @ feat_chol.T
-                y = Z @ x_star + sigma * data_blk[:, k, d]
-                coef = np.einsum("rd,rd->r", Z, X) - y
-                hw_vec = None
+            s = model.sample(data_blk[:, k],
+                             None if lin else ulab_blk[:, k])
+            alpha = (schedule.alpha_from_uniform(t, u_blk[:, k]) if uniform
+                     else schedule.phi(t))
+            if sgd:
+                G = model.grad(X, s)
+                X = X - np.asarray(alpha)[..., None] * G
             else:
-                Z = znorm_blk[:, k] @ feat_chol.T
-                p_star = _sigmoid_vec(Z @ x_star)
-                ylab = np.where(ulab_blk[:, k] < p_star, 1.0, -1.0)
-                zlin = np.einsum("rd,rd->r", Z, X)
-                coef = -ylab * _sigmoid_vec(-ylab * zlin)
-                pc = _sigmoid_vec(zlin)
-                hw_vec = pc * (1.0 - pc)
-            G = coef[:, None] * Z
+                state = newton_step(NewtonState(t, X, B), model, s, schedule,
+                                    alpha, solve)
+                X, B, G = state.x, state.B, state.last_grad
             if plug is not None:
                 plug.update(G)
-            if sgd:
-                DX = -G
-            else:
-                # solve against the sample-scaled ridged average
-                # (see newton_step); for rank-1 samples ||H||_F = hw |Z|^2
-                if t == 0:
-                    Bs = B
-                else:
-                    fro = np.einsum("rd,rd->r", Z, Z)
-                    if hw_vec is not None:
-                        fro = fro * hw_vec
-                    ridge = schedule.beta_t(t) * fro
-                    Bs = B + ridge[:, None, None] * eye
-                if solve_cfg.tau is None:
-                    DX = _exact_solve_batched(Bs, G, solve_cfg.pinv_tol)
-                else:
-                    DX = _sweep_solve(Bs, G, sk_blk[:, k], solve_cfg, sk_chol)
-            if uniform:
-                alpha = schedule.beta_t(t) + u_blk[:, k] * schedule.chi_t(t)
-                X = X + alpha[:, None] * DX
-            else:
-                X = X + schedule.phi(t) * DX
-            if not sgd:
-                H = np.einsum("ri,rj->rij", Z, Z)
-                if hw_vec is not None:
-                    H *= hw_vec[:, None, None]
-                B *= t
-                B += H
-                B /= t + 1
             t_now = t + 1
             if wsc is not None:
                 wsc.update(X, schedule.phi(t))
@@ -680,10 +628,8 @@ def _run_shard_sqp(
 
         for k in range(K):
             t = t_done + k
-            if uniform:
-                alpha = schedule.beta_t(t) + u_blk[:, k] * schedule.chi_t(t)
-            else:
-                alpha = schedule.phi(t)
+            alpha = (schedule.alpha_from_uniform(t, u_blk[:, k]) if uniform
+                     else schedule.phi(t))
             state = sqp_step(state, problem, sigma2, schedule, data_blk[:, k],
                              alpha, solve, L)
             X, Lam = state.x, state.lam

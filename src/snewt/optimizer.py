@@ -1,16 +1,21 @@
 """Online Newton iteration with averaged Hessians and banded stepsizes.
 
-Each step draws one observation, forms the stochastic gradient at the
-current point, computes an (in)exact Newton direction against the running
-Hessian average, and moves with a stepsize drawn from a shrinking band
+Each step forms the stochastic gradient of one observation at the current
+point, computes an (in)exact Newton direction against the running Hessian
+average, and moves with a stepsize drawn from a shrinking band
 [beta_t, beta_t + chi_t].  The Hessian sample taken at step t enters the
 average used from step t+1 on, so the system matrix of step t is
 deterministic given the trajectory up to t.
+
+newton_step works on one replication or a stack of them, with the solve
+passed in: run steps one replication with solve_newton_sketched, and the
+batched harness (experiment.run_experiment) steps all of its replications
+at once with the same function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -22,6 +27,8 @@ __all__ = [
     "NewtonState",
     "RngStreams",
     "DivergenceError",
+    "ridged_average",
+    "fold_average",
     "newton_step",
     "run",
 ]
@@ -111,12 +118,16 @@ class RngStreams(NamedTuple):
 
 @dataclass
 class NewtonState:
-    """Iteration state: step count t, iterate x, Hessian average B."""
+    """Iteration state: step count t, iterate x, Hessian average B.
+
+    x and B have shapes (..., d) and (..., d, d): one replication, or a
+    stack of them sharing t.
+    """
 
     t: int
     x: np.ndarray
     B: np.ndarray
-    last_alpha: Optional[float] = None
+    last_alpha: Optional[Union[float, np.ndarray]] = None
     last_grad: Optional[np.ndarray] = None
 
     @classmethod
@@ -127,22 +138,48 @@ class NewtonState:
         return cls(t=0, x=x, B=B)
 
 
+def ridged_average(B: np.ndarray, H: np.ndarray, schedule: StepsizeSchedule,
+                   t: int) -> np.ndarray:
+    """System matrix of step t: B at t = 0, else B + beta_t ||H||_F I.
+
+    B and H are (..., d, d) stacks; the ridge is taken per slice.
+    """
+    if t == 0:
+        return B
+    fro = np.sqrt(np.einsum("...ij,...ij->...", H, H))
+    out = B.copy()
+    np.einsum("...ii->...i", out)[...] += schedule.beta_t(t) * fro[..., None]
+    return out
+
+
+def fold_average(B: np.ndarray, H: np.ndarray, t: int) -> np.ndarray:
+    """Running mean after step t: (t B + H) / (t + 1), as a new array."""
+    B_new = B * t
+    B_new += H
+    B_new /= t + 1
+    return B_new
+
+
 def newton_step(
     state: NewtonState,
     problem,
-    cfg: SketchSolveConfig,
+    sample,
     schedule: StepsizeSchedule,
-    rngs: RngStreams,
+    alpha: Union[float, np.ndarray],
+    solve: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> NewtonState:
-    """One online Newton step.
+    """One online Newton step, for one replication or a stack of them.
 
-    Draws one observation, solves for the Newton direction (exactly or with
-    tau sketch-and-project steps), moves x by a banded stepsize, and folds
-    the Hessian sample at x_t into the running average:
+    Forms the gradient and Hessian samples of ``sample`` at x_t, solves for
+    the Newton direction, moves x by ``alpha`` (a scalar or one stepsize
+    per replication), and folds the Hessian sample into the running
+    average:
 
         B_{t+1} = (t B_t + H_t) / (t + 1).
 
-    ``problem`` provides draw(rng), grad(x, s), hess(x, s).
+    ``problem`` provides grad(x, s) and hess(x, s) on arrays with the
+    leading axes of ``state.x``; ``solve(B, g)`` returns dx with
+    B dx = -g, exactly or by a sketch sweep.
 
     Solve stabilization: the average B_t drops the initial B_0 after the
     first step, so for t < d it is a mean of fewer than d rank-1 samples —
@@ -163,24 +200,12 @@ def newton_step(
     average untouched.  At t = 0 the solve uses B_0 exactly.
     """
     t = state.t
-    s = problem.draw(rngs.data)
-    g = problem.grad(state.x, s)
-    H = problem.hess(state.x, s)
-    if t == 0:
-        b_solve = state.B
-    else:
-        ridge = schedule.beta_t(t) * float(np.linalg.norm(H, "fro"))
-        b_solve = state.B + ridge * np.eye(g.shape[0])
-    try:
-        dx = solve_newton_sketched(b_solve, g, cfg, rngs.sketch)
-    except np.linalg.LinAlgError:
-        dx = pinv_newton_solve(b_solve, g, cfg.pinv_tol)
-    alpha = schedule.draw(t, rngs.step)
-    x_new = state.x + alpha * dx
-    B_new = state.B * t
-    B_new += H
-    B_new /= t + 1
-    return NewtonState(t=t + 1, x=x_new, B=B_new, last_alpha=alpha, last_grad=g)
+    g = problem.grad(state.x, sample)
+    H = problem.hess(state.x, sample)
+    dx = solve(ridged_average(state.B, H, schedule, t), g)
+    x_new = state.x + np.asarray(alpha)[..., None] * dx
+    return NewtonState(t=t + 1, x=x_new, B=fold_average(state.B, H, t),
+                       last_alpha=alpha, last_grad=g)
 
 
 def run(
@@ -201,6 +226,11 @@ def run(
     order with t = 1..n_iters; grad_sinks receive (t, g) with the gradient
     sample used at step t (t = 0..n_iters-1).  Raises DivergenceError when
     the iterate norm exceeds divergence_norm or turns non-finite.
+
+    Per step, the data stream gives one observation (problem.draw), the
+    step stream one uniform in band mode only, and the sketch stream the
+    draws of solve_newton_sketched; a solve that raises LinAlgError falls
+    back to the pseudo-inverse direction.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -209,9 +239,18 @@ def run(
     state = NewtonState.initial(d, x0=x0, B0=B0)
     sinks = tuple(sinks)
     grad_sinks = tuple(grad_sinks)
+
+    def solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:
+        try:
+            return solve_newton_sketched(B, g, cfg, rngs.sketch)
+        except np.linalg.LinAlgError:
+            return pinv_newton_solve(B, g, cfg.pinv_tol)
+
     for _ in range(n_iters):
         t_eval = state.t
-        state = newton_step(state, problem, cfg, schedule, rngs)
+        s = problem.draw(rngs.data)
+        alpha = schedule.draw(t_eval, rngs.step)
+        state = newton_step(state, problem, s, schedule, alpha, solve)
         norm = float(np.linalg.norm(state.x))
         if not np.isfinite(norm) or norm > divergence_norm:
             raise DivergenceError(state.t, norm)

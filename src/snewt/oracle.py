@@ -33,7 +33,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .problems import RegressionModel, _sigmoid
+from .problems import RegressionModel, sigmoid
 from .sketch import SketchDistribution, projection_matrix
 
 __all__ = [
@@ -109,24 +109,14 @@ def _mc_hessian_moments(model: RegressionModel, n_mc: int,
         z = rng.standard_normal((n, d))
         xi = z @ model.chol_a.T
         zz = xi @ model.x_star
-        p = np.empty(n)
-        pos = zz >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-zz[pos]))
-        e = np.exp(zz[~pos])
-        p[~pos] = e / (1.0 + e)
+        p = sigmoid(zz)
         w_h = p * (1.0 - p)
         # Hessian samples are w_h xi xi^T regardless of the drawn label
         h = np.einsum("n,ni,nj->ij", w_h, xi, xi)
         h2 = np.einsum("n,ni,nj->ij", w_h**2, xi**2, xi**2)
         # gradient samples need the label: g = -y sigmoid(-y z) xi
         y = np.where(rng.random(n) < p, 1.0, -1.0)
-        coef = np.empty(n)
-        neg = -y * zz
-        pos = neg >= 0
-        coef[pos] = 1.0 / (1.0 + np.exp(-neg[pos]))
-        e = np.exp(neg[~pos])
-        coef[~pos] = e / (1.0 + e)
-        w_m = coef**2
+        w_m = sigmoid(-y * zz)**2
         m = np.einsum("n,ni,nj->ij", w_m, xi, xi)
         m2 = np.einsum("n,ni,nj->ij", w_m**2, xi**2, xi**2)
         sum_h += h

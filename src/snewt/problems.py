@@ -2,14 +2,15 @@
 
 Streaming linear / logistic regression with Gaussian features, plus the
 structured Gaussian noise with which the constrained problems (see sqp)
-observe their exact gradients and Hessians.
+observe their exact gradients and Hessians.  Regression samples work on
+stacks of replications, so optimizer.run and the harness share them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -19,20 +20,18 @@ __all__ = [
     "Sample",
     "default_x_star",
     "materialize_design",
-    "draw_sample",
     "sample_loss",
-    "sample_grad",
-    "sample_hess",
+    "sigmoid",
     "grad_noise_factor",
     "symmetric_noise",
 ]
 
 
 class Sample(NamedTuple):
-    """One streaming observation: feature vector and response."""
+    """Streaming observations: features (..., d) and responses (...)."""
 
     xi_a: np.ndarray
-    xi_b: float
+    xi_b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,13 +78,14 @@ def default_x_star(d: int) -> np.ndarray:
     return np.full(d, 1.0 / d)
 
 
-def _sigmoid(z: float) -> float:
-    # Piecewise form never exponentiates a positive argument, so it is
-    # overflow-safe for any |z|.
-    if z >= 0.0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return e / (1.0 + e)
+def sigmoid(a) -> np.ndarray:
+    """Elementwise logistic function, overflow-safe for any |a|.
+
+    Only exp(-|a|) is evaluated, so no positive argument is exponentiated.
+    """
+    a = np.asarray(a, dtype=float)
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass
@@ -99,6 +99,8 @@ class RegressionModel:
                        loss(x; s) = log(1 + exp(-xi_b * xi_a @ x)).
 
     Features are xi_a ~ N(0, Sigma_a) with Sigma_a given by ``design``.
+    sample, grad and hess work on arrays with any leading axes, so one
+    definition serves one replication and a stack of them alike.
     """
 
     family: str
@@ -123,56 +125,60 @@ class RegressionModel:
     def dim(self) -> int:
         return self.x_star.shape[0]
 
-    # thin method aliases so the model satisfies the optimizer's
-    # problem protocol (draw_sample / grad / hess / dim)
+    def sample(self, z: np.ndarray, u: Optional[np.ndarray] = None) -> Sample:
+        """Observations from given standard normals z (and uniforms u).
+
+        Linear: z is (..., d + 1), d feature normals then the response
+        noise.  Logistic: z is (..., d) feature normals and u (...) the
+        uniforms that draw the labels.
+        """
+        d = self.dim
+        # einsum rather than BLAS: a stack and its rows take the same
+        # summation order, so stacked samples equal row-by-row ones exactly
+        xi_a = np.einsum("ij,...j->...i", self.chol_a, z[..., :d])
+        margin = np.einsum("...d,d->...", xi_a, self.x_star)
+        if self.family == "linear":
+            return Sample(xi_a, margin + self.sigma * z[..., d])
+        return Sample(xi_a, np.where(u < sigmoid(margin), 1.0, -1.0))
+
     def draw(self, rng: np.random.Generator) -> Sample:
-        return draw_sample(self, rng)
+        """Draw one observation.
+
+        Consumes the generator in a fixed order: d standard normals for the
+        features, then one standard normal (linear) or one uniform
+        (logistic) for the response.
+        """
+        if self.family == "linear":
+            return self.sample(rng.standard_normal(self.dim + 1))
+        z = rng.standard_normal(self.dim)
+        return self.sample(z, rng.random())
 
     def grad(self, x: np.ndarray, s: Sample) -> np.ndarray:
-        return sample_grad(self, x, s)
+        """Per-sample loss gradients at x, shape (..., d)."""
+        margin = np.einsum("...d,...d->...", s.xi_a, x)
+        if self.family == "linear":
+            coef = margin - s.xi_b
+        else:
+            # -y / (1 + exp(y z)) == -y * sigmoid(-y z), evaluated overflow-safe
+            coef = -s.xi_b * sigmoid(-s.xi_b * margin)
+        return coef[..., None] * s.xi_a
 
     def hess(self, x: np.ndarray, s: Sample) -> np.ndarray:
-        return sample_hess(self, x, s)
-
-
-def draw_sample(model: RegressionModel, rng: np.random.Generator) -> Sample:
-    """Draw one (xi_a, xi_b) observation.
-
-    Consumes the generator in a fixed order: d standard normals for the
-    features, then one standard normal (linear) or one uniform (logistic)
-    for the response.
-    """
-    z = rng.standard_normal(model.dim)
-    xi_a = model.chol_a @ z
-    if model.family == "linear":
-        eps = rng.standard_normal()
-        return Sample(xi_a, float(xi_a @ model.x_star) + model.sigma * eps)
-    p = _sigmoid(float(xi_a @ model.x_star))
-    xi_b = 1.0 if rng.random() < p else -1.0
-    return Sample(xi_a, xi_b)
+        """Per-sample Hessians, shape (..., d, d); linear ones ignore x."""
+        h = np.einsum("...i,...j->...ij", s.xi_a, s.xi_a)
+        if self.family == "logistic":
+            p = sigmoid(np.einsum("...d,...d->...", s.xi_a, x))
+            h *= (p * (1.0 - p))[..., None, None]
+        return h
 
 
 def sample_loss(model: RegressionModel, x: np.ndarray, s: Sample) -> float:
+    """Loss of one observation at one point (finite-difference reference)."""
     if model.family == "linear":
         res = s.xi_b - s.xi_a @ x
         return 0.5 * float(res * res)
     # log(1 + exp(-y z)) computed without overflow
     return float(np.logaddexp(0.0, -s.xi_b * (s.xi_a @ x)))
-
-
-def sample_grad(model: RegressionModel, x: np.ndarray, s: Sample) -> np.ndarray:
-    if model.family == "linear":
-        return -(s.xi_b - s.xi_a @ x) * s.xi_a
-    # -y / (1 + exp(y z)) == -y * sigmoid(-y z), evaluated overflow-safe
-    return (-s.xi_b * _sigmoid(-s.xi_b * float(s.xi_a @ x))) * s.xi_a
-
-
-def sample_hess(model: RegressionModel, x: np.ndarray, s: Sample) -> np.ndarray:
-    """Per-sample Hessian; for linear regression it does not depend on x."""
-    if model.family == "linear":
-        return np.outer(s.xi_a, s.xi_a)
-    p = _sigmoid(float(s.xi_a @ x))
-    return (p * (1.0 - p)) * np.outer(s.xi_a, s.xi_a)
 
 
 def grad_noise_factor(d: int, sigma2: float) -> np.ndarray:

@@ -86,10 +86,10 @@ class SketchSolveConfig:
         return self.tau is None
 
 
-def _pinv_tol_abs(B: np.ndarray, pinv_tol: float) -> float:
-    # Cheap O(d^2) scale proxy: ||B||_F^2 / d lies within a factor d of
-    # the squared spectral norm.
-    return pinv_tol * float((B * B).sum()) / B.shape[0]
+def _pinv_tol_abs(B: np.ndarray, pinv_tol: float) -> np.ndarray:
+    # Cheap O(d^2) scale proxy, per (d, d) slice: ||B||_F^2 / d lies within
+    # a factor d of the squared spectral norm.
+    return pinv_tol * (B * B).sum(axis=(-2, -1)) / B.shape[-1]
 
 
 def sketch_project_step(
@@ -156,19 +156,20 @@ def exact_newton_solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def pinv_newton_solve(B: np.ndarray, g: np.ndarray,
                       pinv_tol: float = 1e-12) -> np.ndarray:
-    """Minimum-norm least-squares Newton direction -B^+ g.
+    """Minimum-norm least-squares Newton directions -B^+ g.
 
-    Eigenvalues of (symmetric) B below pinv_tol * ||B||_F^2 / d are dropped.
-    This is the well-posed extension of the exact solve to the singular
-    Hessian averages of the first few iterations (a mean of fewer than d
-    rank-1 samples has rank < d by construction).
+    B is one symmetric (d, d) matrix with g of shape (d,), or a stack
+    (..., d, d) with g (..., d), solved slice by slice.  Eigenvalues of a
+    slice below pinv_tol * ||B||_F^2 / d are dropped.  This is the
+    well-posed extension of the exact solve to the singular Hessian
+    averages of the first few iterations (a mean of fewer than d rank-1
+    samples has rank < d by construction).
     """
     evals, evecs = np.linalg.eigh(B)
-    keep = evals > _pinv_tol_abs(B, pinv_tol)
-    if not np.any(keep):
-        return np.zeros_like(g)
-    kept = evecs[:, keep]
-    return -(kept @ ((kept.T @ g) / evals[keep]))
+    keep = evals > _pinv_tol_abs(B, pinv_tol)[..., None]
+    inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
+    proj = np.einsum("...dk,...d->...k", evecs, g)
+    return -np.einsum("...dk,...k->...d", evecs, inv * proj)
 
 
 def solve_newton_sketched(

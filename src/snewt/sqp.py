@@ -26,7 +26,8 @@ from typing import Callable, Iterable, Optional, Tuple, Union
 import numpy as np
 
 from .inference import ConfidenceInterval, directional_ci
-from .optimizer import DivergenceError, RngStreams, StepsizeSchedule, TraceSink
+from .optimizer import (DivergenceError, RngStreams, StepsizeSchedule,
+                        TraceSink, fold_average, ridged_average)
 from .problems import grad_noise_factor, symmetric_noise
 from .sketch import SketchSolveConfig, solve_newton_sketched
 
@@ -176,9 +177,10 @@ def sqp_step(
 
     As in the unconstrained step, the KKT system's upper-left block is
     damped for t >= 1 with the vanishing sample-scaled ridge
-    B_t + beta_t * ||H_t||_F * I, which keeps the early solves from
-    amplifying the residual without bound; the reported average B_t is
-    untouched and the ridge fades at the beta_t rate.
+    B_t + beta_t * ||H_t||_F * I (optimizer.ridged_average), which keeps
+    the early solves from amplifying the residual without bound; the
+    reported average B_t is untouched and the ridge fades at the beta_t
+    rate.
     """
     d = problem.dim
     t = state.t
@@ -192,20 +194,11 @@ def sqp_step(
     rhs = np.concatenate(
         [gbar + np.einsum("...md,...m->...d", J, Lam), problem.cons(X)],
         axis=-1)
-    if t == 0:
-        b_solve = B
-    else:
-        fro = np.sqrt(np.einsum("...ij,...ij->...", H, H))
-        ridge = schedule.beta_t(t) * fro
-        b_solve = B + ridge[..., None, None] * np.eye(d)
-    delta = solve(kkt_assemble(b_solve, J), rhs)
+    delta = solve(kkt_assemble(ridged_average(B, H, schedule, t), J), rhs)
     step = np.asarray(alpha)[..., None]
-    B_new = B * t
-    B_new += H
-    B_new /= t + 1
     return SqpState(t=t + 1, x=X + step * delta[..., :d],
-                    lam=Lam + step * delta[..., d:], B=B_new,
-                    last_alpha=alpha)
+                    lam=Lam + step * delta[..., d:],
+                    B=fold_average(B, H, t), last_alpha=alpha)
 
 
 def run_sqp(

@@ -144,6 +144,68 @@ def coordinate_sketches(indices: Sequence[int], d: int) -> List[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# online Newton on a regression model, one replication, written out per step
+
+
+def newton_replay(model, tau: Optional[int], gaussian_q: Optional[int],
+                  schedule, n_iters: int, rngs
+                  ) -> Tuple[List[np.ndarray], List[np.ndarray], np.ndarray]:
+    """Straight-line online Newton loop.
+
+    Returns the iterates x_1..x_n, the gradient samples g_0..g_{n-1} and
+    the final Hessian average.  Step t reads d data normals z and sets the
+    features a = chol(Sigma_a) z; a linear response then reads one more
+    normal, y = a.x* + sigma eps, and a logistic label one uniform u,
+    y = +1 if u < 1 / (1 + exp(-a.x*)) else -1.  The gradient and Hessian
+    samples are (a.x - y) a and a a^T (linear) or -y a / (1 + exp(y a.x))
+    and p (1 - p) a a^T with p = 1 / (1 + exp(-a.x)) (logistic).  The
+    solve uses B + beta_t ||H||_F I for t >= 1 and B at t = 0: tau = None
+    solves with np.linalg.solve, otherwise the sketch stream gives tau
+    coordinate indices (gaussian_q None) or one (tau, d, gaussian_q) normal
+    block, and sketch_loop runs them.  The step stream gives one uniform
+    per step in band mode.  H enters the average after the step.
+    """
+    d = model.dim
+    chol = np.linalg.cholesky(model.sigma_a)
+    x = np.zeros(d)
+    B = np.eye(d)
+    xs: List[np.ndarray] = []
+    grads: List[np.ndarray] = []
+    for t in range(n_iters):
+        a = chol @ rngs.data.standard_normal(d)
+        if model.family == "linear":
+            y = a @ model.x_star + model.sigma * rngs.data.standard_normal()
+            g = (a @ x - y) * a
+            H = np.outer(a, a)
+        else:
+            p_star = 1.0 / (1.0 + np.exp(-(a @ model.x_star)))
+            y = 1.0 if rngs.data.random() < p_star else -1.0
+            g = -y / (1.0 + np.exp(y * (a @ x))) * a
+            p = 1.0 / (1.0 + np.exp(-(a @ x)))
+            H = p * (1.0 - p) * np.outer(a, a)
+        B_solve = B
+        if t > 0:
+            B_solve = B + schedule.beta_t(t) * np.sqrt((H * H).sum()) * np.eye(d)
+        if tau is None:
+            dx = np.linalg.solve(B_solve, -g)
+        elif gaussian_q is None:
+            idx = rngs.sketch.integers(0, d, size=tau)
+            dx = sketch_loop(B_solve, g, coordinate_sketches(idx, d))
+        else:
+            blocks = rngs.sketch.standard_normal((tau, d, gaussian_q))
+            dx = sketch_loop(B_solve, g, list(blocks))
+        if schedule.mode == "deterministic":
+            alpha = schedule.phi(t)
+        else:
+            alpha = schedule.beta_t(t) + rngs.step.random() * schedule.chi_t(t)
+        x = x + alpha * dx
+        B = (t * B + H) / (t + 1)
+        xs.append(x.copy())
+        grads.append(g)
+    return xs, grads, B
+
+
+# ---------------------------------------------------------------------------
 # stochastic SQP, one replication, written from the KKT step in vector form
 
 

@@ -195,6 +195,16 @@ def test_run_command_bad_config_value_is_config_error(tmp_path, capsys):
     assert err.startswith("error:") and "beta" in err
 
 
+def test_run_command_malformed_direction_is_config_error(tmp_path, capsys):
+    path = _write_config(tmp_path, """\
+        [experiment]
+        ci_direction = coord:abc
+        """)
+    assert main(["run", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ci_direction" in err
+
+
 def test_run_command_missing_config_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nowhere.ini")]) == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err

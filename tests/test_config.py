@@ -68,6 +68,14 @@ def test_bad_values_name_the_key():
         parse_config_string("[problem]\nfamily = eqqp\nsigma2 = -1\n")
     with pytest.raises(ConfigError, match="base_seed"):
         parse_config_string("[experiment]\nbase_seed = -1\n")
+    with pytest.raises(ConfigError, match="gaussian_q"):
+        parse_config_string("[method]\nsketch = gaussian\ngaussian_q = 0\n")
+    with pytest.raises(ConfigError, match="ci_direction"):
+        parse_config_string("[experiment]\nci_direction = coord:abc\n")
+    with pytest.raises(ConfigError, match="ci_direction"):
+        parse_config_string("[experiment]\nci_direction = 1,2,x\n")
+    with pytest.raises(ConfigError, match=r"\[problem\] d = 5"):
+        parse_config_string("[problem]\nd = 5\nx_star = 1.0,2.0\n")
 
 
 def test_tau_parsing():
@@ -199,6 +207,8 @@ def test_build_problem_and_solver():
     # default target is the all-ones vector scaled to mean one over d
     model_def = parse_config_string("").build_problem()
     assert np.array_equal(model_def.x_star, np.full(5, 0.2))
+    # without d, the dimension follows x_star
+    assert parse_config_string("[problem]\nx_star = 1.0,2.0\n").problem.d == 2
 
 
 def test_direction_vector_resolution():

@@ -30,8 +30,8 @@ from snewt.experiment import (
 from snewt.optimizer import RngStreams, run
 from snewt.sketch import pinv_newton_solve
 from snewt.sqp import run_sqp
-from tests.oracles import (coordinate_sketches, sketch_loop, sqp_replay,
-                           uc_sweep_replay, wsc_two_pass)
+from tests.oracles import (coordinate_sketches, newton_replay, sketch_loop,
+                           sqp_replay, uc_sweep_replay, wsc_two_pass)
 
 
 EYE3 = np.eye(3)
@@ -80,53 +80,66 @@ def _close(a, b, tol=1e-10):
 # batched engine == sequential loops, one replication at a time
 
 
-def test_uc_newton_engine_matches_sequential_run():
-    cfg = _cfg(problem=ProblemConfig(d=3, design="equicorr", r=0.3),
-               method=MethodConfig(tau=2))
-    result = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3)
-    final, acc, plug, sched = _sequential_newton(cfg, 300)
-    _close(result.final_x[0], final.x)
-    _close(result.final_estimates["wsc"], acc.estimate())
-    expected_plug = plugin_estimate(plug, final.B, sched.beta, sched.c_beta)
+def _check_newton_against_replay(cfg, chunk=experiment._CHUNK):
+    # the harness (one replication) and optimizer.run share newton_step;
+    # both are checked against the straight-line replay, not each other
+    n = cfg.experiment.n_iters
+    method = cfg.method
+    model = cfg.build_problem()
+    sched = cfg.build_schedule()
+    q = method.gaussian_q if method.sketch == "gaussian" else None
+    xs, grads, B = newton_replay(model, method.tau, q, sched, n,
+                                 RngStreams.from_seed(cfg.experiment.base_seed))
+    expected_wsc = wsc_two_pass(xs, [sched.phi(t) for t in range(n)])
+    plug = PlugInAccumulator(model.dim)
+    for g in grads:
+        plug.update(g)
+    expected_plug = plugin_estimate(plug, B, sched.beta, sched.c_beta)
+
+    result = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3,
+                            chunk=chunk)
+    _close(result.final_x[0], xs[-1])
+    _close(result.final_estimates["wsc"], expected_wsc)
     _close(result.final_estimates["plugin"], expected_plug)
+
+    final, acc, plug, _ = _sequential_newton(cfg, n)
+    _close(final.x, xs[-1])
+    _close(final.B, B)
+    _close(acc.estimate(), expected_wsc)
+    _close(plugin_estimate(plug, final.B, sched.beta, sched.c_beta),
+           expected_plug)
+
+
+def test_uc_newton_engine_matches_sequential_run():
+    _check_newton_against_replay(
+        _cfg(problem=ProblemConfig(d=3, design="equicorr", r=0.3),
+             method=MethodConfig(tau=2)))
 
 
 def test_exact_newton_engine_matches_sequential_run():
-    cfg = _cfg(problem=ProblemConfig(d=3),
-               method=MethodConfig(tau=None),
-               schedule=ScheduleConfig(beta=0.7, chi=1.4),
-               seed=23)
-    result = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3)
-    final, acc, plug, sched = _sequential_newton(cfg, 300)
-    _close(result.final_x[0], final.x)
-    _close(result.final_estimates["wsc"], acc.estimate())
-    expected_plug = plugin_estimate(plug, final.B, sched.beta, sched.c_beta)
-    _close(result.final_estimates["plugin"], expected_plug)
+    _check_newton_against_replay(
+        _cfg(problem=ProblemConfig(d=3),
+             method=MethodConfig(tau=None),
+             schedule=ScheduleConfig(beta=0.7, chi=1.4),
+             seed=23))
 
 
 def test_gaussian_sketch_engine_matches_sequential_run():
-    cfg = _cfg(problem=ProblemConfig(d=3, design="toeplitz", r=0.5),
-               method=MethodConfig(tau=2, sketch="gaussian", gaussian_q=2),
-               seed=5)
-    result = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3)
-    final, acc, _, _ = _sequential_newton(cfg, 300)
-    _close(result.final_x[0], final.x)
-    _close(result.final_estimates["wsc"], acc.estimate())
+    _check_newton_against_replay(
+        _cfg(problem=ProblemConfig(d=3, design="toeplitz", r=0.5),
+             method=MethodConfig(tau=2, sketch="gaussian", gaussian_q=2),
+             seed=5))
 
 
 def test_logistic_engine_matches_sequential_with_unit_chunks():
     # the logistic data stream interleaves normals and uniforms per step,
     # so only chunk = 1 reproduces the sequential draw order exactly
-    cfg = _cfg(problem=ProblemConfig(family="logistic", d=3,
-                                     design="equicorr", r=0.2),
-               method=MethodConfig(tau=2),
-               seed=3, n_iters=200)
-    result = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3, chunk=1)
-    final, acc, plug, sched = _sequential_newton(cfg, 200)
-    _close(result.final_x[0], final.x)
-    _close(result.final_estimates["wsc"], acc.estimate())
-    expected_plug = plugin_estimate(plug, final.B, sched.beta, sched.c_beta)
-    _close(result.final_estimates["plugin"], expected_plug)
+    _check_newton_against_replay(
+        _cfg(problem=ProblemConfig(family="logistic", d=3,
+                                   design="equicorr", r=0.2),
+             method=MethodConfig(tau=2),
+             seed=3, n_iters=200),
+        chunk=1)
 
 
 def test_sgd_engine_matches_manual_first_order_loop():

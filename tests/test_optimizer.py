@@ -130,8 +130,8 @@ def test_one_exact_step_with_unit_stepsize_hits_the_minimizer():
     sched = StepsizeSchedule(c_beta=1.0, beta=0.6, c_chi=0.0,
                              mode="deterministic")
     state = NewtonState.initial(2, x0=np.array([2.0, -1.0]), B0=A)
-    out = newton_step(state, prob, SketchSolveConfig(), sched,
-                      RngStreams.from_seed(0))
+    out = newton_step(state, prob, None, sched, sched.phi(0),
+                      lambda B, g: np.linalg.solve(B, -g))
     # t = 0 solves against B_0 exactly (no damping), and alpha_0 = 1
     assert out.last_alpha == 1.0
     assert np.abs(out.x - c).max() < 1e-12

@@ -10,12 +10,10 @@ from snewt.problems import (
     RegressionModel,
     Sample,
     default_x_star,
-    draw_sample,
     grad_noise_factor,
     materialize_design,
-    sample_grad,
-    sample_hess,
     sample_loss,
+    sigmoid,
     symmetric_noise,
 )
 from snewt.problems import _upper_triangle
@@ -83,14 +81,14 @@ def test_default_x_star_is_uniform_vector():
 def test_linear_gradient_hand_example():
     model = RegressionModel(family="linear", x_star=np.array([1.0]))
     s = Sample(np.array([2.0]), 3.0)
-    g = sample_grad(model, np.array([1.0]), s)
+    g = model.grad(np.array([1.0]), s)
     assert np.allclose(g, [-2.0], atol=1e-15)
 
 
 def test_linear_hessian_is_feature_outer_product():
     model = RegressionModel(family="linear", x_star=default_x_star(3))
     s = Sample(np.array([1.0, 2.0, -1.0]), 0.7)
-    h = sample_hess(model, np.zeros(3), s)
+    h = model.hess(np.zeros(3), s)
     assert np.array_equal(h, np.outer(s.xi_a, s.xi_a))
 
 
@@ -100,9 +98,9 @@ def test_logistic_gradient_and_hessian_at_zero_margin():
     xi = np.array([1.0, -2.0])
     for y in (1.0, -1.0):
         s = Sample(xi, y)
-        g = sample_grad(model, np.zeros(2), s)
+        g = model.grad(np.zeros(2), s)
         assert np.allclose(g, -0.5 * y * xi, atol=1e-15)
-    h = sample_hess(model, np.zeros(2), Sample(xi, 1.0))
+    h = model.hess(np.zeros(2), Sample(xi, 1.0))
     assert np.allclose(h, 0.25 * np.outer(xi, xi), atol=1e-15)
 
 
@@ -115,9 +113,9 @@ def test_sample_grad_matches_finite_difference_of_loss(family):
         design=DesignCovSpec(kind="equicorr", r=0.3),
     )
     for _ in range(5):
-        s = draw_sample(model, rng)
+        s = model.draw(rng)
         x = rng.standard_normal(4) * 0.5
-        g = sample_grad(model, x, s)
+        g = model.grad(x, s)
         g_fd = fd_grad(lambda xx: sample_loss(model, xx, s), x)
         assert np.allclose(g, g_fd, atol=1e-7)
 
@@ -131,10 +129,10 @@ def test_sample_hess_matches_finite_difference_of_grad(family):
         design=DesignCovSpec(kind="toeplitz", r=0.4),
     )
     for _ in range(5):
-        s = draw_sample(model, rng)
+        s = model.draw(rng)
         x = rng.standard_normal(3) * 0.5
-        h = sample_hess(model, x, s)
-        h_fd = fd_jac(lambda xx: sample_grad(model, xx, s), x)
+        h = model.hess(x, s)
+        h_fd = fd_jac(lambda xx: model.grad(xx, s), x)
         assert np.allclose(h, h_fd, atol=1e-6)
 
 
@@ -143,8 +141,9 @@ def test_zero_noise_linear_response_is_exact():
     model = RegressionModel(family="linear", x_star=x_star, sigma=0.0)
     rng = np.random.default_rng(3)
     for _ in range(10):
-        s = draw_sample(model, rng)
-        assert s.xi_b == float(s.xi_a @ x_star)
+        s = model.draw(rng)
+        # summed in the order the model sums (einsum, not BLAS)
+        assert s.xi_b == np.einsum("d,d->", s.xi_a, x_star)
 
 
 def test_negative_sigma_rejected():
@@ -154,19 +153,62 @@ def test_negative_sigma_rejected():
         RegressionModel(family="poisson", x_star=np.ones(2))
 
 
-def test_draws_are_bit_reproducible_and_method_aliases_agree():
-    model = RegressionModel(
-        family="logistic",
-        x_star=default_x_star(3),
-        design=DesignCovSpec(kind="equicorr", r=0.2),
-    )
-    s1 = draw_sample(model, np.random.default_rng(99))
-    s2 = model.draw(np.random.default_rng(99))
-    assert np.array_equal(s1.xi_a, s2.xi_a) and s1.xi_b == s2.xi_b
-    x = np.array([0.1, -0.2, 0.3])
-    assert np.array_equal(model.grad(x, s1), sample_grad(model, x, s1))
-    assert np.array_equal(model.hess(x, s1), sample_hess(model, x, s1))
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic"])
+@pytest.mark.parametrize("lead", [(6,), (2, 3)])
+def test_stacked_samples_grads_and_hessians_equal_row_by_row_calls(family,
+                                                                   lead):
+    d = 4
+    model = RegressionModel(family=family, x_star=np.linspace(-1.0, 2.0, d),
+                            design=DesignCovSpec(kind="toeplitz", r=0.4),
+                            sigma=0.7)
+    rng = np.random.default_rng(21)
+    z = rng.standard_normal(lead + (d + 1 if family == "linear" else d,))
+    u = None if family == "linear" else rng.random(lead)
+    # margins of both signs and large enough for the sigmoid's tails
+    X = 3.0 * rng.standard_normal(lead + (d,))
+    s = model.sample(z, u)
+    g, h = model.grad(X, s), model.hess(X, s)
+    assert s.xi_a.shape == lead + (d,) and s.xi_b.shape == lead
+    assert g.shape == lead + (d,) and h.shape == lead + (d, d)
+    for i in np.ndindex(*lead):
+        row = model.sample(z[i], None if u is None else u[i])
+        assert _same_bits(s.xi_a[i], row.xi_a)
+        assert _same_bits(s.xi_b[i], row.xi_b)
+        assert _same_bits(g[i], model.grad(X[i], row))
+        assert _same_bits(h[i], model.hess(X[i], row))
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic"])
+def test_draw_reads_the_features_then_the_response(family):
+    model = RegressionModel(family=family, x_star=default_x_star(3),
+                            design=DesignCovSpec(kind="equicorr", r=0.2))
+    rng = np.random.default_rng(99)
+    z = rng.standard_normal(3)
+    if family == "linear":
+        expected = model.sample(np.append(z, rng.standard_normal()))
+    else:
+        expected = model.sample(z, rng.random())
+    s = model.draw(np.random.default_rng(99))
+    assert _same_bits(s.xi_a, expected.xi_a)
+    assert _same_bits(s.xi_b, expected.xi_b)
     assert model.dim == 3
+
+
+def test_sigmoid_is_overflow_safe_and_symmetric():
+    a = np.array([-1000.0, -30.0, -1.5, 0.0, 1.5, 30.0, 1000.0])
+    with np.errstate(over="raise", invalid="raise"):
+        p = sigmoid(a)
+    assert p[0] == 0.0 and p[-1] == 1.0 and p[3] == 0.5
+    assert np.array_equal(p + sigmoid(-a), np.ones(a.shape))
+    mid = np.abs(a) < 100.0
+    assert np.allclose(p[mid], 1.0 / (1.0 + np.exp(-a[mid])), rtol=1e-15)
+    assert sigmoid(2.0).shape == ()
 
 
 def test_feature_covariance_law_monte_carlo():
@@ -179,7 +221,7 @@ def test_feature_covariance_law_monte_carlo():
     n = 100_000
     feats = np.empty((n, 5))
     for i in range(n):
-        feats[i] = draw_sample(model, rng).xi_a
+        feats[i] = model.draw(rng).xi_a
     emp = feats.T @ feats / n
     dev = np.linalg.norm(emp - model.sigma_a, 2) / np.linalg.norm(
         model.sigma_a, 2)
@@ -190,7 +232,7 @@ def test_logistic_responses_are_signs_with_correct_rate():
     model = RegressionModel(family="logistic", x_star=np.zeros(2))
     rng = np.random.default_rng(1)
     n = 20_000
-    ys = np.array([draw_sample(model, rng).xi_b for _ in range(n)])
+    ys = np.array([model.draw(rng).xi_b for _ in range(n)])
     assert set(np.unique(ys)) == {-1.0, 1.0}
     # x_star = 0 makes the two labels exactly equally likely
     assert abs(ys.mean()) < 0.02
