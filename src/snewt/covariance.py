@@ -4,16 +4,19 @@ The weighted sample covariance (WSC) estimator maintains
 
     Xi_t = (1/t) sum_{i=1}^t (1/phi_{i-1}) (x_i - xbar_t)(x_i - xbar_t)^T
 
-from O(d^2) running aggregates, where phi_i is the deterministic stepsize
-band center of the step that produced x_{i+1}.  Everything updates in O(d^2)
-per iterate with no trajectory storage; an optional tracker keeps the
-inverse of Xi_t up to date through a rank-3 Sherman-Morrison-Woodbury
-identity so confidence regions never require a fresh factorization.
+from O(d^2) running sums, where phi_i is the deterministic stepsize band
+center of the step that produced x_{i+1}.  An update only adds to the sums
+and an estimate divides them by t, with no trajectory storage.  An optional
+tracker keeps the inverse of Xi_t up to date through a rank-3
+Sherman-Morrison-Woodbury identity whose 3x3 inner system is inverted in
+closed form, so after burn-in neither the update nor a confidence region
+needs a factorization.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from typing import Optional
 
 import numpy as np
@@ -36,13 +39,12 @@ class InsufficientData(RuntimeError):
 
 
 class WscAccumulator:
-    """Running aggregates for the weighted sample covariance.
+    """Running sums for the weighted sample covariance.
 
-    State after t updates:
-        W    = (1/t) sum (1/phi_{i-1}) x_i x_i^T
-        v    = (1/t) sum (1/phi_{i-1}) x_i
-        xbar = (1/t) sum x_i
-        a    = (1/t) sum 1/phi_{i-1}
+    State after t updates, with w_i = 1/phi_{i-1}:
+        sum_wxx = sum w_i x_i x_i^T,   sum_wx = sum w_i x_i,
+        sum_x   = sum x_i,             sum_w  = sum w_i.
+    The means W, v, xbar and a are these sums divided by t.
     """
 
     def __init__(self, d: int):
@@ -50,35 +52,34 @@ class WscAccumulator:
             raise ValueError("dimension must be positive")
         self.d = d
         self.t = 0
-        self.W = np.zeros((d, d))
-        self.v = np.zeros(d)
-        self.xbar = np.zeros(d)
-        self.a = 0.0
+        self.sum_wxx = np.zeros((d, d))
+        self.sum_wx = np.zeros(d)
+        self.sum_x = np.zeros(d)
+        self.sum_w = 0.0
 
     def update(self, x: np.ndarray, phi: float) -> None:
-        """Fold in iterate x with weight 1/phi (phi > 0 required)."""
-        if phi <= 0.0:
-            raise ValueError("phi must be positive")
-        t = self.t
+        """Fold in iterate x with weight 1/phi (0 < phi < inf required)."""
+        if not 0.0 < phi < math.inf:
+            raise ValueError("phi must be positive and finite")
         w = 1.0 / phi
-        self.W *= t
-        self.W += np.outer(x, x) * w
-        self.W /= t + 1
-        self.v *= t
-        self.v += x * w
-        self.v /= t + 1
-        self.xbar *= t
-        self.xbar += x
-        self.xbar /= t + 1
-        self.a = (t * self.a + w) / (t + 1)
-        self.t = t + 1
+        xw = x * w
+        self.sum_wxx += xw[:, None] * x
+        self.sum_wx += xw
+        self.sum_x += x
+        self.sum_w += w
+        self.t += 1
+
+    W = property(lambda self: self.sum_wxx / max(self.t, 1))
+    v = property(lambda self: self.sum_wx / max(self.t, 1))
+    xbar = property(lambda self: self.sum_x / max(self.t, 1))
+    a = property(lambda self: self.sum_w / max(self.t, 1))
 
     def estimate(self) -> np.ndarray:
         """Current Xi_t (symmetric PSD up to roundoff, symmetrized)."""
         if self.t == 0:
             raise InsufficientData("no iterates folded in yet")
-        xb = self.xbar
-        xi = self.W - np.outer(self.v, xb) - np.outer(xb, self.v) \
+        xb, v = self.xbar, self.v
+        xi = self.W - np.outer(v, xb) - np.outer(xb, v) \
             + self.a * np.outer(xb, xb)
         return 0.5 * (xi + xi.T)
 
@@ -99,22 +100,6 @@ class WscSink:
         self.acc.update(x, self.schedule.phi(t - 1))
 
 
-# Inverse of the 3x3 middle factor of the rank-3 covariance update.  The
-# update writes Xi_{t+1} = t/(t+1) (Xi_t + R L R^T) with
-# L = [[0, 1, 0], [1, a_t, 0], [0, 0, 1/(t phi_t)]], whose exact block
-# inverse has -a_t in the (1,1) slot:
-#     L^{-1} = [[-a_t, 1, 0], [1, 0, 0], [0, 0, t phi_t]].
-# A sign variant with +a_t in the (1,1) slot (which looks plausible from
-# rearranging the rank-2 part) is NOT the inverse and fails the
-# product-identity oracle; the tests pin this down.
-def _middle_inverse(a: float, t: int, phi: float) -> np.ndarray:
-    return np.array([
-        [-a, 1.0, 0.0],
-        [1.0, 0.0, 0.0],
-        [0.0, 0.0, t * phi],
-    ])
-
-
 class WscInverseTracker:
     """Maintains inv(Xi_t) online alongside the WSC aggregates.
 
@@ -126,8 +111,10 @@ class WscInverseTracker:
         Y = inv(Xi_t) R,
         R = [v_t - a_t xbar_t | xbar_t - xbar_{t+1} | x_{t+1} - xbar_{t+1}].
 
-    A singular inner 3x3 system triggers a logged direct re-inversion
-    (count in ``n_fallbacks``).
+    The 3x3 inner system is inverted in closed form (adjugate over
+    determinant) on Python floats, so after burn-in an update makes no
+    factorization and no np.linalg call.  A zero or non-finite determinant
+    triggers a logged direct re-inversion (count in ``n_fallbacks``).
     """
 
     def __init__(self, d: int, burn_in: Optional[int] = None):
@@ -159,25 +146,44 @@ class WscInverseTracker:
                     logger.warning("singular estimate at burn-in; postponing")
             return
         t = acc.t
-        xbar_new = (t * acc.xbar + x) / (t + 1)
-        R = np.column_stack([
-            acc.v - acc.a * acc.xbar,
-            acc.xbar - xbar_new,
-            x - xbar_new,
-        ])
-        M = _middle_inverse(acc.a, t, phi)
-        Y = self.xi_inv @ R
-        C = M + R.T @ Y
+        a = acc.sum_w / t
+        # with dev = x_{t+1} - xbar_t, the last two columns of R are
+        # -dev / (t+1) and t dev / (t+1)
+        dev = x - acc.sum_x / t
+        Rt = np.empty((3, acc.d))  # R^T, one row per column of R
+        Rt[0] = (acc.sum_wx - a * acc.sum_x) / t
+        np.multiply(dev, -1.0 / (t + 1.0), out=Rt[1])
+        np.multiply(dev, t / (t + 1.0), out=Rt[2])
+        Yt = Rt @ self.xi_inv  # Y^T, as xi_inv is exactly symmetric
+        (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = (Yt @ Rt.T).tolist()
+        # C = L^{-1} + R^T Y.  The update writes Xi_{t+1} = t/(t+1) (Xi_t +
+        # R L R^T) with L = [[0, 1, 0], [1, a_t, 0], [0, 0, 1/(t phi_t)]],
+        # whose exact block inverse has -a_t in the (1,1) slot:
+        #     L^{-1} = [[-a_t, 1, 0], [1, 0, 0], [0, 0, t phi_t]].
+        # A sign variant with +a_t in the (1,1) slot (which looks plausible
+        # from rearranging the rank-2 part) is NOT the inverse and fails the
+        # product-identity oracle; the tests pin this down.
+        c00 -= a
+        c01 += 1.0
+        c10 += 1.0
+        c22 += t * phi
         acc.update(x, phi)
-        try:
-            correction = Y @ np.linalg.solve(C, Y.T)
-        except np.linalg.LinAlgError:
+        k00 = c11 * c22 - c12 * c21
+        k01 = c12 * c20 - c10 * c22
+        k02 = c10 * c21 - c11 * c20
+        det = c00 * k00 + c01 * k01 + c02 * k02
+        if det == 0.0 or not math.isfinite(det):
             self.n_fallbacks += 1
             logger.warning("singular 3x3 system at t=%d; re-inverting", acc.t)
             self.xi_inv = self._direct()
             return
-        inv_new = ((t + 1.0) / t) * (self.xi_inv - correction)
-        self.xi_inv = 0.5 * (inv_new + inv_new.T)
+        adj = np.array([[k00, c02 * c21 - c01 * c22, c01 * c12 - c02 * c11],
+                        [k01, c00 * c22 - c02 * c20, c02 * c10 - c00 * c12],
+                        [k02, c01 * c20 - c00 * c21, c00 * c11 - c01 * c10]])
+        inv_new = self.xi_inv - (Yt.T @ (adj @ Yt)) / det
+        inv_new += inv_new.T
+        inv_new *= 0.5 * (t + 1.0) / t
+        self.xi_inv = inv_new
 
 
 class PlugInAccumulator:

@@ -175,8 +175,8 @@ def directional_ci(
     interval says so in its ``clamped`` field.
     """
     _check_prob(level)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     quad = float(w @ xi_hat @ w)
     clamped = quad < 0.0
     if clamped:
@@ -198,8 +198,8 @@ def confidence_region(
 ) -> ConfidenceRegion:
     """Ellipsoidal confidence region from the inverse covariance estimate."""
     _check_prob(level)
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     d = x.shape[0]
     return ConfidenceRegion(
         center=np.asarray(x, dtype=float).copy(),

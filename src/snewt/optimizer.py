@@ -239,6 +239,8 @@ def run(
     state = NewtonState.initial(d, x0=x0, B0=B0)
     sinks = tuple(sinks)
     grad_sinks = tuple(grad_sinks)
+    # clamped so that an infinite bound still rejects inf and NaN iterates
+    bound2 = min(divergence_norm * divergence_norm, np.finfo(float).max)
 
     def solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:
         try:
@@ -251,9 +253,8 @@ def run(
         s = problem.draw(rngs.data)
         alpha = schedule.draw(t_eval, rngs.step)
         state = newton_step(state, problem, s, schedule, alpha, solve)
-        norm = float(np.linalg.norm(state.x))
-        if not np.isfinite(norm) or norm > divergence_norm:
-            raise DivergenceError(state.t, norm)
+        if not state.x @ state.x <= bound2:
+            raise DivergenceError(state.t, float(np.linalg.norm(state.x)))
         for gs in grad_sinks:
             gs(t_eval, state.last_grad)
         for sink in sinks:

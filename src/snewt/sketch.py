@@ -182,6 +182,9 @@ def solve_newton_sketched(
 
     Sketch draws are batched per solve: uniform_coordinate consumes tau
     integers in one call, gaussian consumes one (tau, d, q) normal block.
+    The coordinate sweep forms B*B once for both the row energies and the
+    skip tolerance, and its first non-degenerate step starts from
+    dx = -(g_i / den) B_i, the projection of dx = 0.
     """
     d = B.shape[0]
     if cfg.is_exact:
@@ -189,18 +192,22 @@ def solve_newton_sketched(
     if rng is None:
         raise ValueError("sketched solves need a generator")
     tau = cfg.tau
-    tol = _pinv_tol_abs(B, cfg.pinv_tol)
-    dx = np.zeros(d)
     if cfg.dist.kind == "uniform_coordinate":
-        idx = rng.integers(0, d, size=tau)
-        coldens = (B * B).sum(axis=0)
-        for i in idx:
+        BB = B * B
+        coldens = BB.sum(axis=0)
+        tol = cfg.pinv_tol * BB.sum() / d
+        dx = None
+        for i in rng.integers(0, d, size=tau).tolist():
             den = coldens[i]
             if den <= tol:
                 continue
-            r = B[i] @ dx + g[i]
-            dx = dx - (r / den) * B[i]
-        return dx
+            if dx is None:  # from dx = 0 the residual is g_i
+                dx = -(g[i] / den) * B[i]
+            else:
+                dx = dx - ((B[i] @ dx + g[i]) / den) * B[i]
+        return np.zeros(d) if dx is None else dx
+    tol = _pinv_tol_abs(B, cfg.pinv_tol)
+    dx = np.zeros(d)
     z = rng.standard_normal((tau, d, cfg.dist.q))
     chol = cfg.dist.cov_factor(d)
     for j in range(tau):

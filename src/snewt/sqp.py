@@ -20,6 +20,7 @@ with the same function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Tuple, Union
 
@@ -229,13 +230,15 @@ def run_sqp(
     state = SqpState(t=0, x=problem.x0.copy(), lam=np.zeros(problem.n_cons),
                      B=np.eye(d))
     sinks = tuple(sinks)
+    # clamped so that an infinite bound still rejects inf and NaN iterates
+    bound = min(divergence_norm, np.finfo(float).max)
     for _ in range(n_iters):
         z = rngs.data.standard_normal(n_normals)
         alpha = schedule.draw(state.t, rngs.step)
         state = sqp_step(state, problem, sigma2, schedule, z, alpha, solve,
                          grad_chol)
-        norm = float(np.linalg.norm(state.x)) + float(np.linalg.norm(state.lam))
-        if not np.isfinite(norm) or norm > divergence_norm:
+        norm = math.sqrt(state.x @ state.x) + math.sqrt(state.lam @ state.lam)
+        if not norm <= bound:
             raise DivergenceError(state.t, norm)
         for sink in sinks:
             sink(state.t, state.x, state.last_alpha)

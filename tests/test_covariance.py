@@ -1,5 +1,7 @@
 """Tests for the online covariance estimators and their inverse recursion."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -60,10 +62,12 @@ def test_estimate_requires_data_and_valid_dimension():
 
 def test_weights_must_be_positive():
     acc = WscAccumulator(2)
-    with pytest.raises(ValueError):
-        acc.update(np.ones(2), 0.0)
-    with pytest.raises(ValueError):
-        acc.update(np.ones(2), -1.0)
+    for bad_phi in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            acc.update(np.ones(2), bad_phi)
+    assert acc.t == 0 and acc.sum_w == 0.0  # nothing was folded in
+    acc.update(np.ones(2), 0.5)
+    assert np.isfinite(acc.estimate()).all()
 
 
 @given(
@@ -178,6 +182,77 @@ def test_inverse_tracker_burn_in_validation():
         WscInverseTracker(3, burn_in=3)
     tracker = WscInverseTracker(3)  # default burn-in: 10 d
     assert tracker.burn_in == 30
+
+
+def test_inverse_tracker_postpones_a_singular_burn_in(caplog):
+    # a constant trace gives an estimate of exactly zero at burn-in
+    tracker = WscInverseTracker(1, burn_in=2)
+    with caplog.at_level(logging.WARNING, logger="snewt.covariance"):
+        for _ in range(2):
+            tracker.update(np.array([3.0]), 0.5)
+    assert tracker.xi_inv is None
+    assert "singular estimate at burn-in; postponing" in caplog.text
+    # the next update retries the direct inversion
+    tracker.update(np.array([1.0]), 0.5)
+    assert np.array_equal(tracker.xi_inv, np.linalg.inv(tracker.acc.estimate()))
+    assert tracker.n_fallbacks == 0
+
+
+def test_inverse_tracker_reinverts_on_an_exactly_singular_inner_system(caplog):
+    # d = 1, three zero iterates with phi = 1, then x = 1 with phi = 1 at
+    # t = 3: a_t = 1 and R^T = [0, -1/4, 3/4].  With xi_inv = -4 the inner
+    # system is C = [[-1, 1, 0], [1, -1/4, 3/4], [0, 3/4, 3/4]] in dyadic
+    # floats, so its determinant is exactly zero.
+    tracker = WscInverseTracker(1, burn_in=3)
+    for _ in range(3):
+        tracker.update(np.zeros(1), 1.0)
+    tracker.xi_inv = np.array([[-4.0]])
+    with caplog.at_level(logging.WARNING, logger="snewt.covariance"):
+        tracker.update(np.ones(1), 1.0)
+    assert tracker.n_fallbacks == 1
+    assert "singular 3x3 system at t=4; re-inverting" in caplog.text
+    assert np.array_equal(tracker.xi_inv, np.linalg.inv(tracker.acc.estimate()))
+
+
+def test_inverse_tracker_makes_no_linalg_call_after_burn_in(monkeypatch):
+    d = 4
+    xs, phis = _random_trace(11, 300, d)
+    tracker = WscInverseTracker(d)
+    burn = tracker.burn_in
+    for x, phi in zip(xs[:burn], phis[:burn]):
+        tracker.update(x, phi)
+    assert tracker.xi_inv is not None
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called after burn-in")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+    for x, phi in zip(xs[burn:], phis[burn:]):
+        tracker.update(x, phi)
+    monkeypatch.undo()
+    assert tracker.n_fallbacks == 0
+    assert np.abs(tracker.xi_inv @ tracker.acc.estimate() - np.eye(d)).max() <= 1e-9
+
+
+def test_long_horizon_drift_and_running_sums_stay_at_roundoff():
+    # 1e5 iterates shaped like a run's: x_t = x* + sqrt(phi_t) z_t with the
+    # default schedule's band centers as weights
+    d, n = 5, 100_000
+    rng = np.random.default_rng(2025)
+    phis = StepsizeSchedule().phi(np.arange(n))
+    chol = np.linalg.cholesky(np.eye(d) + 0.3)
+    xs = 1.0 + np.sqrt(phis)[:, None] * (rng.standard_normal((n, d)) @ chol.T)
+    tracker = WscInverseTracker(d)
+    for x, phi in zip(xs, phis.tolist()):
+        tracker.update(x, phi)
+    est = tracker.acc.estimate()
+    dev = xs - xs.mean(axis=0)
+    two_pass = (dev.T / phis) @ dev / n
+    assert tracker.n_fallbacks == 0
+    assert np.abs(tracker.xi_inv @ est - np.eye(d)).max() <= 1e-9
+    assert np.abs(est - two_pass).max() <= 1e-9 * np.abs(two_pass).max()
 
 
 def test_middle_matrix_sign_variants():

@@ -103,8 +103,9 @@ def test_negative_quadratic_form_is_clamped_and_counted():
 
 def test_directional_ci_validation():
     x, xi, w = np.zeros(2), np.eye(2), np.ones(2)
-    with pytest.raises(ValueError):
-        directional_ci(x, 0.0, xi, w)
+    for bad_alpha in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            directional_ci(x, bad_alpha, xi, w)
     with pytest.raises(ValueError):
         directional_ci(x, 0.01, xi, w, level=1.0)
 
@@ -163,7 +164,8 @@ def test_region_is_invariant_under_rotation():
 
 
 def test_region_validation():
-    with pytest.raises(ValueError):
-        confidence_region(np.zeros(2), 0.0, np.eye(2))
+    for bad_alpha in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            confidence_region(np.zeros(2), bad_alpha, np.eye(2))
     with pytest.raises(ValueError):
         confidence_region(np.zeros(2), 0.01, np.eye(2), level=0.0)

@@ -235,6 +235,29 @@ def test_divergence_raises_with_step_and_norm():
     assert exc.value.norm > 1e6
 
 
+class Blowup:
+    """An infinite gradient: the first step lands on an infinite iterate."""
+
+    dim = 1
+
+    def draw(self, rng):
+        return None
+
+    def grad(self, x, s):
+        return np.full_like(x, -np.inf)
+
+    def hess(self, x, s):
+        return np.ones(x.shape + (1,))
+
+
+def test_divergence_guard_rejects_an_infinite_iterate_under_an_infinite_bound():
+    with pytest.raises(DivergenceError) as exc:
+        run(Blowup(), SketchSolveConfig(), StepsizeSchedule(), 10, 0,
+            divergence_norm=np.inf)
+    assert exc.value.t == 1
+    assert exc.value.norm == np.inf
+
+
 def test_long_run_approaches_the_minimizer():
     model = RegressionModel(
         family="linear",

@@ -1,5 +1,7 @@
 """Tests for the equality-constrained stochastic SQP extension."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,15 @@ def test_run_sqp_divergence_guard():
         run_sqp(prob, 1e-2, SketchSolveConfig(), StepsizeSchedule(), 100, 0,
                 divergence_norm=1e-6)
     assert exc.value.t == 1
+    # an infinite gradient makes the first KKT step NaN, which an infinite
+    # bound must still reject
+    blowup = dataclasses.replace(
+        prob, grad=lambda X: np.full(np.shape(X), -np.inf))
+    with pytest.raises(DivergenceError) as exc:
+        run_sqp(blowup, 1e-2, SketchSolveConfig(), StepsizeSchedule(), 100,
+                0, divergence_norm=np.inf)
+    assert exc.value.t == 1
+    assert not np.isfinite(exc.value.norm)
 
 
 def test_sqp_trace_feeds_the_covariance_estimator():
