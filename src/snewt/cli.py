@@ -123,7 +123,8 @@ def tail_slope(ts: Sequence[float], values: Sequence[float],
                tail: float) -> float:
     """Least-squares slope of log(values) vs log(ts) over the last rows.
 
-    The window is the last ceil(tail * n) rows, never fewer than two.
+    The window is the last ceil(tail * n) rows, never fewer than two;
+    every t and value in it must be finite and positive.
     """
     if not 0.0 < tail <= 1.0:
         raise ConfigError(f"tail fraction must lie in (0, 1], got {tail}")
@@ -133,6 +134,9 @@ def tail_slope(ts: Sequence[float], values: Sequence[float],
         raise ConfigError(f"too few rows for a slope fit (have {n})")
     t_arr = np.asarray(ts[-n_tail:], dtype=float)
     v_arr = np.asarray(values[-n_tail:], dtype=float)
+    if not (np.isfinite(t_arr).all() and np.isfinite(v_arr).all()):
+        raise ConfigError("slope fit needs finite t and column values "
+                          "(the tail holds nan or inf)")
     if np.any(t_arr <= 0.0) or np.any(v_arr <= 0.0):
         raise ConfigError("slope fit needs positive t and column values")
     return float(np.polyfit(np.log(t_arr), np.log(v_arr), 1)[0])
@@ -154,8 +158,13 @@ def _cmd_slope(args: argparse.Namespace) -> int:
             cell = row[args.column]
             if cell is None or cell == "":
                 continue
-            ts.append(float(row["t"]))
-            vals.append(float(cell))
+            try:
+                ts.append(float(row["t"]))
+                vals.append(float(cell))
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{args.csv}: line {reader.line_num}: t = {row['t']!r}, "
+                    f"{args.column} = {cell!r} is not a number") from None
     slope = tail_slope(ts, vals, args.tail)
     print(format(slope, ".12g"))
     return EXIT_OK

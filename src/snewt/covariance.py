@@ -187,19 +187,19 @@ class WscInverseTracker:
 
 
 class PlugInAccumulator:
-    """Average of gradient-sample outer products, (1/t) sum g_i g_i^T."""
+    """Running sum sum_gg of gradient-sample outer products g_i g_i^T; the
+    average G is sum_gg divided by t."""
 
     def __init__(self, d: int):
         self.d = d
         self.t = 0
-        self.G = np.zeros((d, d))
+        self.sum_gg = np.zeros((d, d))
 
     def update(self, g: np.ndarray) -> None:
-        t = self.t
-        self.G *= t
-        self.G += np.outer(g, g)
-        self.G /= t + 1
-        self.t = t + 1
+        self.sum_gg += np.outer(g, g)
+        self.t += 1
+
+    G = property(lambda self: self.sum_gg / max(self.t, 1))
 
 
 def plugin_estimate(
@@ -234,9 +234,9 @@ class BatchMeansAccumulator:
 
     with bbar_m the batch means and xbar their n_m-weighted mean (Zhu, Chen
     & Wu, JASA 2023): a batch mean has covariance about Omega / n_m, so the
-    n_m^2 weight makes each term estimate n_m Omega.  ``mean``
-    tracks the running average of every iterate seen (the natural center
-    for averaged-iterate confidence intervals).
+    n_m^2 weight makes each term estimate n_m Omega.  ``mean`` is the
+    running sum ``sum_x`` of every iterate seen divided by t (the natural
+    center for averaged-iterate confidence intervals).
     """
 
     def __init__(self, d: int, beta: float):
@@ -245,7 +245,7 @@ class BatchMeansAccumulator:
         self.d = d
         self.beta = beta
         self.t = 0
-        self.mean = np.zeros(d)
+        self.sum_x = np.zeros(d)
         self._exponent = 2.0 / (1.0 - beta)
         self._m = 1
         self._next_boundary = self.boundary(1)
@@ -262,10 +262,11 @@ class BatchMeansAccumulator:
         """a_m = floor(m**(2/(1-beta)))."""
         return int(np.floor(float(m) ** self._exponent))
 
+    mean = property(lambda self: self.sum_x / max(self.t, 1))
+
     def update(self, x: np.ndarray) -> None:
-        t = self.t
-        self.mean = (t * self.mean + x) / (t + 1)
-        self.t = t + 1
+        self.sum_x += x
+        self.t += 1
         self._batch_sum += x
         self._batch_n += 1
         if self.t == self._next_boundary:
@@ -277,7 +278,7 @@ class BatchMeansAccumulator:
             self._N += n
             self._N2 += n * n
             self.n_completed += 1
-            self._batch_sum = np.zeros(self.d)
+            self._batch_sum.fill(0.0)
             self._batch_n = 0
             self._m += 1
             self._next_boundary = self.boundary(self._m)

@@ -31,7 +31,7 @@ from .config import (ExperimentConfig, ExperimentSection, MethodConfig,
 from .inference import normal_quantile
 from .optimizer import NewtonState, RngStreams, StepsizeSchedule, newton_step
 from .oracle import omega_star, oracle_covariance
-from .problems import RegressionModel, grad_noise_factor
+from .problems import RegressionModel, Sample, grad_noise_factor
 from .sketch import SketchSolveConfig, pinv_newton_solve
 from .sqp import EqConstrainedProblem, SqpState, sqp_step
 
@@ -75,6 +75,12 @@ SUMMARY_COLUMNS = (
 # except the logistic label stream the block size does not even change the
 # sampled values.
 _CHUNK = 1024
+# Steps per sub-block.  The regression engine forms a sub-block's samples
+# in one call, and the batched wsc and plugin estimators buffer a
+# sub-block's rows and fold them into their running sums at once.
+# Sub-blocks start at multiples of _SUB of the absolute step, so the chunk
+# size changes no result.
+_SUB = 32
 _DIVERGENCE_NORM = 1e8
 
 _SUFFIX = {"wsc": "wsc", "plugin": "plugin", "batchmeans": "bm"}
@@ -86,52 +92,84 @@ _SUFFIX = {"wsc": "wsc", "plugin": "plugin", "batchmeans": "bm"}
 
 
 class _BatchedWsc:
-    """Weighted sample covariance aggregates for a stack of replications."""
+    """Weighted sample covariance running sums for a stack of replications.
+
+    The sums of covariance.WscAccumulator (sum_wxx, sum_wx, sum_x, sum_w),
+    replication by replication.  An update only copies its row into the
+    current sub-block; a complete sub-block is folded into the sums with
+    two stacked matmuls.  An estimate adds a part-filled sub-block to
+    copies of the sums, so reading one changes no later estimate.
+    """
 
     def __init__(self, n: int, d: int):
         self.t = 0
-        self.W = np.zeros((n, d, d))
-        self.v = np.zeros((n, d))
-        self.xbar = np.zeros((n, d))
-        self.a = 0.0
+        self.sum_wxx = np.zeros((n, d, d))
+        self.sum_wx = np.zeros((n, d))
+        self.sum_x = np.zeros((n, d))
+        self.sum_w = 0.0
+        self._x = np.empty((n, _SUB, d))
+        # row 0 holds the weights 1/phi and row 1 ones, so that one matmul
+        # with the buffered rows gives both sum_wx and sum_x
+        self._w1 = np.ones((2, _SUB))
+        self._k = 0  # rows in the current sub-block
 
     def update(self, X: np.ndarray, phi: float) -> None:
-        t = self.t
-        wgt = 1.0 / phi
-        self.W *= t
-        self.W += np.einsum("ri,rj->rij", X, X) * wgt
-        self.W /= t + 1
-        self.v *= t
-        self.v += X * wgt
-        self.v /= t + 1
-        self.xbar *= t
-        self.xbar += X
-        self.xbar /= t + 1
-        self.a = (t * self.a + wgt) / (t + 1)
-        self.t = t + 1
+        k = self._k
+        self._x[:, k] = X
+        self._w1[0, k] = 1.0 / phi
+        self.t += 1
+        self._k = k + 1
+        if self._k == _SUB:
+            self.sum_wxx, self.sum_wx, self.sum_x, self.sum_w = self._sums()
+            self._k = 0
+
+    def _sums(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The running sums plus the rows of the current sub-block."""
+        X, w1 = self._x[:, :self._k], self._w1[:, :self._k]
+        wx, x = np.matmul(w1, X).transpose(1, 0, 2)
+        XW = X * w1[0, :, None]
+        return (self.sum_wxx + np.matmul(XW.transpose(0, 2, 1), X),
+                self.sum_wx + wx, self.sum_x + x,
+                self.sum_w + float(w1[0].sum()))
 
     def estimate(self) -> np.ndarray:
-        xb = self.xbar
-        xi = (self.W
-              - np.einsum("ri,rj->rij", self.v, xb)
-              - np.einsum("ri,rj->rij", xb, self.v)
-              + self.a * np.einsum("ri,rj->rij", xb, xb))
+        sum_wxx, sum_wx, sum_x, sum_w = self._sums()
+        t = self.t
+        v, xb = sum_wx / t, sum_x / t
+        xi = (sum_wxx / t
+              - np.einsum("ri,rj->rij", v, xb)
+              - np.einsum("ri,rj->rij", xb, v)
+              + (sum_w / t) * np.einsum("ri,rj->rij", xb, xb))
         return 0.5 * (xi + xi.transpose(0, 2, 1))
 
 
 class _BatchedPlugin:
-    """Average gradient outer product for a stack of replications."""
+    """Running sum of gradient outer products for a stack of replications,
+    buffered and folded per sub-block like _BatchedWsc."""
 
     def __init__(self, n: int, d: int):
         self.t = 0
-        self.G = np.zeros((n, d, d))
+        self.sum_gg = np.zeros((n, d, d))
+        self._g = np.empty((n, _SUB, d))
+        self._k = 0
 
     def update(self, g: np.ndarray) -> None:
-        t = self.t
-        self.G *= t
-        self.G += np.einsum("ri,rj->rij", g, g)
-        self.G /= t + 1
-        self.t = t + 1
+        k = self._k
+        self._g[:, k] = g
+        self.t += 1
+        self._k = k + 1
+        if self._k == _SUB:
+            self.sum_gg = self._sum_gg()
+            self._k = 0
+
+    def _sum_gg(self) -> np.ndarray:
+        g = self._g[:, :self._k]
+        return self.sum_gg + np.matmul(g.transpose(0, 2, 1), g)
+
+    @property
+    def G(self) -> np.ndarray:
+        """The average (1/t) sum g g^T."""
+        return self._sum_gg() / self.t
 
 
 def _plugin_estimate_batched(G: np.ndarray, B: np.ndarray,
@@ -156,7 +194,7 @@ class _BatchedBatchMeans:
             raise ValueError("batch means need beta in (1/2, 1)")
         self._exponent = 2.0 / (1.0 - beta)
         self.t = 0
-        self.mean = np.zeros((n, d))
+        self.sum_x = np.zeros((n, d))
         self._m = 1
         self._next_boundary = self.boundary(1)
         self._batch_sum = np.zeros((n, d))
@@ -171,10 +209,11 @@ class _BatchedBatchMeans:
     def boundary(self, m: int) -> int:
         return int(np.floor(float(m) ** self._exponent))
 
+    mean = property(lambda self: self.sum_x / max(self.t, 1))
+
     def update(self, X: np.ndarray) -> None:
-        t = self.t
-        self.mean = (t * self.mean + X) / (t + 1)
-        self.t = t + 1
+        self.sum_x += X
+        self.t += 1
         self._batch_sum += X
         self._batch_n += 1
         if self.t == self._next_boundary:
@@ -186,7 +225,7 @@ class _BatchedBatchMeans:
             self._N += nb
             self._N2 += nb * nb
             self.n_completed += 1
-            self._batch_sum = np.zeros_like(self._batch_sum)
+            self._batch_sum.fill(0.0)
             self._batch_n = 0
             self._m += 1
             self._next_boundary = self.boundary(self._m)
@@ -252,19 +291,23 @@ def _uc_solve_batched(B: np.ndarray, g: np.ndarray, idx: np.ndarray,
 
     Nothing but the iterate changes between the tau steps, so the selected
     rows, their right-hand-side entries, their energies and the degenerate
-    mask are gathered once, step-major as (tau, R, ...); each step then
-    does one dot, add, divide, masked zero and axpy, on the same operands
-    and in the same order as a step that gathers its own row.
+    mask are gathered once, step-major as (tau, R, ...), by two flat takes;
+    each step then does one dot, add, divide, masked zero and axpy, on the
+    same operands and in the same order as a step that gathers its own
+    row.  The first step starts from dx = 0, where the residual is g_i.
     """
-    n_rep, tau = idx.shape
-    rows = np.arange(n_rep)
-    brows = B[rows, idx.T]
-    gsel = g[rows, idx.T]
+    n_rep, n = g.shape
+    flat = idx.T + np.arange(0, n_rep * n, n)  # (tau, R) rows of the stack
+    brows = np.take(B.reshape(n_rep * n, n), flat, axis=0)
+    gsel = np.take(g, flat)
     den = np.einsum("srn,srn->sr", brows, brows)
     skip = ~(den > tol)
     den[skip] = 1.0
-    dx = np.zeros_like(g)
-    for s in range(tau):
+    coef = gsel[0] / den[0]
+    coef[skip[0]] = 0.0
+    # 0.0 - p rather than -p: a skipped row leaves +0.0, as dx -= p does
+    dx = 0.0 - coef[:, None] * brows[0]
+    for s in range(1, idx.shape[1]):
         brow = brows[s]
         coef = np.einsum("rn,rn->r", brow, dx)
         coef += gsel[s]
@@ -302,33 +345,53 @@ def _gaussian_solve_batched(B: np.ndarray, g: np.ndarray, zblk: np.ndarray,
     return dx
 
 
-def _sketch_and_step_blocks(
-    streams: List[RngStreams], K: int, n: int,
-    solve_cfg: SketchSolveConfig, uniform: bool,
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """One chunk of sketch draws and band uniforms, filled in place.
+class _ChunkBlocks:
+    """The random blocks of one chunk, allocated once per shard.
 
-    Sketch blocks are (R, K, tau) coordinate indices, stored in the
-    narrowest integer type that holds n - 1, or (R, K, tau, n, q) Gaussian
-    normals; each replication's generators are read in per-step order.
+    sketch: (R, chunk, tau) coordinate indices, stored in the narrowest
+    integer type that holds n - 1, or (R, chunk, tau, n, q) Gaussian
+    normals; band: (R, chunk) stepsize uniforms; data: (R, chunk, width)
+    normals; labels: (R, chunk) logistic label uniforms.  fill(K) refills
+    the first K steps in place, one replication's generators at a time,
+    each read in per-step order (data: the K steps' normals, then K label
+    uniforms).  Reallocating these blocks per chunk, between the smaller
+    per-step arrays, fragmented the heap: peak memory grew by a block
+    over a run.
     """
-    R = len(streams)
-    tau = solve_cfg.tau
-    sk_blk = u_blk = None
-    if tau is not None:
-        if solve_cfg.dist.kind == "uniform_coordinate":
-            sk_blk = np.empty((R, K, tau), dtype=np.min_scalar_type(n - 1))
-            for j, g in enumerate(streams):
-                sk_blk[j] = g.sketch.integers(0, n, size=(K, tau))
-        else:
-            sk_blk = np.empty((R, K, tau, n, solve_cfg.dist.q))
-            for j, g in enumerate(streams):
-                g.sketch.standard_normal(out=sk_blk[j])
-    if uniform:
-        u_blk = np.empty((R, K))
-        for j, g in enumerate(streams):
-            g.step.random(out=u_blk[j])
-    return sk_blk, u_blk
+
+    def __init__(self, streams: List[RngStreams], chunk: int, n: int,
+                 solve_cfg: SketchSolveConfig, uniform: bool, width: int,
+                 labels: bool = False):
+        R = len(streams)
+        tau = solve_cfg.tau
+        self.streams, self.n = streams, n
+        self.sketch = self.band = self.labels = None
+        if tau is not None:
+            if solve_cfg.dist.kind == "uniform_coordinate":
+                self.sketch = np.empty((R, chunk, tau),
+                                       dtype=np.min_scalar_type(n - 1))
+            else:
+                self.sketch = np.empty((R, chunk, tau, n, solve_cfg.dist.q))
+        if uniform:
+            self.band = np.empty((R, chunk))
+        self.data = np.empty((R, chunk, width))
+        if labels:
+            self.labels = np.empty((R, chunk))
+
+    def fill(self, K: int) -> None:
+        sk = self.sketch
+        for j, g in enumerate(self.streams):
+            if sk is not None:
+                if sk.dtype.kind == "u":  # coordinate indices
+                    sk[j, :K] = g.sketch.integers(0, self.n,
+                                                  size=(K, sk.shape[2]))
+                else:
+                    g.sketch.standard_normal(out=sk[j, :K])
+            if self.band is not None:
+                g.step.random(out=self.band[j, :K])
+            g.data.standard_normal(out=self.data[j, :K])
+            if self.labels is not None:
+                g.data.random(out=self.labels[j, :K])
 
 
 def _sweep_solve(M: np.ndarray, rhs: np.ndarray, draws: np.ndarray,
@@ -465,6 +528,10 @@ def _run_shard_regression(
                if solve_cfg.dist.kind == "gaussian" else None)
 
     streams = [RngStreams.from_seed(exp.base_seed ^ int(r)) for r in rep_ids]
+    # linear: d feature normals plus the response noise per step;
+    # logistic: d feature normals per step, then the label uniforms
+    blk = _ChunkBlocks(streams, min(chunk, n_iters), d, solve_cfg, uniform,
+                       d + 1 if lin else d, labels=not lin)
     X = np.zeros((R, d))
     B = None if sgd else np.tile(np.eye(d), (R, 1, 1))
     wsc = _BatchedWsc(R, d) if "wsc" in exp.estimators else None
@@ -478,7 +545,7 @@ def _run_shard_regression(
         # the sweep reads the sketch draws of the current step k
         if solve_cfg.tau is None:
             return _exact_solve_batched(Bs, G, solve_cfg.pinv_tol)
-        return _sweep_solve(Bs, G, sk_blk[:, k], solve_cfg, sk_chol)
+        return _sweep_solve(Bs, G, blk.sketch[:, k], solve_cfg, sk_chol)
 
     def estimates(t_now: int) -> Dict[str, Optional[np.ndarray]]:
         out: Dict[str, Optional[np.ndarray]] = {}
@@ -510,26 +577,18 @@ def _run_shard_regression(
     t_done = 0
     while t_done < n_iters:
         K = min(chunk, n_iters - t_done)
-        # fill the (R, K, ...) blocks in place, one replication's generators
-        # at a time (no per-replication copies to stack); the previous
-        # chunk's blocks are dropped first, or the heap creeps up over a run
-        sk_blk = u_blk = data_blk = ulab_blk = None
-        sk_blk, u_blk = _sketch_and_step_blocks(streams, K, d, solve_cfg,
-                                                uniform)
-        # linear: d feature normals plus the response noise per step;
-        # logistic: d feature normals per step, then K label uniforms
-        data_blk = np.empty((R, K, d + 1 if lin else d))
-        ulab_blk = None if lin else np.empty((R, K))
-        for j, g in enumerate(streams):
-            g.data.standard_normal(out=data_blk[j])
-            if not lin:
-                g.data.random(out=ulab_blk[j])
-
+        blk.fill(K)
         for k in range(K):
             t = t_done + k
-            s = model.sample(data_blk[:, k],
-                             None if lin else ulab_blk[:, k])
-            alpha = (schedule.alpha_from_uniform(t, u_blk[:, k]) if uniform
+            j = k % _SUB
+            if j == 0:
+                # step-major copies: einsum runs about twice as fast on them
+                # and each step's sample is a contiguous (R, ...) slice
+                z = blk.data[:, k:k + _SUB].swapaxes(0, 1)
+                sub = model.sample(np.ascontiguousarray(z), None if lin
+                                   else blk.labels[:, k:k + _SUB].T.copy())
+            s = Sample(sub.xi_a[j], sub.xi_b[j])
+            alpha = (schedule.alpha_from_uniform(t, blk.band[:, k]) if uniform
                      else schedule.phi(t))
             if sgd:
                 G = model.grad(X, s)
@@ -538,11 +597,15 @@ def _run_shard_regression(
                 state = newton_step(NewtonState(t, X, B), model, s, schedule,
                                     alpha, solve)
                 X, B, G = state.x, state.B, state.last_grad
-            if plug is not None:
-                plug.update(G)
             t_now = t + 1
+            # wsc first: the folds of both estimators and the next
+            # sub-block's samples then fall between the same two wsc
+            # updates (where the benchmark stamps each step), so one step
+            # in _SUB carries all of that work
             if wsc is not None:
                 wsc.update(X, schedule.phi(t))
+            if plug is not None:
+                plug.update(G)
             if bm is not None:
                 bm.update(X)
             # NaN and inf fail the <= test, so they freeze a replication too
@@ -595,6 +658,8 @@ def _run_shard_sqp(
                if solve_cfg.dist.kind == "gaussian" else None)
 
     streams = [RngStreams.from_seed(exp.base_seed ^ int(r)) for r in rep_ids]
+    blk = _ChunkBlocks(streams, min(chunk, n_iters), n, solve_cfg, uniform,
+                       d + nt)
     state = SqpState(t=0, x=np.tile(problem.x0, (R, 1)), lam=np.zeros((R, m)),
                      B=np.tile(np.eye(d), (R, 1, 1)))
     wsc = _BatchedWsc(R, d)
@@ -604,7 +669,7 @@ def _run_shard_sqp(
         # the sweep reads the sketch draws of the current step k
         if solve_cfg.tau is None:
             return _lu_solve_batched(Kmat, rhs)
-        return _sweep_solve(Kmat, rhs, sk_blk[:, k], solve_cfg, sk_chol)
+        return _sweep_solve(Kmat, rhs, blk.sketch[:, k], solve_cfg, sk_chol)
 
     def snapshot(t_now: int) -> Tuple[Dict[str, np.ndarray],
                                       Dict[str, Optional[np.ndarray]]]:
@@ -618,19 +683,12 @@ def _run_shard_sqp(
     t_done = 0
     while t_done < n_iters:
         K = min(chunk, n_iters - t_done)
-        # filled replication by replication, as in _run_shard_regression
-        sk_blk = u_blk = data_blk = None
-        sk_blk, u_blk = _sketch_and_step_blocks(streams, K, n, solve_cfg,
-                                                uniform)
-        data_blk = np.empty((R, K, d + nt))
-        for j, g in enumerate(streams):
-            g.data.standard_normal(out=data_blk[j])
-
+        blk.fill(K)
         for k in range(K):
             t = t_done + k
-            alpha = (schedule.alpha_from_uniform(t, u_blk[:, k]) if uniform
+            alpha = (schedule.alpha_from_uniform(t, blk.band[:, k]) if uniform
                      else schedule.phi(t))
-            state = sqp_step(state, problem, sigma2, schedule, data_blk[:, k],
+            state = sqp_step(state, problem, sigma2, schedule, blk.data[:, k],
                              alpha, solve, L)
             X, Lam = state.x, state.lam
             t_now = t + 1

@@ -33,6 +33,25 @@ def wsc_two_pass(xs: Sequence[np.ndarray], phis: Sequence[float]) -> np.ndarray:
     return out / t
 
 
+def batch_means_two_pass(xs: Sequence[np.ndarray],
+                         ends: Sequence[int]) -> np.ndarray:
+    """sum_m n_m^2 (bbar_m - xbar)(bbar_m - xbar)^T / sum_m n_m.
+
+    Batch m holds xs[ends[m-1]:ends[m]] (ends[-1] = 0); xbar is the
+    n_m-weighted mean of the batch means.
+    """
+    starts = [0] + list(ends[:-1])
+    sizes = [e - s for s, e in zip(starts, ends)]
+    means = [np.mean(np.asarray(xs[s:e]), axis=0)
+             for s, e in zip(starts, ends)]
+    total = sum(sizes)
+    xbar = sum(n * b for n, b in zip(sizes, means)) / total
+    out = np.zeros((len(xbar), len(xbar)))
+    for n, b in zip(sizes, means):
+        out = out + n * n * np.outer(b - xbar, b - xbar)
+    return out / total
+
+
 def recursive_inverse_replay(
     xs: Sequence[np.ndarray],
     phis: Sequence[float],

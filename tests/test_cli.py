@@ -79,6 +79,11 @@ def test_tail_slope_rejects_bad_inputs():
         tail_slope(ts, [1.0, 0.0, 1.0], 1.0)
     with pytest.raises(ConfigError, match="positive"):
         tail_slope([0.0, 1.0, 2.0], vals, 1.0)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            tail_slope(ts, [1.0, bad, 1.0], 1.0)
+        with pytest.raises(ConfigError, match="finite"):
+            tail_slope([1.0, 2.0, bad], vals, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +143,22 @@ def test_slope_command_too_few_rows_is_config_error(tmp_path, capsys):
     path = _write_csv(tmp_path, ("t", "rel_cov_err_wsc"), [(10.0, 1.0)])
     assert main(["slope", path]) == EXIT_CONFIG
     assert "too few rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_slope_command_non_finite_cell_is_config_error(tmp_path, capsys, cell):
+    rows = [(10.0, 1.0), (20.0, cell), (40.0, 0.5)]
+    path = _write_csv(tmp_path, ("t", "rel_cov_err_wsc"), rows)
+    assert main(["slope", path, "--tail", "1.0"]) == EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+
+
+def test_slope_command_unparsable_cell_is_config_error(tmp_path, capsys):
+    rows = [(10.0, 1.0), (20.0, "abc"), (40.0, 0.5)]
+    path = _write_csv(tmp_path, ("t", "rel_cov_err_wsc"), rows)
+    assert main(["slope", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "line 3" in err and "'abc'" in err
 
 
 def test_slope_command_missing_file_is_io_error(tmp_path, capsys):

@@ -30,8 +30,9 @@ from snewt.experiment import (
 from snewt.optimizer import RngStreams, run
 from snewt.sketch import pinv_newton_solve
 from snewt.sqp import run_sqp
-from tests.oracles import (coordinate_sketches, newton_replay, sketch_loop,
-                           sqp_replay, uc_sweep_replay, wsc_two_pass)
+from tests.oracles import (batch_means_two_pass, coordinate_sketches,
+                           newton_replay, sketch_loop, sqp_replay,
+                           uc_sweep_replay, wsc_two_pass)
 
 
 EYE3 = np.eye(3)
@@ -302,7 +303,124 @@ def test_uc_sweep_skips_degenerate_rows_and_leaves_the_rest_alone():
 
 
 # ---------------------------------------------------------------------------
+# the batched estimators, folded into running sums once per sub-block
+
+SUB = experiment._SUB
+
+
+def _estimator_stream(rng, t, R=4, d=3):
+    xs = rng.standard_normal((t, R, d)) + np.arange(1.0, d + 1.0)
+    phis = 0.5 * (np.arange(t) + 1.0) ** -0.505
+    return xs, phis
+
+
+@pytest.mark.parametrize("t", [1, SUB - 1, SUB, SUB + 1, 1000])
+def test_batched_wsc_and_plugin_equal_the_sequential_accumulators(t):
+    rng = np.random.default_rng(t)
+    xs, phis = _estimator_stream(rng, t)
+    R, d = xs.shape[1:]
+    gs = rng.standard_normal((t, R, d))
+    wsc = experiment._BatchedWsc(R, d)
+    plug = experiment._BatchedPlugin(R, d)
+    for x, phi, g in zip(xs, phis, gs):
+        wsc.update(x, phi)
+        plug.update(g)
+    est, G = wsc.estimate(), plug.G
+    for r in range(R):
+        acc = WscAccumulator(d)
+        pacc = PlugInAccumulator(d)
+        for x, phi, g in zip(xs[:, r], phis, gs[:, r]):
+            acc.update(x, phi)
+            pacc.update(g)
+        _close(est[r], acc.estimate(), tol=1e-12)
+        _close(G[r], pacc.G, tol=1e-12)
+        _close(est[r], wsc_two_pass(xs[:, r], phis), tol=1e-12)
+
+
+def test_reading_estimates_mid_sub_block_changes_no_later_estimate():
+    rng = np.random.default_rng(3)
+    xs, phis = _estimator_stream(rng, 3 * SUB + 5)
+    gs = rng.standard_normal(xs.shape)
+    quiet = (experiment._BatchedWsc(4, 3), experiment._BatchedPlugin(4, 3))
+    read = (experiment._BatchedWsc(4, 3), experiment._BatchedPlugin(4, 3))
+    for t, (x, phi, g) in enumerate(zip(xs, phis, gs), start=1):
+        for wsc, plug in (quiet, read):
+            wsc.update(x, phi)
+            plug.update(g)
+        if t in (1, SUB // 2, SUB, SUB + 3):
+            read[0].estimate()
+            read[1].G
+    assert np.array_equal(quiet[0].estimate(), read[0].estimate())
+    assert np.array_equal(quiet[1].G, read[1].G)
+
+
+def test_a_nan_replication_leaves_the_others_sums_alone():
+    rng = np.random.default_rng(4)
+    xs, phis = _estimator_stream(rng, 2 * SUB + 7)
+    bad = xs.copy()
+    bad[SUB + 2, 1] = np.nan
+    runs = []
+    for data in (xs, bad):
+        wsc = experiment._BatchedWsc(4, 3)
+        plug = experiment._BatchedPlugin(4, 3)
+        for x, phi in zip(data, phis):
+            wsc.update(x, phi)
+            plug.update(x)
+        runs.append((wsc.estimate(), plug.G, wsc.sum_wxx, plug.sum_gg))
+    keep = [0, 2, 3]
+    for clean, poisoned in zip(*runs):
+        assert np.isnan(poisoned[1]).all()
+        assert np.array_equal(clean[keep], poisoned[keep])
+
+
+@pytest.mark.parametrize("t", [1, 15, 16, 17, 1000])
+def test_batch_means_keep_a_running_sum_equal_to_two_pass(t):
+    rng = np.random.default_rng(t)
+    xs = rng.standard_normal((t, 3, 2)) + 5.0
+    seq = [BatchMeansAccumulator(2, 0.505) for _ in range(3)]
+    stacked = experiment._BatchedBatchMeans(3, 2, 0.505)
+    for x in xs:
+        stacked.update(x)
+        for r, bm in enumerate(seq):
+            bm.update(x[r])
+    for r, bm in enumerate(seq):
+        mean = xs[:, r].mean(axis=0)
+        _close(bm.mean, mean, tol=1e-12)
+        _close(stacked.mean[r], mean, tol=1e-12)
+        if bm.n_completed >= 2:
+            _close(stacked.estimate()[r], bm.estimate(), tol=1e-12)
+            # the estimate's expanded form cancels the offset of 5 of the
+            # iterates, so it meets the centered two-pass form less closely
+            ends = [bm.boundary(m) for m in range(1, bm.n_completed + 1)]
+            _close(bm.estimate(), batch_means_two_pass(xs[:, r], ends),
+                   tol=1e-10)
+
+
+# ---------------------------------------------------------------------------
 # invariances of the engine
+
+
+@pytest.mark.parametrize("problem,direction", [
+    (ProblemConfig(d=3, design="equicorr", r=0.3), "mean"),
+    (ProblemConfig(family="eqqp", sigma2=1e-2), "inactive"),
+])
+def test_wsc_update_is_called_once_per_step_with_every_replication(
+        monkeypatch, problem, direction):
+    # the benchmark stamps each engine step at this call and counts
+    # replication-steps from its argument
+    calls = []
+    update = experiment._BatchedWsc.update
+
+    def counting(self, X, phi):
+        calls.append((type(X), X.shape))
+        return update(self, X, phi)
+
+    monkeypatch.setattr(experiment._BatchedWsc, "update", counting)
+    cfg = _cfg(problem=problem, method=MethodConfig(tau=2),
+               n_iters=3 * SUB + 5, n_reps=3, record_every=SUB + 1,
+               estimators=("wsc",), direction=direction)
+    run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3, chunk=50)
+    assert calls == [(np.ndarray, (3, 3))] * cfg.experiment.n_iters
 
 
 def test_chunk_size_does_not_change_linear_results():
