@@ -320,7 +320,10 @@ def _uc_solve_batched(B: np.ndarray, g: np.ndarray, idx: np.ndarray,
 def _gaussian_solve_batched(B: np.ndarray, g: np.ndarray, zblk: np.ndarray,
                             chol: Optional[np.ndarray],
                             tol: np.ndarray) -> np.ndarray:
-    """Stacked Gaussian sketch-and-project sweep; zblk is (R, tau, n, q)."""
+    """Stacked Gaussian sketch-and-project sweep; zblk is (R, tau, n, q).
+
+    The first step starts from dx = 0, where the residual is S^T g.
+    """
     tau, q = zblk.shape[1], zblk.shape[3]
     dx = np.zeros_like(g)
     for s in range(tau):
@@ -328,7 +331,9 @@ def _gaussian_solve_batched(B: np.ndarray, g: np.ndarray, zblk: np.ndarray,
         if chol is not None:
             S = np.einsum("ij,rjq->riq", chol, S)
         W = np.einsum("rij,rjq->riq", B, S)
-        res = np.einsum("riq,ri->rq", W, dx) + np.einsum("riq,ri->rq", S, g)
+        res = np.einsum("riq,ri->rq", S, g)
+        if s:  # from dx = 0 the residual is S^T g
+            res += np.einsum("riq,ri->rq", W, dx)
         if q == 1:
             den = np.einsum("riq,riq->r", W, W)
             ok = den > tol
@@ -398,7 +403,8 @@ def _sweep_solve(M: np.ndarray, rhs: np.ndarray, draws: np.ndarray,
                  solve_cfg: SketchSolveConfig,
                  chol: Optional[np.ndarray]) -> np.ndarray:
     """One tau-step sketch sweep on the stacked systems M delta = -rhs."""
-    tol = solve_cfg.pinv_tol * (M * M).sum(axis=(1, 2)) / M.shape[-1]
+    flat = M.reshape(M.shape[0], -1)
+    tol = solve_cfg.pinv_tol * np.einsum("ri,ri->r", flat, flat) / M.shape[-1]
     if solve_cfg.dist.kind == "uniform_coordinate":
         return _uc_solve_batched(M, rhs, draws, tol)
     return _gaussian_solve_batched(M, rhs, draws, chol, tol)

@@ -146,9 +146,12 @@ def ridged_average(B: np.ndarray, H: np.ndarray, schedule: StepsizeSchedule,
     """
     if t == 0:
         return B
+    d = B.shape[-1]
     fro = np.sqrt(np.einsum("...ij,...ij->...", H, H))
     out = B.copy()
-    np.einsum("...ii->...i", out)[...] += schedule.beta_t(t) * fro[..., None]
+    # the diagonal as a strided view of the flattened copy
+    out.reshape(out.shape[:-2] + (d * d,))[..., ::d + 1] += (
+        schedule.beta_t(t) * fro[..., None])
     return out
 
 

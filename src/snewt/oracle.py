@@ -22,8 +22,11 @@ Uniform-coordinate sketching admits closed forms for every expectation; the
 Gaussian sketch falls back to Monte Carlo with reported standard errors.
 That Monte Carlo is vectorised: samples are drawn in blocks, each block's
 sketches are read from the generator in the order one-at-a-time draws would
-read them, their projectors are formed as one stack, and the sum and sum of
-squares are accumulated per block.
+read them, and the sum and sum of squares of the per-sample statistics are
+accumulated per block.  No projector stack is formed: each projector enters
+as its rank-q factor W (Pi = W W^T), so E[Pi] sums W W^T and the tau-step
+product I - Ctilde is built by rank-q updates of one (d, d) matrix per
+sample.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from .problems import RegressionModel, sigmoid
-from .sketch import SketchDistribution, projection_matrix
+from .sketch import SketchDistribution, _projector_factor
 
 __all__ = [
     "OracleCovariance",
@@ -57,9 +60,10 @@ def _delta(beta: float, c_beta: float) -> float:
     return 1.0 / c_beta if beta == 1.0 else 0.0
 
 
-# Gaussian-sketch Monte Carlo forms its projectors in blocks of about this
-# many matrix entries (1 MB of float64): large enough that per-block Python
-# overhead is negligible, small next to the memory of a study.
+# Gaussian-sketch Monte Carlo draws blocks of samples whose `steps` (d, d)
+# projectors would hold about this many entries (1 MB of float64): large
+# enough that per-block Python overhead is negligible, small next to the
+# memory of a study.  Only their (d, q) factors are formed.
 _MC_BLOCK_ENTRIES = 1 << 17
 
 
@@ -71,22 +75,23 @@ def _gaussian_mc(B: np.ndarray, dist: SketchDistribution, steps: int,
     Each sample is `steps` sketches S = chol Z with Z a (d, q) standard
     normal block.  A block of n samples reads the generator as one
     (n, steps, d, q) array, the same order as n * steps separate (d, q)
-    draws.  stat maps the (n, steps, d, d) projector stack to (n, d, d).
-    chunk is the number of samples per block (default: about
-    _MC_BLOCK_ENTRIES projector entries per block).
+    draws.  Each projector Pi = B S (S^T B^2 S)^+ S^T B enters as its
+    rank-q factor W (Pi = W W^T): stat maps the (n, steps, d, q) factor
+    stack to the (n, d, d) per-sample statistics, whose sum and sum of
+    squares are accumulated per block.  chunk is the number of samples per
+    block (default: _MC_BLOCK_ENTRIES / (steps d^2)).
     """
-    d, q = B.shape[0], dist.q
+    d = B.shape[0]
     chol = dist.cov_factor(d)
+    BL = B if chol is None else B @ chol  # B S = (B chol) Z
     per_block = chunk or max(1, _MC_BLOCK_ENTRIES // (steps * d * d))
     total = np.zeros((d, d))
     total2 = np.zeros((d, d))
     done = 0
     while done < n_mc:
         n = min(per_block, n_mc - done)
-        z = rng.standard_normal((n, steps, d, q))
-        s = z if chol is None else np.einsum("ij,nsjq->nsiq", chol, z)
-        pis = projection_matrix(B, s.reshape(n * steps, d, q))
-        x = stat(pis.reshape(n, steps, d, d))
+        z = rng.standard_normal((n, steps, d, dist.q))
+        x = stat(_projector_factor(BL, z))
         total += x.sum(axis=0)
         total2 += np.einsum("nij,nij->ij", x, x)
         done += n
@@ -183,8 +188,9 @@ def single_step_projection_expectation(
 
     Uniform-coordinate sketches give the closed form
     P = (1/d) sum_i B e_i e_i^T B / (B^2)_{ii}; the Gaussian sketch is
-    averaged by Monte Carlo over n_mc sketches, formed in blocks of
-    ``chunk`` samples (default: about 1 MB of projectors per block).
+    averaged by Monte Carlo over n_mc sketches, drawn in blocks of
+    ``chunk`` samples (default: 2^17 / d^2) as projector factors W, and
+    E[Pi] is the mean of W W^T.
     """
     d = B.shape[0]
     if dist.kind == "uniform_coordinate":
@@ -194,7 +200,8 @@ def single_step_projection_expectation(
         P = (B / coldens) @ B / d
         return 0.5 * (P + P.T), None
     rng = np.random.default_rng(0) if rng is None else rng
-    return _gaussian_mc(B, dist, 1, lambda pis: pis[:, 0], n_mc, rng, chunk)
+    return _gaussian_mc(B, dist, 1, lambda w: w[:, 0] @ w[:, 0].swapaxes(1, 2),
+                        n_mc, rng, chunk)
 
 
 def _uc_projectors(B: np.ndarray) -> np.ndarray:
@@ -244,9 +251,10 @@ def lambda_matrix(
     with Q_tau the tau-fold spread operator applied to Omega; independence
     of the per-step sketches makes Q_tau = T^tau(Omega).  This is evaluated
     exactly for uniform-coordinate sketches and by sequence-level Monte
-    Carlo for Gaussian sketches: n_mc sequences of tau sketches, formed in
-    blocks of ``chunk`` sequences (default: about 1 MB of projectors per
-    block).
+    Carlo for Gaussian sketches: n_mc sequences of tau sketches, drawn in
+    blocks of ``chunk`` sequences (default: 2^17 / (tau d^2)) as projector
+    factors W_j.  Each sequence builds I - Ctilde by tau rank-q updates,
+    and the block multiplies its (I - Ctilde) stack by Omega in one gemm.
     """
     d = B.shape[0]
     if tau is None:
@@ -260,15 +268,18 @@ def lambda_matrix(
         lam = omega - C @ omega - omega @ C.T + q
         return 0.5 * (lam + lam.T), None
     rng = np.random.default_rng(0) if rng is None else rng
-    eye = np.eye(d)
 
-    def spread(pis: np.ndarray) -> np.ndarray:
-        # (I - Ctilde) Omega (I - Ctilde)^T, Ctilde = (I - Pi_tau)...(I - Pi_1)
-        resid = eye - pis[:, 0]
+    def spread(w: np.ndarray) -> np.ndarray:
+        # (I - Ctilde) Omega (I - Ctilde)^T with Ctilde = (I - Pi_tau)...
+        # (I - Pi_1): half = I - Ctilde gains one rank-q update per step,
+        # I - (I - Pi_j)(I - half) = half + W_j (W_j^T - W_j^T half)
+        wt = w.swapaxes(-1, -2)
+        half = w[:, 0] @ wt[:, 0]
         for j in range(1, tau):
-            resid = (eye - pis[:, j]) @ resid
-        half = eye - resid
-        return half @ omega @ half.swapaxes(1, 2)
+            half += w[:, j] @ (wt[:, j] - wt[:, j] @ half)
+        n = half.shape[0]
+        half_omega = (half.reshape(n * d, d) @ omega).reshape(n, d, d)
+        return half_omega @ half.swapaxes(1, 2)
 
     return _gaussian_mc(B, dist, tau, spread, n_mc, rng, chunk)
 

@@ -121,6 +121,29 @@ def sketch_project_step(
     return dx - BS @ coeff
 
 
+def _projector_factor(B: np.ndarray, S: np.ndarray,
+                      tol: float = 0.0) -> np.ndarray:
+    """A factor W, shaped like S, with W W^T = B S (S^T B^2 S)^+ S^T B.
+
+    S is (..., d, q).  B S is formed for the whole stack by one matmul, the
+    sketches' rows times B^T.  For q = 1 a slice whose denominator S^T B^2 S
+    is <= tol gives W = 0; for q > 1 eigenvalues of S^T B^2 S that are
+    <= max(tol, 0) are dropped, so W = B S V diag(evals)^{-1/2} over the
+    kept eigenvectors V.
+    """
+    d, q = S.shape[-2:]
+    rows = S.swapaxes(-1, -2)
+    BS = (rows.reshape(-1, d) @ B.T).reshape(rows.shape).swapaxes(-1, -2)
+    if q == 1:
+        den = np.einsum("...iq,...iq->...", BS, BS)[..., None, None]
+        ok = den > tol
+        return np.where(ok, BS / np.sqrt(np.where(ok, den, 1.0)), 0.0)
+    evals, evecs = np.linalg.eigh(BS.swapaxes(-1, -2) @ BS)
+    keep = (evals > max(tol, 0.0))[..., None, :]
+    vecs = evecs / np.sqrt(np.where(keep, evals[..., None, :], 1.0))
+    return BS @ np.where(keep, vecs, 0.0)
+
+
 def projection_matrix(B: np.ndarray, S: np.ndarray, tol: float = 0.0) -> np.ndarray:
     """The projector Pi = B S (S^T B^2 S)^+ S^T B (symmetric idempotent).
 
@@ -128,19 +151,10 @@ def projection_matrix(B: np.ndarray, S: np.ndarray, tol: float = 0.0) -> np.ndar
     of shape (k, d, q), giving the (k, d, d) projectors slice by slice.
     For q = 1 a slice whose denominator S^T B^2 S is <= tol projects onto
     nothing (zero matrix); for q > 1 eigenvalues of S^T B^2 S that are
-    <= max(tol, 0) are dropped from the pseudo-inverse.
+    <= max(tol, 0) are dropped from the pseudo-inverse.  Pi is formed as
+    W W^T from the rank-q factor W of _projector_factor.
     """
-    BS = B @ S
-    if S.shape[-1] == 1:
-        col = BS[..., 0]
-        den = np.einsum("...i,...i->...", col, col)
-        ok = (den > tol)[..., None, None]
-        outer = col[..., :, None] * col[..., None, :]
-        return np.where(ok, outer / np.where(ok, den[..., None, None], 1.0), 0.0)
-    evals, evecs = np.linalg.eigh(BS.swapaxes(-1, -2) @ BS)
-    keep = (evals > max(tol, 0.0))[..., None, :]
-    vecs = evecs / np.sqrt(np.where(keep, evals[..., None, :], 1.0))
-    W = BS @ np.where(keep, vecs, 0.0)
+    W = _projector_factor(B, S, tol)
     return W @ W.swapaxes(-1, -2)
 
 

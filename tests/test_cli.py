@@ -314,6 +314,25 @@ def test_oracle_command_sgd_prints_sandwich_only(tmp_path, capsys):
     assert "solver = sgd" in out
 
 
+def test_oracle_command_gaussian_prints_monte_carlo_stderrs(tmp_path, capsys):
+    path = _write_config(tmp_path, """\
+        [problem]
+        d = 2
+
+        [method]
+        tau = 2
+        sketch = gaussian
+        """)
+    assert main(["oracle", path]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "xi_star" in lines and "c_star" in lines
+    start = lines.index("monte-carlo standard errors (max over entries):")
+    stderrs = dict(line.split(":") for line in lines[start + 1:])
+    assert set(stderrs) == {"  projection", "  lambda"}
+    for value in stderrs.values():
+        assert 0.0 < float(value) < 0.01
+
+
 def test_oracle_command_constrained_is_config_error(tmp_path, capsys):
     path = _write_config(tmp_path, """\
         [problem]

@@ -252,7 +252,8 @@ def _shrink(B, r, i, scale):
 
 
 def _sweep_tol(B):
-    return 1e-12 * (B * B).sum(axis=(1, 2)) / B.shape[-1]  # as _sweep_solve
+    flat = B.reshape(B.shape[0], -1)  # as _sweep_solve
+    return 1e-12 * np.einsum("ri,ri->r", flat, flat) / B.shape[-1]
 
 
 def _same_bits(a, b):

@@ -103,7 +103,10 @@ def test_gaussian_projection_expectation_monte_carlo():
 
 
 def _gaussian_case(rng, q, with_cov):
-    d = 4
+    # three sketch columns in d = 4 make S^T B^2 S ill-conditioned on some
+    # draws, where eigh and the replay's SVD pseudo-inverse differ by more
+    # than roundoff; d = 6 keeps q = 3 well posed
+    d = 6 if q == 3 else 4
     A = rng.standard_normal((d, d))
     B = A @ A.T + 0.5 * np.eye(d)
     A = rng.standard_normal((d, d))
@@ -116,7 +119,7 @@ def _rel(a, b):
 
 
 @pytest.mark.parametrize("with_cov", [False, True])
-@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("q", [1, 2, 3])
 def test_gaussian_projection_expectation_matches_per_sample_replay(
         q, with_cov):
     B, dist = _gaussian_case(np.random.default_rng(11), q, with_cov)
@@ -130,15 +133,18 @@ def test_gaussian_projection_expectation_matches_per_sample_replay(
 
 
 @pytest.mark.parametrize("with_cov", [False, True])
-@pytest.mark.parametrize("tau", [1, 3])
-@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("tau", [1, 2, 3, 12])  # 12 > d
+@pytest.mark.parametrize("q", [1, 2, 3])
 def test_gaussian_lambda_matches_per_sample_replay(q, tau, with_cov):
+    # 701 sequences in blocks of 200, or of 350 at tau = 2 (the benchmark's
+    # case): the last block is partial, and with 350 it holds one sequence
+    chunk = 350 if tau == 2 else 200
     rng = np.random.default_rng(13)
     B, dist = _gaussian_case(rng, q, with_cov)
-    A = rng.standard_normal((4, 4))
-    omega = A @ A.T + np.eye(4)
+    A = rng.standard_normal(B.shape)
+    omega = A @ A.T + np.eye(B.shape[0])
     lam, se = lambda_matrix(B, omega, dist, tau, n_mc=701,
-                            rng=np.random.default_rng(14), chunk=200)
+                            rng=np.random.default_rng(14), chunk=chunk)
     lam_ref, se_ref = lambda_replay(B, omega, q, dist.cov, tau, 701,
                                     np.random.default_rng(14))
     assert _rel(lam, lam_ref) < 1e-12

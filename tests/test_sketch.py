@@ -6,13 +6,14 @@ import pytest
 from snewt.sketch import (
     SketchDistribution,
     SketchSolveConfig,
+    _projector_factor,
     exact_newton_solve,
     pinv_newton_solve,
     projection_matrix,
     sketch_project_step,
     solve_newton_sketched,
 )
-from tests.oracles import coordinate_sketches, sketch_loop
+from tests.oracles import _pinv_projector, coordinate_sketches, sketch_loop
 
 
 def _random_spd(rng, d, ridge=0.5):
@@ -181,6 +182,35 @@ def test_stacked_projection_matrix_zeroes_exactly_the_degenerate_slices():
     assert np.allclose(P2[0], np.diag([1.0, 1.0, 0.0]), atol=1e-12)
     # a rank-deficient slice keeps only its non-degenerate direction
     assert np.allclose(P2[2], np.outer(e1, e1), atol=1e-12)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_projector_factor_squares_to_the_pinv_projector(q):
+    rng = np.random.default_rng(20 + q)
+    B = _random_spd(rng, 5)
+    S = rng.standard_normal((5, q))
+    W = _projector_factor(B, S)
+    assert W.shape == (5, q)
+    assert np.allclose(W @ W.T, _pinv_projector(B, S), rtol=0, atol=1e-13)
+    stack = rng.standard_normal((3, 2, 5, q))  # any leading axes
+    Ws = _projector_factor(B, stack)
+    assert Ws.shape == stack.shape
+    for idx in np.ndindex(3, 2):
+        assert np.allclose(Ws[idx] @ Ws[idx].T, _pinv_projector(B, stack[idx]),
+                           rtol=0, atol=1e-13)
+
+
+def test_projector_factor_is_zero_where_b_s_is_zero():
+    # e3 spans the null space of B, so B S = 0 on the q = 1 slices 1 and 3
+    B = np.diag([2.0, 1.0, 0.0])
+    e1, _, e3 = np.eye(3)
+    S = np.stack([e1, e3, np.ones(3), -3.0 * e3])[:, :, None]
+    W = _projector_factor(B, S, tol=1e-12)
+    assert W.shape == (4, 3, 1)
+    for k in (1, 3):
+        assert np.array_equal(W[k], np.zeros((3, 1)))
+    for k in (0, 2):
+        assert np.allclose(W[k] @ W[k].T, _pinv_projector(B, S[k]), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
