@@ -10,7 +10,15 @@ and an estimate divides them by t, with no trajectory storage.  An optional
 tracker keeps the inverse of Xi_t up to date through a rank-3
 Sherman-Morrison-Woodbury identity whose 3x3 inner system is inverted in
 closed form, so after burn-in neither the update nor a confidence region
-needs a factorization.
+needs a factorization.  The plug-in and batch-means baselines keep running
+sums too.
+
+Each estimator takes one replication, an iterate of shape (d,), or a stack
+(..., d) such as the harness's (R, d) iterates; the first update fixes the
+leading axes.  O(d^2) sums are folded once per sub-block of _SUB updates
+with one stacked matrix product; the sub-block buffers are step-major, so
+each update writes one contiguous (..., d) slot.  Sums of iterates are kept as deviations
+from the first iterate, so the estimate formulas cancel no offset.
 """
 
 from __future__ import annotations
@@ -33,18 +41,32 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# Updates per sub-block.  Sub-blocks start at multiples of _SUB of the
+# update count, so how a caller groups its steps changes no result.
+_SUB = 32
+
 
 class InsufficientData(RuntimeError):
     """An estimate was requested before the accumulator had enough data."""
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer products a b^T over the leading axes."""
+    return np.einsum("...i,...j->...ij", a, b)
+
+
 class WscAccumulator:
     """Running sums for the weighted sample covariance.
 
-    State after t updates, with w_i = 1/phi_{i-1}:
-        sum_wxx = sum w_i x_i x_i^T,   sum_wx = sum w_i x_i,
-        sum_x   = sum x_i,             sum_w  = sum w_i.
-    The means W, v, xbar and a are these sums divided by t.
+    With w_i = 1/phi_{i-1} and y_i = x_i - x_1 the deviation of iterate i
+    from the first one (``shift``), the state after t updates is
+        sum_wx = sum w_i y_i,   sum_x = sum y_i,   sum_w = sum w_i,
+    added to at every update (WscInverseTracker reads them per step), and
+        sum_wxx = sum w_i y_i y_i^T,
+    folded once per sub-block; an estimate adds the part-filled sub-block
+    to a copy, so reading one changes no later estimate.  Xi_t does not
+    depend on the shift.  The weight 1/phi is shared by a stack, so sum_w
+    is a float.
     """
 
     def __init__(self, d: int):
@@ -52,9 +74,6 @@ class WscAccumulator:
             raise ValueError("dimension must be positive")
         self.d = d
         self.t = 0
-        self.sum_wxx = np.zeros((d, d))
-        self.sum_wx = np.zeros(d)
-        self.sum_x = np.zeros(d)
         self.sum_w = 0.0
 
     def update(self, x: np.ndarray, phi: float) -> None:
@@ -62,26 +81,39 @@ class WscAccumulator:
         if not 0.0 < phi < math.inf:
             raise ValueError("phi must be positive and finite")
         w = 1.0 / phi
-        xw = x * w
-        self.sum_wxx += xw[:, None] * x
-        self.sum_wx += xw
-        self.sum_x += x
+        k = self.t % _SUB
+        if self.t == 0:
+            self.shift = np.array(x, dtype=float)
+            lead = self.shift.shape[:-1]
+            self.sum_wxx = np.zeros(lead + (self.d, self.d))
+            self.sum_wx = np.zeros(lead + (self.d,))
+            self.sum_x = np.zeros(lead + (self.d,))
+            self._y = np.empty((_SUB,) + lead + (self.d,))
+            self._w = np.empty(_SUB)
+        y = np.subtract(x, self.shift, out=self._y[k])
+        self._w[k] = w
+        self.sum_wx += w * y
+        self.sum_x += y
         self.sum_w += w
         self.t += 1
+        if k == _SUB - 1:
+            self.sum_wxx = self._sum_wxx(_SUB)
 
-    W = property(lambda self: self.sum_wxx / max(self.t, 1))
-    v = property(lambda self: self.sum_wx / max(self.t, 1))
-    xbar = property(lambda self: self.sum_x / max(self.t, 1))
-    a = property(lambda self: self.sum_w / max(self.t, 1))
+    def _sum_wxx(self, n: int) -> np.ndarray:
+        """sum_wxx plus the first n rows of the current sub-block."""
+        Y = np.moveaxis(self._y[:n], 0, -2)
+        YW = Y * self._w[:n, None]
+        return self.sum_wxx + np.matmul(YW.swapaxes(-1, -2), Y)
 
     def estimate(self) -> np.ndarray:
         """Current Xi_t (symmetric PSD up to roundoff, symmetrized)."""
         if self.t == 0:
             raise InsufficientData("no iterates folded in yet")
-        xb, v = self.xbar, self.v
-        xi = self.W - np.outer(v, xb) - np.outer(xb, v) \
-            + self.a * np.outer(xb, xb)
-        return 0.5 * (xi + xi.T)
+        t = self.t
+        v, yb = self.sum_wx / t, self.sum_x / t
+        xi = (self._sum_wxx(t % _SUB) / t - _outer(v, yb) - _outer(yb, v)
+              + (self.sum_w / t) * _outer(yb, yb))
+        return 0.5 * (xi + xi.swapaxes(-1, -2))
 
 
 class WscSink:
@@ -109,8 +141,10 @@ class WscInverseTracker:
 
         inv(Xi_{t+1}) = (t+1)/t (inv - Y (L^{-1} + R^T Y)^{-1} Y^T),
         Y = inv(Xi_t) R,
-        R = [v_t - a_t xbar_t | xbar_t - xbar_{t+1} | x_{t+1} - xbar_{t+1}].
+        R = [v_t - a_t xbar_t | xbar_t - xbar_{t+1} | x_{t+1} - xbar_{t+1}],
 
+    with v_t, a_t and xbar_t the means (1/t) sum w_i x_i, (1/t) sum w_i and
+    (1/t) sum x_i.  It tracks one replication, an iterate of shape (d,).
     The 3x3 inner system is inverted in closed form (adjugate over
     determinant) on Python floats, so after burn-in an update makes no
     factorization and no np.linalg call.  A zero or non-finite determinant
@@ -148,8 +182,9 @@ class WscInverseTracker:
         t = acc.t
         a = acc.sum_w / t
         # with dev = x_{t+1} - xbar_t, the last two columns of R are
-        # -dev / (t+1) and t dev / (t+1)
-        dev = x - acc.sum_x / t
+        # -dev / (t+1) and t dev / (t+1).  R does not depend on the shift,
+        # so dev is formed from the shifted iterate, like the sums.
+        dev = (x - acc.shift) - acc.sum_x / t
         Rt = np.empty((3, acc.d))  # R^T, one row per column of R
         Rt[0] = (acc.sum_wx - a * acc.sum_x) / t
         np.multiply(dev, -1.0 / (t + 1.0), out=Rt[1])
@@ -187,25 +222,37 @@ class WscInverseTracker:
 
 
 class PlugInAccumulator:
-    """Running sum sum_gg of gradient-sample outer products g_i g_i^T; the
-    average G is sum_gg divided by t."""
+    """Running sum sum_gg of gradient-sample outer products g_i g_i^T, for
+    one replication (g of shape (d,)) or a stack (..., d), folded once per
+    sub-block like WscAccumulator.sum_wxx; the average G is sum_gg plus the
+    part-filled sub-block, divided by t."""
 
     def __init__(self, d: int):
         self.d = d
         self.t = 0
-        self.sum_gg = np.zeros((d, d))
 
     def update(self, g: np.ndarray) -> None:
-        self.sum_gg += np.outer(g, g)
+        k = self.t % _SUB
+        if self.t == 0:
+            lead = np.shape(g)[:-1]
+            self.sum_gg = np.zeros(lead + (self.d, self.d))
+            self._g = np.empty((_SUB,) + lead + (self.d,))
+        self._g[k] = g
         self.t += 1
+        if k == _SUB - 1:
+            self.sum_gg = self._sum_gg(_SUB)
 
-    G = property(lambda self: self.sum_gg / max(self.t, 1))
+    def _sum_gg(self, n: int) -> np.ndarray:
+        g = np.moveaxis(self._g[:n], 0, -2)
+        return self.sum_gg + np.matmul(g.swapaxes(-1, -2), g)
+
+    G = property(lambda self: self._sum_gg(self.t % _SUB) / self.t)
 
 
 def plugin_estimate(
     acc: PlugInAccumulator, B: np.ndarray, beta: float, c_beta: float
 ) -> np.ndarray:
-    """Sandwich estimator  scale * B^{-1} G B^{-1}.
+    """Sandwich estimator  scale * B^{-1} G B^{-1}, over the leading axes.
 
     scale = 1 / (2 - 1/c_beta) when beta == 1 and 1/2 otherwise; beta == 1
     with c_beta <= 1/2 makes the scale nonpositive and is rejected.  The
@@ -219,8 +266,8 @@ def plugin_estimate(
     if denom <= 0.0:
         raise ValueError("beta = 1 requires c_beta > 1/2")
     X = np.linalg.solve(B, acc.G)
-    est = np.linalg.solve(B, X.T) / denom
-    return 0.5 * (est + est.T)
+    est = np.linalg.solve(B, X.swapaxes(-1, -2)) / denom
+    return 0.5 * (est + est.swapaxes(-1, -2))
 
 
 class BatchMeansAccumulator:
@@ -234,9 +281,13 @@ class BatchMeansAccumulator:
 
     with bbar_m the batch means and xbar their n_m-weighted mean (Zhu, Chen
     & Wu, JASA 2023): a batch mean has covariance about Omega / n_m, so the
-    n_m^2 weight makes each term estimate n_m Omega.  ``mean`` is the
-    running sum ``sum_x`` of every iterate seen divided by t (the natural
-    center for averaged-iterate confidence intervals).
+    n_m^2 weight makes each term estimate n_m Omega.  Takes one replication
+    (d,) or a stack (..., d).  A batch is summed as deviations from the
+    first iterate (``shift``); with s_m = n_m (bbar_m - shift) the estimate
+    is (S2 - T1 xw^T - xw T1^T + N2 xw xw^T) / N, where S2 = sum s_m s_m^T,
+    T1 = sum n_m s_m, xw = sum s_m / N, N = sum n_m and N2 = sum n_m^2.
+    ``mean`` is the average of every iterate seen (the natural center for
+    averaged-iterate confidence intervals).
     """
 
     def __init__(self, d: int, beta: float):
@@ -245,15 +296,10 @@ class BatchMeansAccumulator:
         self.d = d
         self.beta = beta
         self.t = 0
-        self.sum_x = np.zeros(d)
         self._exponent = 2.0 / (1.0 - beta)
         self._m = 1
         self._next_boundary = self.boundary(1)
-        self._batch_sum = np.zeros(d)
         self._batch_n = 0
-        self._S2 = np.zeros((d, d))  # sum n_m^2 bbar_m bbar_m^T
-        self._S1 = np.zeros(d)  # sum n_m bbar_m
-        self._T1 = np.zeros(d)  # sum n_m^2 bbar_m
         self._N = 0  # sum n_m
         self._N2 = 0  # sum n_m^2
         self.n_completed = 0
@@ -262,23 +308,29 @@ class BatchMeansAccumulator:
         """a_m = floor(m**(2/(1-beta)))."""
         return int(np.floor(float(m) ** self._exponent))
 
-    mean = property(lambda self: self.sum_x / max(self.t, 1))
+    mean = property(
+        lambda self: self.shift + (self._S1 + self._batch_sum) / self.t)
 
     def update(self, x: np.ndarray) -> None:
-        self.sum_x += x
+        if self.t == 0:
+            self.shift = np.array(x, dtype=float)
+            lead = self.shift.shape[:-1]
+            self._batch_sum = np.zeros(lead + (self.d,))  # s of the open batch
+            self._S2 = np.zeros(lead + (self.d, self.d))
+            self._S1 = np.zeros(lead + (self.d,))  # sum s_m
+            self._T1 = np.zeros(lead + (self.d,))
+        self._batch_sum += x - self.shift
         self.t += 1
-        self._batch_sum += x
         self._batch_n += 1
         if self.t == self._next_boundary:
-            n = self._batch_n
-            bbar = self._batch_sum / n
-            self._S2 += n * n * np.outer(bbar, bbar)
-            self._S1 += n * bbar
-            self._T1 += n * n * bbar
+            n, s = self._batch_n, self._batch_sum
+            self._S2 += _outer(s, s)
+            self._S1 += s
+            self._T1 += n * s
             self._N += n
             self._N2 += n * n
             self.n_completed += 1
-            self._batch_sum.fill(0.0)
+            s.fill(0.0)
             self._batch_n = 0
             self._m += 1
             self._next_boundary = self.boundary(self._m)
@@ -287,7 +339,7 @@ class BatchMeansAccumulator:
         if self.n_completed < 2:
             raise InsufficientData("need at least two completed batches")
         xw = self._S1 / self._N
-        cross = np.outer(self._T1, xw)
-        est = (self._S2 - cross - cross.T
-               + self._N2 * np.outer(xw, xw)) / self._N
-        return 0.5 * (est + est.T)
+        cross = _outer(self._T1, xw)
+        est = (self._S2 - cross - cross.swapaxes(-1, -2)
+               + self._N2 * _outer(xw, xw)) / self._N
+        return 0.5 * (est + est.swapaxes(-1, -2))

@@ -22,8 +22,8 @@ Uniform-coordinate sketching admits closed forms for every expectation; the
 Gaussian sketch falls back to Monte Carlo with reported standard errors.
 That Monte Carlo is vectorised: samples are drawn in blocks, each block's
 sketches are read from the generator in the order one-at-a-time draws would
-read them, and the sum and sum of squares of the per-sample statistics are
-accumulated per block.  No projector stack is formed: each projector enters
+read them, and the sum and the centred sum of squares of the per-sample
+statistics are accumulated per block.  No projector stack is formed: each projector enters
 as its rank-q factor W (Pi = W W^T), so E[Pi] sums W W^T and the tau-step
 product I - Ctilde is built by rank-q updates of one (d, d) matrix per
 sample.
@@ -77,26 +77,34 @@ def _gaussian_mc(B: np.ndarray, dist: SketchDistribution, steps: int,
     (n, steps, d, q) array, the same order as n * steps separate (d, q)
     draws.  Each projector Pi = B S (S^T B^2 S)^+ S^T B enters as its
     rank-q factor W (Pi = W W^T): stat maps the (n, steps, d, q) factor
-    stack to the (n, d, d) per-sample statistics, whose sum and sum of
-    squares are accumulated per block.  chunk is the number of samples per
-    block (default: _MC_BLOCK_ENTRIES / (steps d^2)).
+    stack to the (n, d, d) per-sample statistics.  Their sum is accumulated
+    per block, and so is their centred sum of squares: each block's is
+    taken about the block mean and merged with the running one by the
+    pairwise update of Chan, Golub & LeVeque, so a statistic that barely
+    varies around a large mean keeps its stderr digits.  chunk is the
+    number of samples per block (default: _MC_BLOCK_ENTRIES / (steps d^2)).
     """
     d = B.shape[0]
     chol = dist.cov_factor(d)
     BL = B if chol is None else B @ chol  # B S = (B chol) Z
     per_block = chunk or max(1, _MC_BLOCK_ENTRIES // (steps * d * d))
     total = np.zeros((d, d))
-    total2 = np.zeros((d, d))
+    m2 = np.zeros((d, d))  # sum of squared deviations from the mean
     done = 0
     while done < n_mc:
         n = min(per_block, n_mc - done)
         z = rng.standard_normal((n, steps, d, dist.q))
         x = stat(_projector_factor(BL, z))
-        total += x.sum(axis=0)
-        total2 += np.einsum("nij,nij->ij", x, x)
+        s = x.sum(axis=0)
+        x -= s / n  # stat's output is a fresh array: centre it in place
+        m2 += np.einsum("nij,nij->ij", x, x)
+        if done:
+            gap = s / n - total / done
+            m2 += gap * gap * (done * n / (done + n))
+        total += s
         done += n
     mean = total / n_mc
-    se = np.sqrt(np.maximum(total2 / n_mc - mean**2, 0.0) / n_mc)
+    se = np.sqrt(m2) / n_mc
     return 0.5 * (mean + mean.T), se
 
 

@@ -38,12 +38,15 @@ def batch_means_two_pass(xs: Sequence[np.ndarray],
     """sum_m n_m^2 (bbar_m - xbar)(bbar_m - xbar)^T / sum_m n_m.
 
     Batch m holds xs[ends[m-1]:ends[m]] (ends[-1] = 0); xbar is the
-    n_m-weighted mean of the batch means.
+    n_m-weighted mean of the batch means.  A first pass finds the mean of
+    the batched iterates; the batch means are taken of the deviations from
+    it, so an offset of the iterates from zero costs no digits.
     """
     starts = [0] + list(ends[:-1])
     sizes = [e - s for s, e in zip(starts, ends)]
-    means = [np.mean(np.asarray(xs[s:e]), axis=0)
-             for s, e in zip(starts, ends)]
+    devs = np.asarray(xs[:ends[-1]])
+    devs = devs - np.mean(devs, axis=0)
+    means = [np.mean(devs[s:e], axis=0) for s, e in zip(starts, ends)]
     total = sum(sizes)
     xbar = sum(n * b for n, b in zip(sizes, means)) / total
     out = np.zeros((len(xbar), len(xbar)))
@@ -330,14 +333,16 @@ def _pinv_projector(B: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def _mean_and_stderr(samples: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean, then the stderr from squared deviations from it (two passes)."""
     n = len(samples)
     total = np.zeros_like(samples[0])
-    total2 = np.zeros_like(samples[0])
     for x in samples:
         total = total + x
-        total2 = total2 + x * x
     mean = total / n
-    se = np.sqrt(np.maximum(total2 / n - mean**2, 0.0) / n)
+    total2 = np.zeros_like(samples[0])
+    for x in samples:
+        total2 = total2 + (x - mean) * (x - mean)
+    se = np.sqrt(total2 / n / n)
     return 0.5 * (mean + mean.T), se
 
 

@@ -19,6 +19,7 @@ from snewt.optimizer import StepsizeSchedule, run
 from snewt.problems import DesignCovSpec, RegressionModel, default_x_star
 from snewt.sketch import SketchSolveConfig
 from tests.oracles import (
+    batch_means_two_pass,
     middle_minus,
     middle_plus,
     recursive_inverse_replay,
@@ -93,6 +94,22 @@ def test_estimate_is_positive_semidefinite():
     assert np.linalg.eigvalsh(acc.estimate()).min() >= -1e-10
 
 
+def test_iterates_far_from_zero_keep_both_estimates_at_roundoff():
+    # iterates offset by 100 with spread 1: the expanded formulas would
+    # cancel the offset's square against itself, losing about 1e4 eps; sums
+    # of deviations from the first iterate keep both estimates at roundoff
+    xs, phis = _random_trace(5, 2000, 3, loc=100.0)
+    acc, bm = WscAccumulator(3), BatchMeansAccumulator(3, beta=0.505)
+    for x, phi in zip(xs, phis):
+        acc.update(x, phi)
+        bm.update(x)
+    direct = wsc_two_pass(xs, phis)
+    assert np.abs(acc.estimate() - direct).max() <= 1e-13 * np.abs(direct).max()
+    ends = [bm.boundary(m) for m in range(1, bm.n_completed + 1)]
+    direct = batch_means_two_pass(xs, ends)
+    assert np.abs(bm.estimate() - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
 def test_doubling_the_trace_scales_the_estimate_exactly():
     xs, phis = _random_trace(7, 30, 3)
     acc1, acc2 = WscAccumulator(3), WscAccumulator(3)
@@ -108,7 +125,7 @@ def test_sink_weights_records_by_the_band_center():
     sink = WscSink(sched, acc)
     sink(1, np.array([1.0, 0.0]), 1.23)  # alpha is ignored by the weights
     assert acc.t == 1
-    assert acc.a == 1.0 / sched.phi(0)
+    assert acc.sum_w == 1.0 / sched.phi(0)
 
 
 def test_sink_on_a_real_run_matches_two_pass():

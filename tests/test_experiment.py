@@ -304,7 +304,8 @@ def test_uc_sweep_skips_degenerate_rows_and_leaves_the_rest_alone():
 
 
 # ---------------------------------------------------------------------------
-# the batched estimators, folded into running sums once per sub-block
+# the estimators on a stack of replications, folded into running sums once
+# per sub-block
 
 SUB = experiment._SUB
 
@@ -321,8 +322,8 @@ def test_batched_wsc_and_plugin_equal_the_sequential_accumulators(t):
     xs, phis = _estimator_stream(rng, t)
     R, d = xs.shape[1:]
     gs = rng.standard_normal((t, R, d))
-    wsc = experiment._BatchedWsc(R, d)
-    plug = experiment._BatchedPlugin(R, d)
+    wsc = WscAccumulator(d)
+    plug = PlugInAccumulator(d)
     for x, phi, g in zip(xs, phis, gs):
         wsc.update(x, phi)
         plug.update(g)
@@ -342,8 +343,8 @@ def test_reading_estimates_mid_sub_block_changes_no_later_estimate():
     rng = np.random.default_rng(3)
     xs, phis = _estimator_stream(rng, 3 * SUB + 5)
     gs = rng.standard_normal(xs.shape)
-    quiet = (experiment._BatchedWsc(4, 3), experiment._BatchedPlugin(4, 3))
-    read = (experiment._BatchedWsc(4, 3), experiment._BatchedPlugin(4, 3))
+    quiet = (WscAccumulator(3), PlugInAccumulator(3))
+    read = (WscAccumulator(3), PlugInAccumulator(3))
     for t, (x, phi, g) in enumerate(zip(xs, phis, gs), start=1):
         for wsc, plug in (quiet, read):
             wsc.update(x, phi)
@@ -362,8 +363,8 @@ def test_a_nan_replication_leaves_the_others_sums_alone():
     bad[SUB + 2, 1] = np.nan
     runs = []
     for data in (xs, bad):
-        wsc = experiment._BatchedWsc(4, 3)
-        plug = experiment._BatchedPlugin(4, 3)
+        wsc = WscAccumulator(3)
+        plug = PlugInAccumulator(3)
         for x, phi in zip(data, phis):
             wsc.update(x, phi)
             plug.update(x)
@@ -379,7 +380,7 @@ def test_batch_means_keep_a_running_sum_equal_to_two_pass(t):
     rng = np.random.default_rng(t)
     xs = rng.standard_normal((t, 3, 2)) + 5.0
     seq = [BatchMeansAccumulator(2, 0.505) for _ in range(3)]
-    stacked = experiment._BatchedBatchMeans(3, 2, 0.505)
+    stacked = BatchMeansAccumulator(2, 0.505)
     for x in xs:
         stacked.update(x)
         for r, bm in enumerate(seq):
@@ -390,11 +391,9 @@ def test_batch_means_keep_a_running_sum_equal_to_two_pass(t):
         _close(stacked.mean[r], mean, tol=1e-12)
         if bm.n_completed >= 2:
             _close(stacked.estimate()[r], bm.estimate(), tol=1e-12)
-            # the estimate's expanded form cancels the offset of 5 of the
-            # iterates, so it meets the centered two-pass form less closely
             ends = [bm.boundary(m) for m in range(1, bm.n_completed + 1)]
             _close(bm.estimate(), batch_means_two_pass(xs[:, r], ends),
-                   tol=1e-10)
+                   tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +478,22 @@ def test_row_checkpoints_and_csv_schema(tmp_path):
     assert len(summ_lines) == 3  # wsc + plugin
     assert summ_lines[1].startswith("wsc,100,")
     assert summ_lines[2].startswith("plugin,100,")
+
+
+def test_plugin_columns_stay_empty_before_t_reaches_d():
+    # the plug-in estimate is formed from t = d on.  Before that the
+    # Hessian average is singular, but in this study (d = 4) not exactly,
+    # so without the guard its solves would succeed.
+    eye = np.eye(4)
+    cfg = _cfg(problem=ProblemConfig(d=4), method=MethodConfig(tau=2),
+               n_iters=6, n_reps=2, record_every=1)
+    result = run_experiment(cfg, oracle_xi=eye, oracle_omega=eye)
+    assert [row["t"] for row in result.rows] == [1, 2, 3, 4, 5, 6]
+    for row in result.rows:
+        for col in ("rel_cov_err_plugin", "cov_plugin",
+                    "rel_cov_err_wsc", "cov_wsc"):
+            assert (row[col] is None) == (col.endswith("plugin")
+                                          and row["t"] < 4)
 
 
 def test_divergent_replications_are_masked_not_fatal(monkeypatch):

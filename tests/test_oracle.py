@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from snewt import oracle
 from snewt.oracle import (
     OracleCovariance,
     c_star,
@@ -19,7 +20,7 @@ from snewt.oracle import (
     xi_star,
 )
 from snewt.problems import DesignCovSpec, RegressionModel, default_x_star
-from snewt.sketch import SketchDistribution
+from snewt.sketch import SketchDistribution, _projector_factor
 from tests.oracles import (
     lambda_by_enumeration,
     lambda_replay,
@@ -149,6 +150,25 @@ def test_gaussian_lambda_matches_per_sample_replay(q, tau, with_cov):
                                     np.random.default_rng(14))
     assert _rel(lam, lam_ref) < 1e-12
     assert _rel(se, se_ref) < 1e-12
+
+
+def test_monte_carlo_stderr_keeps_its_digits_around_a_large_mean():
+    # a statistic of mean about 1e3 that varies by O(1): the one-pass
+    # sum x^2 / n - mean^2 would lose about 1e6 eps of relative accuracy
+    B, dist = _gaussian_case(np.random.default_rng(15), 2, False)
+
+    def stat(w):  # three rank-2 factors per sample
+        return 1e3 + np.einsum("nsiq,nsjq->nij", w, w)
+
+    # 20000 samples in 8 blocks
+    _, se = oracle._gaussian_mc(B, dist, 3, stat, 20_000,
+                                np.random.default_rng(16), 2500)
+    # the same draws at once, in two passes
+    z = np.random.default_rng(16).standard_normal((20_000, 3, 4, 2))
+    x = stat(_projector_factor(B, z))
+    dev = x - x.mean(axis=0)
+    se_ref = np.sqrt((dev * dev).mean(axis=0) / len(x))
+    assert _rel(se, se_ref) <= 1e-12
 
 
 def test_c_star_values_and_bounds():
