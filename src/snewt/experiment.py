@@ -6,11 +6,16 @@ and each replication owns three seeded generator streams (data / sketch /
 stepsize, seeded base_seed XOR replication index) consumed in fixed-size
 blocks.  Per-replication randomness therefore depends only on the base
 seed and the replication index, and a fixed seed reproduces every output
-byte for byte.  Each step is the library's own, applied to the whole
-stack: optimizer.newton_step for regression studies, sqp.sqp_step for
-constrained ones.  So are the estimators: the covariance module's
-accumulators take the (n_reps, d) stack as they take one iterate.  A
-replication that trips the divergence guard is frozen, excluded from every
+byte for byte.  One loop (_run_shard) runs both families: it draws the
+blocks, sets the stepsizes, updates the estimators, guards, freezes and
+records checkpoints, and only the step differs.  Each step is the
+library's own, applied to the whole stack: optimizer.newton_step (or the
+averaged-SGD update) for regression studies, which form their samples
+once per 32-step sub-block, and sqp.sqp_step for constrained ones, which
+read their noise normals per step.  So are the estimators: the covariance
+module's accumulators take the (n_reps, d) stack as they take one
+iterate.  A replication whose ||x|| + ||lam|| leaves the divergence guard
+(or turns non-finite) is reset to x0, lam = 0, B = I, excluded from every
 aggregate from that point on, and counted.
 
 At every record_every-th iteration the harness compares the running
@@ -24,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,8 +84,6 @@ SUMMARY_COLUMNS = (
 # except the logistic label stream the block size does not even change the
 # sampled values.
 _CHUNK = 1024
-# Regression samples are formed _SUB steps at a time, the sub-block in
-# which the estimators fold their sums.
 _DIVERGENCE_NORM = 1e8
 
 _SUFFIX = {"wsc": "wsc", "plugin": "plugin", "batchmeans": "bm"}
@@ -332,8 +335,13 @@ def _checkpoint_metrics(
         if truth is not None:
             tnorm = refs.omega_norm if bm else refs.xi_norm
             tquad = refs.omega_quad if bm else refs.xi_quad
-            raw["rel_cov_err_" + suffix] = (
-                np.linalg.norm(est - truth, ord=2, axis=(1, 2)) / tnorm)
+            # the SVD rejects the NaN estimate of a replication frozen on a
+            # NaN iterate; its error stays NaN
+            diff = est - truth
+            fin = np.isfinite(diff).all(axis=(1, 2))
+            err = np.full(len(diff), np.nan)
+            err[fin] = np.linalg.norm(diff[fin], ord=2, axis=(1, 2))
+            raw["rel_cov_err_" + suffix] = err / tnorm
             if not bm:
                 raw["rel_var_err_" + suffix] = (quad - tquad) / tquad
         if bm:
@@ -352,236 +360,6 @@ def _checkpoint_metrics(
         hw_o = z_level * math.sqrt(phi_prev * max(refs.xi_quad, 0.0))
         raw["cov_oracle"] = (np.abs(cx - target) <= hw_o).astype(float)
     return raw
-
-
-@dataclass
-class _ShardResult:
-    ts: List[int]
-    rows: List[Dict[str, np.ndarray]]
-    final_raw: Dict[str, np.ndarray]
-    final_estimates: Dict[str, Optional[np.ndarray]]
-    final_x: np.ndarray
-    final_lam: Optional[np.ndarray]
-    n_diverged: int
-
-
-# ---------------------------------------------------------------------------
-# regression shard engine
-
-
-def _run_shard_regression(
-    cfg: ExperimentConfig,
-    model: RegressionModel,
-    schedule: StepsizeSchedule,
-    solve_cfg: SketchSolveConfig,
-    w: np.ndarray,
-    refs: _OracleRefs,
-    rep_ids: np.ndarray,
-    chunk: int,
-) -> _ShardResult:
-    exp = cfg.experiment
-    R = len(rep_ids)
-    d = model.dim
-    sgd = cfg.method.solver == "sgd"
-    lin = model.family == "linear"
-    n_iters, rec = exp.n_iters, exp.record_every
-    z_level = normal_quantile(0.5 + 0.5 * exp.ci_level)
-    target = float(w @ model.x_star)
-    uniform = schedule.mode == "uniform_band"
-
-    sk_chol = (solve_cfg.dist.cov_factor(d)
-               if solve_cfg.dist.kind == "gaussian" else None)
-
-    streams = [RngStreams.from_seed(exp.base_seed ^ int(r)) for r in rep_ids]
-    # linear: d feature normals plus the response noise per step;
-    # logistic: d feature normals per step, then the label uniforms
-    blk = _ChunkBlocks(streams, min(chunk, n_iters), d, solve_cfg, uniform,
-                       d + 1 if lin else d, labels=not lin)
-    X = np.zeros((R, d))
-    B = None if sgd else np.tile(np.eye(d), (R, 1, 1))
-    wsc = WscAccumulator(d) if "wsc" in exp.estimators else None
-    plug = PlugInAccumulator(d) if "plugin" in exp.estimators else None
-    bm = (BatchMeansAccumulator(d, schedule.beta)
-          if "batchmeans" in exp.estimators else None)
-    alive = np.ones(R, dtype=bool)
-    eye = np.eye(d)
-
-    def solve(Bs: np.ndarray, G: np.ndarray) -> np.ndarray:
-        # the sweep reads the sketch draws of the current step k
-        if solve_cfg.tau is None:
-            return _exact_solve_batched(Bs, G, solve_cfg.pinv_tol)
-        return _sweep_solve(Bs, G, blk.sketch[:, k], solve_cfg, sk_chol)
-
-    def estimates(t_now: int) -> Dict[str, Optional[np.ndarray]]:
-        out: Dict[str, Optional[np.ndarray]] = {}
-        if wsc is not None:
-            out["wsc"] = wsc.estimate()
-        if plug is not None:
-            est = None
-            if t_now >= d:  # the Hessian average is singular before that
-                try:
-                    est = _plugin_estimate_batched(plug, B, schedule.beta,
-                                                   schedule.c_beta)
-                except np.linalg.LinAlgError:
-                    est = None
-            out["plugin"] = est
-        if bm is not None:
-            out["batchmeans"] = bm.estimate() if bm.n_completed >= 2 else None
-        return out
-
-    def snapshot(t_now: int) -> Tuple[Dict[str, np.ndarray],
-                                      Dict[str, Optional[np.ndarray]]]:
-        ests = estimates(t_now)
-        mean = bm.mean if bm is not None else None
-        raw = _checkpoint_metrics(t_now, schedule, w, target, z_level, alive,
-                                  X, mean, ests, refs, sgd)
-        return raw, ests
-
-    ts: List[int] = []
-    rows: List[Dict[str, np.ndarray]] = []
-    t_done = 0
-    while t_done < n_iters:
-        K = min(chunk, n_iters - t_done)
-        blk.fill(K)
-        for k in range(K):
-            t = t_done + k
-            j = k % _SUB
-            if j == 0:
-                # step-major copies: einsum runs about twice as fast on them
-                # and each step's sample is a contiguous (R, ...) slice
-                z = blk.data[:, k:k + _SUB].swapaxes(0, 1)
-                sub = model.sample(np.ascontiguousarray(z), None if lin
-                                   else blk.labels[:, k:k + _SUB].T.copy())
-            s = Sample(sub.xi_a[j], sub.xi_b[j])
-            alpha = (schedule.alpha_from_uniform(t, blk.band[:, k]) if uniform
-                     else schedule.phi(t))
-            if sgd:
-                G = model.grad(X, s)
-                X = X - np.asarray(alpha)[..., None] * G
-            else:
-                state = newton_step(NewtonState(t, X, B), model, s, schedule,
-                                    alpha, solve)
-                X, B, G = state.x, state.B, state.last_grad
-            t_now = t + 1
-            # wsc first: the folds of both estimators and the next
-            # sub-block's samples then fall between the same two wsc
-            # updates (where the benchmark stamps each step), so one step
-            # in _SUB carries all of that work
-            if wsc is not None:
-                wsc.update(X, schedule.phi(t))
-            if plug is not None:
-                plug.update(G)
-            if bm is not None:
-                bm.update(X)
-            # NaN and inf fail the <= test, so they freeze a replication too
-            ok = np.einsum("rd,rd->r", X, X) <= _DIVERGENCE_NORM ** 2
-            if not ok.all():
-                alive &= ok
-                dead = ~alive
-                X[dead] = 0.0
-                if B is not None:
-                    B[dead] = eye
-            if t_now % rec == 0:
-                raw, _ = snapshot(t_now)
-                ts.append(t_now)
-                rows.append(raw)
-        t_done += K
-
-    final_raw, final_ests = snapshot(n_iters)
-    return _ShardResult(ts=ts, rows=rows, final_raw=final_raw,
-                        final_estimates=final_ests, final_x=X.copy(),
-                        final_lam=None, n_diverged=int(R - alive.sum()))
-
-
-# ---------------------------------------------------------------------------
-# constrained shard engine
-
-
-def _run_shard_sqp(
-    cfg: ExperimentConfig,
-    problem: EqConstrainedProblem,
-    schedule: StepsizeSchedule,
-    solve_cfg: SketchSolveConfig,
-    w: np.ndarray,
-    refs: _OracleRefs,
-    rep_ids: np.ndarray,
-    chunk: int,
-) -> _ShardResult:
-    exp = cfg.experiment
-    R = len(rep_ids)
-    d, m = problem.dim, problem.n_cons
-    n = d + m
-    sigma2 = cfg.problem.sigma2
-    L = grad_noise_factor(d, sigma2)
-    nt = d * (d + 1) // 2
-    n_iters, rec = exp.n_iters, exp.record_every
-    z_level = normal_quantile(0.5 + 0.5 * exp.ci_level)
-    target = float(w @ problem.x_star)
-    uniform = schedule.mode == "uniform_band"
-
-    sk_chol = (solve_cfg.dist.cov_factor(n)
-               if solve_cfg.dist.kind == "gaussian" else None)
-
-    streams = [RngStreams.from_seed(exp.base_seed ^ int(r)) for r in rep_ids]
-    blk = _ChunkBlocks(streams, min(chunk, n_iters), n, solve_cfg, uniform,
-                       d + nt)
-    state = SqpState(t=0, x=np.tile(problem.x0, (R, 1)), lam=np.zeros((R, m)),
-                     B=np.tile(np.eye(d), (R, 1, 1)))
-    wsc = WscAccumulator(d)
-    alive = np.ones(R, dtype=bool)
-
-    def solve(Kmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        # the sweep reads the sketch draws of the current step k
-        if solve_cfg.tau is None:
-            return _lu_solve_batched(Kmat, rhs)
-        return _sweep_solve(Kmat, rhs, blk.sketch[:, k], solve_cfg, sk_chol)
-
-    def snapshot(t_now: int) -> Tuple[Dict[str, np.ndarray],
-                                      Dict[str, Optional[np.ndarray]]]:
-        ests: Dict[str, Optional[np.ndarray]] = {"wsc": wsc.estimate()}
-        raw = _checkpoint_metrics(t_now, schedule, w, target, z_level, alive,
-                                  state.x, None, ests, refs, sgd=False)
-        return raw, ests
-
-    ts: List[int] = []
-    rows: List[Dict[str, np.ndarray]] = []
-    t_done = 0
-    while t_done < n_iters:
-        K = min(chunk, n_iters - t_done)
-        blk.fill(K)
-        for k in range(K):
-            t = t_done + k
-            alpha = (schedule.alpha_from_uniform(t, blk.band[:, k]) if uniform
-                     else schedule.phi(t))
-            state = sqp_step(state, problem, sigma2, schedule, blk.data[:, k],
-                             alpha, solve, L)
-            X, Lam = state.x, state.lam
-            t_now = t + 1
-            wsc.update(X, schedule.phi(t))
-            norms = (np.sqrt(np.einsum("rd,rd->r", X, X))
-                     + np.sqrt(np.einsum("rm,rm->r", Lam, Lam)))
-            ok = norms <= _DIVERGENCE_NORM  # NaN and inf fail it too
-            if not ok.all():
-                alive &= ok
-                dead = ~alive
-                X[dead] = problem.x0
-                Lam[dead] = 0.0
-                state.B[dead] = np.eye(d)
-            if t_now % rec == 0:
-                raw, _ = snapshot(t_now)
-                ts.append(t_now)
-                rows.append(raw)
-        t_done += K
-
-    final_raw, final_ests = snapshot(n_iters)
-    return _ShardResult(ts=ts, rows=rows, final_raw=final_raw,
-                        final_estimates=final_ests, final_x=state.x.copy(),
-                        final_lam=state.lam.copy(),
-                        n_diverged=int(R - alive.sum()))
-
-
-# ---------------------------------------------------------------------------
-# top-level orchestration
 
 
 @dataclass
@@ -624,6 +402,211 @@ def _aggregate_raw(raw: Dict[str, np.ndarray]) -> Dict[str, object]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the study loop, and each family's step
+
+
+def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
+               solve_cfg: SketchSolveConfig, w: np.ndarray, refs: _OracleRefs,
+               chunk: int, x0: np.ndarray, m: int, width: int, labels: bool,
+               exact_solve: Callable, step: Callable) -> ExperimentResult:
+    """Run every replication of a study and return its result.
+
+    The family supplies its starting point x0 (m multipliers start at 0),
+    the width of each step's data normals (then a label uniform each if
+    labels), the exact solver of its stacked systems, and its step:
+    step(blk, k, t, alpha, solve, X, Lam, B) reads step k of the chunk's
+    random blocks, solves with solve (exact_solve, or the sketch sweep
+    when tau is set) and returns the new X, Lam, B (None for SGD) and the
+    gradient sample the plug-in estimator folds (None for SQP).
+    """
+    exp = cfg.experiment
+    R, d = exp.n_reps, len(x0)
+    sgd = cfg.method.solver == "sgd"
+    n_iters, rec = exp.n_iters, exp.record_every
+    z_level = normal_quantile(0.5 + 0.5 * exp.ci_level)
+    target = float(w @ problem.x_star)
+    uniform = schedule.mode == "uniform_band"
+
+    sk_chol = (solve_cfg.dist.cov_factor(d + m)
+               if solve_cfg.dist.kind == "gaussian" else None)
+
+    streams = [RngStreams.from_seed(exp.base_seed ^ r) for r in range(R)]
+    blk = _ChunkBlocks(streams, min(chunk, n_iters), d + m, solve_cfg,
+                       uniform, width, labels)
+    X = np.tile(x0, (R, 1))
+    Lam = np.zeros((R, m))
+    B = None if sgd else np.tile(np.eye(d), (R, 1, 1))
+    wsc = WscAccumulator(d) if "wsc" in exp.estimators else None
+    plug = PlugInAccumulator(d) if "plugin" in exp.estimators else None
+    bm = (BatchMeansAccumulator(d, schedule.beta)
+          if "batchmeans" in exp.estimators else None)
+    alive = np.ones(R, dtype=bool)
+    eye = np.eye(d)
+
+    def solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        # the sweep reads the sketch draws of the current step k
+        if solve_cfg.tau is None:
+            return exact_solve(M, rhs)
+        return _sweep_solve(M, rhs, blk.sketch[:, k], solve_cfg, sk_chol)
+
+    def snapshot(t_now: int) -> Tuple[Dict[str, np.ndarray],
+                                      Dict[str, Optional[np.ndarray]]]:
+        ests: Dict[str, Optional[np.ndarray]] = {}
+        if wsc is not None:
+            ests["wsc"] = wsc.estimate()
+        if plug is not None:
+            ests["plugin"] = None
+            if t_now >= d:  # the Hessian average is singular before that
+                try:
+                    ests["plugin"] = _plugin_estimate_batched(
+                        plug, B, schedule.beta, schedule.c_beta)
+                except np.linalg.LinAlgError:
+                    pass
+        if bm is not None:
+            ests["batchmeans"] = bm.estimate() if bm.n_completed >= 2 else None
+        mean = bm.mean if bm is not None else None
+        raw = _checkpoint_metrics(t_now, schedule, w, target, z_level, alive,
+                                  X, mean, ests, refs, sgd)
+        return raw, ests
+
+    rows: List[Dict[str, object]] = []
+    t_done = 0
+    while t_done < n_iters:
+        K = min(chunk, n_iters - t_done)
+        blk.fill(K)
+        for k in range(K):
+            t = t_done + k
+            alpha = (schedule.alpha_from_uniform(t, blk.band[:, k]) if uniform
+                     else schedule.phi(t))
+            X, Lam, B, G = step(blk, k, t, alpha, solve, X, Lam, B)
+            t_now = t + 1
+            # wsc first: the folds of both estimators and the next
+            # sub-block's samples then fall between the same two wsc
+            # updates (where the benchmark stamps each step), so one step
+            # in _SUB carries all of that work
+            if wsc is not None:
+                wsc.update(X, schedule.phi(t))
+            if plug is not None:
+                plug.update(G)
+            if bm is not None:
+                bm.update(X)
+            # ||x|| + ||lam||, the lam term skipped without multipliers (it
+            # costs 5 us a step); NaN and inf fail the <= test, so they
+            # freeze a replication too
+            norms = np.sqrt(np.einsum("rd,rd->r", X, X))
+            if m:
+                norms += np.sqrt(np.einsum("rm,rm->r", Lam, Lam))
+            ok = norms <= _DIVERGENCE_NORM
+            if not ok.all():
+                alive &= ok
+                dead = ~alive
+                X[dead] = x0
+                Lam[dead] = 0.0
+                if B is not None:
+                    B[dead] = eye
+            if t_now % rec == 0:
+                rows.append({"t": t_now,
+                             **_aggregate_raw(snapshot(t_now)[0])})
+        t_done += K
+
+    final_raw, final_ests = snapshot(n_iters)
+    return ExperimentResult(
+        config=cfg,
+        columns=AGGREGATE_COLUMNS,
+        rows=rows,
+        final={"t": n_iters, **_aggregate_raw(final_raw)},
+        final_per_rep=final_raw,
+        final_estimates={
+            name: est[alive].mean(axis=0) if est is not None and alive.any()
+            else None
+            for name, est in final_ests.items()
+        },
+        final_x=X.copy(),
+        final_lam=Lam.copy() if m else None,
+        oracle_xi=refs.xi,
+        oracle_omega=refs.omega,
+        w=w,
+        target=target,
+        n_reps=R,
+        n_diverged=int(R - alive.sum()),
+    )
+
+
+def _run_shard_regression(
+    cfg: ExperimentConfig,
+    model: RegressionModel,
+    schedule: StepsizeSchedule,
+    solve_cfg: SketchSolveConfig,
+    w: np.ndarray,
+    refs: _OracleRefs,
+    chunk: int,
+) -> ExperimentResult:
+    """The study loop with Newton (or averaged-SGD) steps from x = 0."""
+    d = model.dim
+    sgd = cfg.method.solver == "sgd"
+    lin = model.family == "linear"
+    sub = None
+
+    def step(blk, k, t, alpha, solve, X, Lam, B):
+        nonlocal sub
+        j = k % _SUB
+        if j == 0:
+            # Regression samples are formed _SUB steps at a time, the
+            # sub-block in which the estimators fold their sums, from
+            # step-major copies: einsum runs about twice as fast on them
+            # and each step's sample is a contiguous (R, ...) slice
+            z = blk.data[:, k:k + _SUB].swapaxes(0, 1)
+            sub = model.sample(np.ascontiguousarray(z), None if lin
+                               else blk.labels[:, k:k + _SUB].T.copy())
+        s = Sample(sub.xi_a[j], sub.xi_b[j])
+        if sgd:
+            G = model.grad(X, s)
+            return X - np.asarray(alpha)[..., None] * G, Lam, B, G
+        state = newton_step(NewtonState(t, X, B), model, s, schedule, alpha,
+                            solve)
+        return state.x, Lam, state.B, state.last_grad
+
+    def exact(B: np.ndarray, G: np.ndarray) -> np.ndarray:
+        return _exact_solve_batched(B, G, solve_cfg.pinv_tol)
+
+    # linear: d feature normals plus the response noise per step;
+    # logistic: d feature normals per step, then the label uniforms
+    return _run_shard(cfg, model, schedule, solve_cfg, w, refs, chunk,
+                      x0=np.zeros(d), m=0, width=d + 1 if lin else d,
+                      labels=not lin, exact_solve=exact, step=step)
+
+
+def _run_shard_sqp(
+    cfg: ExperimentConfig,
+    problem: EqConstrainedProblem,
+    schedule: StepsizeSchedule,
+    solve_cfg: SketchSolveConfig,
+    w: np.ndarray,
+    refs: _OracleRefs,
+    chunk: int,
+) -> ExperimentResult:
+    """The study loop with stochastic SQP steps from the problem's x0."""
+    d = problem.dim
+    sigma2 = cfg.problem.sigma2
+    L = grad_noise_factor(d, sigma2)
+
+    def step(blk, k, t, alpha, solve, X, Lam, B):
+        # d gradient plus d(d+1)/2 Hessian noise normals, read per step
+        state = sqp_step(SqpState(t, X, Lam, B), problem, sigma2, schedule,
+                         blk.data[:, k], alpha, solve, L)
+        return state.x, state.lam, state.B, None
+
+    return _run_shard(cfg, problem, schedule, solve_cfg, w, refs, chunk,
+                      x0=problem.x0, m=problem.n_cons,
+                      width=d + d * (d + 1) // 2, labels=False,
+                      exact_solve=_lu_solve_batched, step=step)
+
+
+# ---------------------------------------------------------------------------
+# top-level orchestration
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     oracle_xi: Optional[np.ndarray] = None,
@@ -645,7 +628,6 @@ def run_experiment(
     solve_cfg = cfg.build_solve_config()
     w = cfg.direction_vector(problem)
     constrained = isinstance(problem, EqConstrainedProblem)
-    exp = cfg.experiment
     if not constrained:
         if cfg.method.solver == "newton" and oracle_xi is None:
             oc = oracle_covariance(problem, solve_cfg.dist, solve_cfg.tau,
@@ -655,46 +637,9 @@ def run_experiment(
                 oracle_omega = oc.omega
         elif oracle_omega is None:
             oracle_omega = omega_star(problem)
-    refs = _make_refs(oracle_xi, oracle_omega, w)
-    target = float(w @ problem.x_star)
-
     runner = _run_shard_sqp if constrained else _run_shard_regression
-    out = runner(cfg, problem, schedule, solve_cfg, w, refs,
-                 np.arange(exp.n_reps), chunk)
-
-    rows: List[Dict[str, object]] = []
-    for t, raw in zip(out.ts, out.rows):
-        row: Dict[str, object] = {"t": t}
-        row.update(_aggregate_raw(raw))
-        rows.append(row)
-
-    final_raw = out.final_raw
-    final: Dict[str, object] = {"t": exp.n_iters}
-    final.update(_aggregate_raw(final_raw))
-
-    alive = final_raw["alive"]
-    final_estimates: Dict[str, Optional[np.ndarray]] = {
-        name: est[alive].mean(axis=0) if est is not None and alive.any()
-        else None
-        for name, est in out.final_estimates.items()
-    }
-
-    return ExperimentResult(
-        config=cfg,
-        columns=AGGREGATE_COLUMNS,
-        rows=rows,
-        final=final,
-        final_per_rep=final_raw,
-        final_estimates=final_estimates,
-        final_x=out.final_x,
-        final_lam=out.final_lam,
-        oracle_xi=refs.xi,
-        oracle_omega=refs.omega,
-        w=w,
-        target=target,
-        n_reps=exp.n_reps,
-        n_diverged=out.n_diverged,
-    )
+    return runner(cfg, problem, schedule, solve_cfg, w,
+                  _make_refs(oracle_xi, oracle_omega, w), chunk)
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,44 @@ def test_divergent_replications_are_masked_not_fatal(monkeypatch):
     assert result.final["cov_wsc"] is None
 
 
+@pytest.mark.parametrize("problem,direction,estimators,step_name", [
+    (ProblemConfig(d=3, design="equicorr", r=0.3), "mean", ("wsc", "plugin"),
+     "newton_step"),
+    (ProblemConfig(family="eqqp", sigma2=1e-2), "inactive", ("wsc",),
+     "sqp_step"),
+])
+def test_a_frozen_replication_is_reset_and_leaves_the_others_alone(
+        monkeypatch, problem, direction, estimators, step_name):
+    cfg = _cfg(problem=problem, method=MethodConfig(tau=2), n_iters=100,
+               n_reps=3, record_every=25, estimators=estimators,
+               direction=direction)
+    clean = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3)
+    step = getattr(experiment, step_name)
+
+    def poisoned(state, *args):
+        out = step(state, *args)
+        # from t = 10 on, not only at t = 10: a frozen replication that
+        # stops tripping the guard is stepped on from the reset state
+        if state.t >= 10:
+            out.x[1] = np.nan
+        return out
+
+    monkeypatch.setattr(experiment, step_name, poisoned)
+    result = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3)
+    x0 = getattr(cfg.build_problem(), "x0", np.zeros(3))
+    assert result.n_diverged == 1
+    assert np.array_equal(result.final_x[1], x0)
+    if step_name == "sqp_step":
+        assert np.array_equal(result.final_lam[1], np.zeros(1))
+    else:
+        assert result.final_lam is None
+    keep = [0, 2]
+    assert _same_bits(result.final_x[keep], clean.final_x[keep])
+    assert result.final_per_rep.keys() == clean.final_per_rep.keys()
+    for key, arr in clean.final_per_rep.items():
+        assert _same_bits(result.final_per_rep[key][keep], arr[keep]), key
+
+
 def test_sqp_empirical_reference_smoke():
     xi = sqp_empirical_xi("eqqp", 1e-2, n_iters=2000, n_reps=2, base_seed=1)
     assert xi.shape == (3, 3)
