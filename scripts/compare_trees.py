@@ -30,7 +30,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-# n_iters spans two 1024-step chunks and ends inside a 32-step sub-block
+# n_iters crosses chunk boundaries (at 256 and at 1024 steps alike) and
+# ends inside a 32-step sub-block
 _EXPERIMENT = """
 [experiment]
 n_iters = 1300

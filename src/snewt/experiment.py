@@ -15,8 +15,8 @@ once per 32-step sub-block, and sqp.sqp_step for constrained ones, which
 read their noise normals per step.  So are the estimators: the covariance
 module's accumulators take the (n_reps, d) stack as they take one
 iterate.  A replication whose ||x|| + ||lam|| leaves the divergence guard
-(or turns non-finite) is reset to x0, lam = 0, B = I, excluded from every
-aggregate from that point on, and counted.
+(or turns non-finite) is held at x0, lam = 0, B = I from then on,
+excluded from every aggregate, and counted.
 
 At every record_every-th iteration the harness compares the running
 covariance estimators against the ground-truth limiting covariance and
@@ -78,12 +78,17 @@ SUMMARY_COLUMNS = (
     "n_diverged",
 )
 
-# Iterations of randomness drawn per generator call.  Fixed so that seeded
-# runs are reproducible; block draws consume the underlying bit streams in
-# the same element order as per-iteration draws, so for every data layout
-# except the logistic label stream the block size does not even change the
-# sampled values.
-_CHUNK = 1024
+# Steps of randomness drawn per block refill (_ChunkBlocks.fill).  Fixed so
+# that seeded runs are reproducible; block draws consume the underlying bit
+# streams in the same element order as per-step draws, so for every data
+# layout except the logistic label stream the block size does not even
+# change the sampled values.  The blocks, not the O(d^2) estimator state,
+# set a study's peak memory (on eqqp at tau = 40 and R = 200 they hold
+# 5.9 MiB, against 23.4 MiB at 1024 steps).  A refill has a fixed cost of
+# about 16 us per replication, so 8 sub-blocks is where it stays small:
+# per step, generator time was 15-30% above 1024-step refills (2-4% of a
+# headline study) and 35-75% above at 128 steps.
+_CHUNK = 8 * _SUB
 _DIVERGENCE_NORM = 1e8
 
 _SUFFIX = {"wsc": "wsc", "plugin": "plugin", "batchmeans": "bm"}
@@ -218,7 +223,11 @@ class _ChunkBlocks:
     sketch: (R, chunk, tau) coordinate indices, stored in the narrowest
     integer type that holds n - 1, or (R, chunk, tau, n, q) Gaussian
     normals; band: (R, chunk) stepsize uniforms; data: (R, chunk, width)
-    normals; labels: (R, chunk) logistic label uniforms.  fill(K) refills
+    normals; labels: (R, chunk) logistic label uniforms.  Per replication
+    and step that is tau index bytes (n <= 256) or 8 tau n q normal bytes,
+    plus 8 bytes per band uniform, data normal and label uniform: 120 B
+    for eqqp at tau = 40, 58 B for linear d = 5 at tau = 2 and 136 B for
+    its Gaussian q = 1 sketch, times R * chunk in all.  fill(K) refills
     the first K steps in place, one replication's generators at a time,
     each read in per-step order (data: the K steps' normals, then K label
     uniforms).  Reallocating these blocks per chunk, between the smaller
@@ -442,6 +451,7 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
     bm = (BatchMeansAccumulator(d, schedule.beta)
           if "batchmeans" in exp.estimators else None)
     alive = np.ones(R, dtype=bool)
+    frozen = False
     eye = np.eye(d)
 
     def solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -498,7 +508,11 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
             if m:
                 norms += np.sqrt(np.einsum("rm,rm->r", Lam, Lam))
             ok = norms <= _DIVERGENCE_NORM
-            if not ok.all():
+            # a frozen replication is stepped with the others but put back
+            # at its reset state every step; while all are alive this costs
+            # the one test
+            if frozen or not ok.all():
+                frozen = True
                 alive &= ok
                 dead = ~alive
                 X[dead] = x0

@@ -1,5 +1,7 @@
 """Tests for the replicated study engine against the sequential reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -423,15 +425,48 @@ def test_wsc_update_is_called_once_per_step_with_every_replication(
     assert calls == [(np.ndarray, (3, 3))] * cfg.experiment.n_iters
 
 
-def test_chunk_size_does_not_change_linear_results():
-    cfg = _cfg(method=MethodConfig(tau=2), n_iters=150, n_reps=2,
-               record_every=50)
-    small = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3, chunk=1)
-    large = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3, chunk=256)
-    assert np.array_equal(small.final_x, large.final_x)
-    assert len(small.rows) == len(large.rows) == 3
-    for a, b in zip(small.rows, large.rows):
-        assert a == b
+@pytest.mark.parametrize("problem,method,direction,estimators", [
+    (ProblemConfig(d=3), MethodConfig(tau=2), "mean", ("wsc", "plugin")),
+    (ProblemConfig(family="eqqp", sigma2=1e-2), MethodConfig(tau=40),
+     "inactive", ("wsc",)),
+    (ProblemConfig(d=3), MethodConfig(tau=2, sketch="gaussian", gaussian_q=1),
+     "mean", ("wsc", "plugin")),
+], ids=["linear-coordinate", "eqqp-tau40", "linear-gaussian-q1"])
+def test_chunk_size_does_not_change_results(problem, method, direction,
+                                            estimators):
+    # every generator is read in per-step order whatever the chunk, so only
+    # logistic label uniforms (laid out per chunk) may depend on it; 300
+    # steps cross the default chunk's boundary
+    cfg = _cfg(problem=problem, method=method, n_iters=300, n_reps=2,
+               record_every=50, estimators=estimators, direction=direction)
+    ref = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3, chunk=1)
+    assert len(ref.rows) == 6
+    for chunk in (50, experiment._CHUNK, 1024):
+        out = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3,
+                             chunk=chunk)
+        assert _same_bits(out.final_x, ref.final_x), chunk
+        if ref.final_lam is None:
+            assert out.final_lam is None
+        else:
+            assert _same_bits(out.final_lam, ref.final_lam), chunk
+        assert out.rows == ref.rows, chunk
+
+
+def test_a_constrained_study_holds_small_random_blocks():
+    # the per-chunk random blocks set a study's peak memory: at R = 200
+    # and tau = 40 they take 6.1e6 bytes per 256 steps, and the study's
+    # traced peak is 7.5e6 bytes (13.6e6 to 14.3e6 with 512-step blocks).
+    # 512 steps, not 1024, because tracing costs about 2 ms a step here.
+    cfg = _cfg(problem=ProblemConfig(family="eqqp", sigma2=1e-2),
+               method=MethodConfig(tau=40), n_iters=512, n_reps=200,
+               record_every=512, estimators=("wsc",), direction="inactive")
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_rerunning_a_study_is_byte_identical(tmp_path):
@@ -508,6 +543,12 @@ def test_divergent_replications_are_masked_not_fatal(monkeypatch):
     assert result.final["cov_wsc"] is None
 
 
+@pytest.mark.parametrize("hit", [
+    lambda t: t >= 10,
+    # tripping the guard once: the frozen replication must stay at x0
+    # through the steps that trip no guard
+    lambda t: t == 10,
+], ids=["t>=10", "t==10"])
 @pytest.mark.parametrize("problem,direction,estimators,step_name", [
     (ProblemConfig(d=3, design="equicorr", r=0.3), "mean", ("wsc", "plugin"),
      "newton_step"),
@@ -515,7 +556,7 @@ def test_divergent_replications_are_masked_not_fatal(monkeypatch):
      "sqp_step"),
 ])
 def test_a_frozen_replication_is_reset_and_leaves_the_others_alone(
-        monkeypatch, problem, direction, estimators, step_name):
+        monkeypatch, problem, direction, estimators, step_name, hit):
     cfg = _cfg(problem=problem, method=MethodConfig(tau=2), n_iters=100,
                n_reps=3, record_every=25, estimators=estimators,
                direction=direction)
@@ -524,9 +565,7 @@ def test_a_frozen_replication_is_reset_and_leaves_the_others_alone(
 
     def poisoned(state, *args):
         out = step(state, *args)
-        # from t = 10 on, not only at t = 10: a frozen replication that
-        # stops tripping the guard is stepped on from the reset state
-        if state.t >= 10:
+        if hit(state.t):
             out.x[1] = np.nan
         return out
 
