@@ -9,16 +9,23 @@ Configs are flat INI-style key = value files with five sections:
                   ci_direction, estimators
     [output]      aggregate, summary, oracle_prefix
 
-Every key has a documented default (see DEFAULTS in the README); unknown
-sections or keys are rejected by name.  parse/serialize round-trip exactly.
+Each key is defined once, as a field of its section's dataclass
+(ProblemConfig, MethodConfig, ScheduleConfig, ExperimentSection,
+OutputConfig).  The field holds the key's default; its metadata holds the
+cast that reads and range-checks raw text and renders a value back, and,
+where the default depends on other keys, the rule that derives it.
+parse_config_string and serialize_config walk those fields and round-trip
+exactly; _validate holds the rules that tie keys together.  Every error
+names its section and key.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass
-from typing import Optional, Tuple
+import math
+from dataclasses import dataclass, field, fields
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -48,15 +55,134 @@ class ConfigError(ValueError):
     """Invalid configuration file; the message names the offending key."""
 
 
+# ---------------------------------------------------------------------------
+# casts
+
+
+class _Cast:
+    """Called on raw text, a cast returns the value or raises ValueError;
+    render turns a value back into text (None: the key is not written).
+    This base cast keeps any text as it stands."""
+
+    def __call__(self, raw: str):
+        return raw
+
+    @staticmethod
+    def render(value) -> Optional[str]:
+        return None if value is None else str(value)
+
+
+@dataclass(frozen=True)
+class _Number(_Cast):
+    """A finite int or float between `low` and `high`."""
+
+    kind: type
+    low: float = -math.inf
+    high: float = math.inf
+    open_low: bool = False  # the bound itself is out of range
+    open_high: bool = False
+
+    def __call__(self, raw: str):
+        try:
+            value = self.kind(raw)
+        except ValueError:
+            raise ValueError("must be an integer" if self.kind is int
+                             else "must be a number") from None
+        if not math.isfinite(value):
+            raise ValueError("must be finite")
+        if (value < self.low or value > self.high
+                or (self.open_low and value == self.low)
+                or (self.open_high and value == self.high)):
+            if self.high == math.inf:
+                raise ValueError(
+                    f"must be {'>' if self.open_low else '>='} {self.low:g}")
+            raise ValueError(
+                f"must lie in {'(' if self.open_low else '['}{self.low:g}, "
+                f"{self.high:g}{')' if self.open_high else ']'}")
+        return value
+
+
+@dataclass(frozen=True)
+class _Choice(_Cast):
+    """One word of `options`."""
+
+    options: Tuple[str, ...]
+
+    def __call__(self, raw: str) -> str:
+        if raw not in self.options:
+            raise ValueError(f"must be one of {', '.join(self.options)}")
+        return raw
+
+
+@dataclass(frozen=True)
+class _List(_Cast):
+    """Comma-separated values, each through `cast`."""
+
+    cast: _Cast
+
+    def __call__(self, raw: str) -> tuple:
+        return tuple(self.cast(v.strip()) for v in raw.split(","))
+
+    def render(self, value: tuple) -> str:
+        return ",".join(self.cast.render(v) for v in value)
+
+
+class _Direction(_Cast):
+    """mean, inactive, coord:<i>, or weights that are not all zero (whether
+    they fit the problem's dimension is direction_vector's check)."""
+
+    def __call__(self, raw: str) -> str:
+        if raw.startswith("coord:"):
+            _Number(int, 0)(raw.split(":", 1)[1])
+        elif raw not in ("mean", "inactive") and not any(
+                _List(_Number(float))(raw)):
+            raise ValueError("must not be all zero")
+        return raw
+
+
+@dataclass(frozen=True)
+class _Unless(_Cast):
+    """`word` stands for None; any other text goes through `cast`."""
+
+    word: str
+    cast: _Cast
+
+    def __call__(self, raw: str):
+        return None if raw.lower() == self.word else self.cast(raw)
+
+    def render(self, value) -> str:
+        return self.word if value is None else self.cast.render(value)
+
+
+def _key(default, cast, derive: Optional[Callable] = None):
+    """A key's field.  derive(values, key) gives a default that depends on
+    other keys; values maps every key (unique across sections) to its
+    given value or field default."""
+    return field(default=default, metadata={"cast": cast, "derive": derive})
+
+
+def _sgd(value):
+    """Derive rule: `value` for solver = sgd, else the field default."""
+    return lambda v, key: value if v["solver"] == "sgd" else v[key]
+
+
+# ---------------------------------------------------------------------------
+# sections
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
-    family: str = "linear"
-    d: int = 5
-    design: str = "identity"
-    r: float = 0.0
-    sigma: float = 1.0
-    sigma2: float = 0.01
-    x_star: Optional[Tuple[float, ...]] = None
+    family: str = _key("linear", _Choice(REGRESSION_FAMILIES + SQP_FAMILIES))
+    # without d, the dimension follows x_star
+    d: int = _key(5, _Number(int, 1), lambda v, key: (
+        v[key] if v["x_star"] is None else len(v["x_star"])))
+    design: str = _key("identity",
+                       _Choice(("identity", "toeplitz", "equicorr")))
+    r: float = _key(0.0, _Number(float))
+    sigma: float = _key(1.0, _Number(float))
+    sigma2: float = _key(0.01, _Number(float, 0.0))
+    x_star: Optional[Tuple[float, ...]] = _key(
+        None, _Unless("one_over_d", _List(_Number(float))))
 
     @property
     def is_constrained(self) -> bool:
@@ -65,37 +191,49 @@ class ProblemConfig:
 
 @dataclass(frozen=True)
 class MethodConfig:
-    solver: str = "newton"
-    tau: Optional[int] = None  # None = exact solve
-    sketch: str = "kaczmarz"
-    gaussian_q: int = 1
+    solver: str = _key("newton", _Choice(("newton", "sgd")))
+    tau: Optional[int] = _key(None, _Unless("exact", _Number(int, 1)))
+    sketch: str = _key("kaczmarz", _Choice(("kaczmarz", "gaussian")))
+    gaussian_q: int = _key(1, _Number(int, 1))
 
 
+# The first-order baseline defaults to the deterministic half-rate rule;
+# Newton uses the uniform band with chi_t = beta_t^2.
 @dataclass(frozen=True)
 class ScheduleConfig:
-    c_beta: float = 1.0
-    beta: float = 0.505
-    c_chi: float = 1.0
-    chi: float = 1.01
-    mode: str = "uniform_band"
+    c_beta: float = _key(1.0, _Number(float, 0.0, open_low=True), _sgd(0.5))
+    beta: float = _key(0.505, _Number(float, 0.5, 1.0, open_low=True))
+    c_chi: float = _key(1.0, _Number(float, 0.0), _sgd(0.0))
+    chi: float = _key(1.01, _Number(float), lambda v, key: 2.0 * v["beta"])
+    mode: str = _key("uniform_band",
+                     _Choice(("uniform_band", "deterministic")),
+                     _sgd("deterministic"))
 
 
 @dataclass(frozen=True)
 class ExperimentSection:
-    n_iters: int = 10_000
-    n_reps: int = 50
-    base_seed: int = 0
-    record_every: int = 100
-    ci_level: float = 0.95
-    ci_direction: str = "mean"
-    estimators: Tuple[str, ...] = ("wsc",)
+    n_iters: int = _key(10_000, _Number(int, 1))
+    n_reps: int = _key(50, _Number(int, 1))
+    base_seed: int = _key(0, _Number(int, 0))
+    record_every: int = _key(100, _Number(int, 1))
+    ci_level: float = _key(0.95, _Number(float, 0.0, 1.0, open_low=True,
+                                         open_high=True))
+    ci_direction: str = _key("mean", _Direction(), lambda v, key: (
+        "inactive" if v["family"] in SQP_FAMILIES else v[key]))
+    # the field default, wsc alone, is the constrained families' default
+    estimators: Tuple[str, ...] = _key(
+        ("wsc",), _List(_Choice(("wsc", "plugin", "batchmeans"))),
+        lambda v, key: (
+            v[key] if v["family"] in SQP_FAMILIES
+            else ("batchmeans",) if v["solver"] == "sgd"
+            else ("wsc", "plugin")))
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    aggregate: str = "aggregate.csv"
-    summary: str = "summary.csv"
-    oracle_prefix: Optional[str] = None
+    aggregate: str = _key("aggregate.csv", _Cast())
+    summary: str = _key("summary.csv", _Cast())
+    oracle_prefix: Optional[str] = _key(None, _Cast())
 
 
 @dataclass(frozen=True)
@@ -167,61 +305,15 @@ class ExperimentConfig:
         return vals
 
 
+# section name -> section dataclass, and (section, field) for every key,
+# in file order
+_SECTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+_KEYS = [(section, f) for section, cls in _SECTIONS.items()
+         for f in fields(cls)]
+
+
 # ---------------------------------------------------------------------------
 # parsing
-
-_SCHEMA = {
-    "problem": ("family", "d", "design", "r", "sigma", "sigma2", "x_star"),
-    "method": ("solver", "tau", "sketch", "gaussian_q"),
-    "schedule": ("c_beta", "beta", "c_chi", "chi", "mode"),
-    "experiment": ("n_iters", "n_reps", "base_seed", "record_every",
-                   "ci_level", "ci_direction", "estimators"),
-    "output": ("aggregate", "summary", "oracle_prefix"),
-}
-
-
-def _get(parser, section, key, cast, default):
-    if not parser.has_section(section) or not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key).strip()
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-
-def _parse_tau(raw: str) -> Optional[int]:
-    if raw.lower() == "exact":
-        return None
-    tau = int(raw)
-    if tau < 1:
-        raise ValueError("tau must be >= 1 or 'exact'")
-    return tau
-
-
-def _parse_x_star(raw: str) -> Optional[Tuple[float, ...]]:
-    if raw.lower() == "one_over_d":
-        return None
-    return tuple(float(v) for v in raw.split(","))
-
-
-def _check_direction(raw: str) -> str:
-    # the weights themselves need the problem's dimension (direction_vector)
-    if raw.startswith("coord:"):
-        int(raw.split(":", 1)[1])
-    elif raw not in ("mean", "inactive"):
-        [float(v) for v in raw.split(",")]
-    return raw
-
-
-def _parse_estimators(raw: str) -> Tuple[str, ...]:
-    names = tuple(v.strip() for v in raw.split(",") if v.strip())
-    for name in names:
-        if name not in ("wsc", "plugin", "batchmeans"):
-            raise ValueError(f"unknown estimator {name!r}")
-    if not names:
-        raise ValueError("estimator list is empty")
-    return names
 
 
 def parse_config_string(text: str) -> ExperimentConfig:
@@ -230,115 +322,53 @@ def parse_config_string(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    # configparser would copy [DEFAULT] keys into every section present
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
+        known = {f.name for f in fields(_SECTIONS[section])}
         for key in parser.options(section):
-            if key not in _SCHEMA[section]:
+            if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
-    family = _get(parser, "problem", "family", str, "linear")
-    if family not in REGRESSION_FAMILIES + SQP_FAMILIES:
-        raise ConfigError(f"[problem] unknown family {family!r}")
-    solver = _get(parser, "method", "solver", str, "newton")
-    if solver not in ("newton", "sgd"):
-        raise ConfigError(f"[method] unknown solver {solver!r}")
+    # configparser strips the raw text of each value
+    values, derived = {}, []
+    for section, f in _KEYS:
+        raw = parser.get(section, f.name, fallback=None)
+        if raw is None:
+            values[f.name] = f.default
+            if f.metadata["derive"] is not None:
+                derived.append(f)
+            continue
+        try:
+            values[f.name] = f.metadata["cast"](raw)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[{section}] {f.name} {exc}, got {raw!r}") from exc
+    # derived defaults read only keys without a derive rule, so the order
+    # in which they are filled in does not matter
+    values.update({f.name: f.metadata["derive"](values, f.name)
+                   for f in derived})
 
-    # without d, the dimension follows x_star; with both, they must agree
-    x_star = _get(parser, "problem", "x_star", _parse_x_star, None)
-    d = _get(parser, "problem", "d", int, 5 if x_star is None else len(x_star))
-    if x_star is not None and d != len(x_star):
-        raise ConfigError(f"[problem] d = {d} but x_star has {len(x_star)} "
-                          "values")
-    problem = ProblemConfig(
-        family=family,
-        d=d,
-        design=_get(parser, "problem", "design", str, "identity"),
-        r=_get(parser, "problem", "r", float, 0.0),
-        sigma=_get(parser, "problem", "sigma", float, 1.0),
-        sigma2=_get(parser, "problem", "sigma2", float, 0.01),
-        x_star=x_star,
-    )
-    if problem.design not in ("identity", "toeplitz", "equicorr"):
-        raise ConfigError(f"[problem] unknown design {problem.design!r}")
-    if problem.d < 1:
-        raise ConfigError("[problem] d must be >= 1")
-    if family == "linear" and problem.sigma <= 0.0:
-        # zero response noise makes the limiting covariance identically
-        # zero, so every relative metric in the harness would divide by it
-        raise ConfigError("[problem] sigma must be > 0 for linear studies")
-    if problem.sigma2 < 0.0:
-        raise ConfigError("[problem] sigma2 must be >= 0")
-
-    sketch = _get(parser, "method", "sketch", str, "kaczmarz")
-    if sketch not in ("kaczmarz", "gaussian"):
-        raise ConfigError(f"[method] unknown sketch {sketch!r}")
-    method = MethodConfig(
-        solver=solver,
-        tau=_get(parser, "method", "tau", _parse_tau, None),
-        sketch=sketch,
-        gaussian_q=_get(parser, "method", "gaussian_q", int, 1),
-    )
-    if method.gaussian_q < 1:
-        raise ConfigError("[method] gaussian_q must be >= 1")
-
-    # schedule defaults depend on the solver: the first-order baseline uses
-    # the deterministic half-rate rule, Newton uses the uniform band with
-    # chi_t = beta_t^2
-    if solver == "sgd":
-        def_c_beta, def_c_chi, def_mode = 0.5, 0.0, "deterministic"
-    else:
-        def_c_beta, def_c_chi, def_mode = 1.0, 1.0, "uniform_band"
-    beta = _get(parser, "schedule", "beta", float, 0.505)
-    schedule = ScheduleConfig(
-        c_beta=_get(parser, "schedule", "c_beta", float, def_c_beta),
-        beta=beta,
-        c_chi=_get(parser, "schedule", "c_chi", float, def_c_chi),
-        chi=_get(parser, "schedule", "chi", float, 2.0 * beta),
-        mode=_get(parser, "schedule", "mode", str, def_mode),
-    )
-
-    default_estimators = ("batchmeans",) if solver == "sgd" else ("wsc", "plugin")
-    if problem.is_constrained:
-        default_estimators = ("wsc",)
-    default_direction = "inactive" if problem.is_constrained else "mean"
-    experiment = ExperimentSection(
-        n_iters=_get(parser, "experiment", "n_iters", int, 10_000),
-        n_reps=_get(parser, "experiment", "n_reps", int, 50),
-        base_seed=_get(parser, "experiment", "base_seed", int, 0),
-        record_every=_get(parser, "experiment", "record_every", int, 100),
-        ci_level=_get(parser, "experiment", "ci_level", float, 0.95),
-        ci_direction=_get(parser, "experiment", "ci_direction",
-                          _check_direction, default_direction),
-        estimators=_get(parser, "experiment", "estimators", _parse_estimators,
-                        default_estimators),
-    )
-
-    output = OutputConfig(
-        aggregate=_get(parser, "output", "aggregate", str, "aggregate.csv"),
-        summary=_get(parser, "output", "summary", str, "summary.csv"),
-        oracle_prefix=_get(parser, "output", "oracle_prefix", str, None),
-    )
-
-    cfg = ExperimentConfig(problem=problem, method=method, schedule=schedule,
-                           experiment=experiment, output=output)
+    cfg = ExperimentConfig(**{
+        section: cls(**{f.name: values[f.name] for f in fields(cls)})
+        for section, cls in _SECTIONS.items()})
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    exp = cfg.experiment
-    if exp.n_iters < 1:
-        raise ConfigError("[experiment] n_iters must be >= 1")
-    if exp.n_reps < 1:
-        raise ConfigError("[experiment] n_reps must be >= 1")
-    if exp.base_seed < 0:
-        raise ConfigError("[experiment] base_seed must be >= 0")
-    if exp.record_every < 1:
-        raise ConfigError("[experiment] record_every must be >= 1")
-    if not 0.0 < exp.ci_level < 1.0:
-        raise ConfigError("[experiment] ci_level must lie in (0, 1)")
-    solver = cfg.method.solver
+    """The rules that tie keys together; each key's own range is its cast's."""
+    p, exp, solver = cfg.problem, cfg.experiment, cfg.method.solver
+    if p.x_star is not None and p.d != len(p.x_star):
+        raise ConfigError(f"[problem] d = {p.d} but x_star has "
+                          f"{len(p.x_star)} values")
+    if p.family == "linear" and p.sigma <= 0.0:
+        # zero response noise makes the limiting covariance identically
+        # zero, so every relative metric in the harness would divide by it
+        raise ConfigError("[problem] sigma must be > 0 for linear studies")
     for name in exp.estimators:
         if name == "batchmeans" and solver != "sgd":
             raise ConfigError(
@@ -352,18 +382,19 @@ def _validate(cfg: ExperimentConfig) -> None:
         if cfg.method.tau is not None:
             raise ConfigError("[method] solver = sgd always solves exactly "
                               "(B frozen at identity); drop tau")
-        if cfg.problem.is_constrained:
+        if p.is_constrained:
             raise ConfigError("[method] constrained problems need solver = newton")
         if not 0.5 < cfg.schedule.beta < 1.0:
             raise ConfigError("[schedule] batch means need beta in (1/2, 1)")
-    if cfg.problem.is_constrained and "plugin" in exp.estimators:
+    if p.is_constrained and "plugin" in exp.estimators:
         raise ConfigError("[experiment] plugin is not defined for "
                           "constrained problems")
     if ("plugin" in exp.estimators and cfg.schedule.beta == 1.0
             and cfg.schedule.c_beta <= 0.5):
         raise ConfigError("[schedule] the plugin scaling needs "
                           "c_beta > 1/2 when beta = 1")
-    # schedule parameter ranges are enforced by the schedule itself
+    # the band must shrink (chi >= beta when c_chi > 0); the schedule
+    # itself enforces that
     cfg.build_schedule()
 
 
@@ -379,47 +410,15 @@ def parse_config(path: str) -> ExperimentConfig:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config with every resolved value explicit (round-trips)."""
     parser = configparser.ConfigParser(interpolation=None)
-    p, m, s, e, o = (cfg.problem, cfg.method, cfg.schedule,
-                     cfg.experiment, cfg.output)
-    parser["problem"] = {
-        "family": p.family,
-        "d": str(p.d),
-        "design": p.design,
-        "r": repr(p.r),
-        "sigma": repr(p.sigma),
-        "sigma2": repr(p.sigma2),
-        "x_star": ("one_over_d" if p.x_star is None
-                   else ",".join(repr(v) for v in p.x_star)),
-    }
-    parser["method"] = {
-        "solver": m.solver,
-        "sketch": m.sketch,
-        "gaussian_q": str(m.gaussian_q),
-    }
-    if m.solver != "sgd":
-        parser["method"]["tau"] = "exact" if m.tau is None else str(m.tau)
-    parser["schedule"] = {
-        "c_beta": repr(s.c_beta),
-        "beta": repr(s.beta),
-        "c_chi": repr(s.c_chi),
-        "chi": repr(s.chi),
-        "mode": s.mode,
-    }
-    parser["experiment"] = {
-        "n_iters": str(e.n_iters),
-        "n_reps": str(e.n_reps),
-        "base_seed": str(e.base_seed),
-        "record_every": str(e.record_every),
-        "ci_level": repr(e.ci_level),
-        "ci_direction": e.ci_direction,
-        "estimators": ",".join(e.estimators),
-    }
-    parser["output"] = {
-        "aggregate": o.aggregate,
-        "summary": o.summary,
-    }
-    if o.oracle_prefix is not None:
-        parser["output"]["oracle_prefix"] = o.oracle_prefix
+    for section in _SECTIONS:
+        values = getattr(cfg, section)
+        parser[section] = {
+            f.name: text for f in fields(values)
+            if (text := f.metadata["cast"].render(getattr(values, f.name)))
+            is not None}
+    if cfg.method.solver == "sgd":
+        # sgd always solves exactly, so it has no tau line
+        parser.remove_option("method", "tau")
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

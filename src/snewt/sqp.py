@@ -26,7 +26,6 @@ from typing import Callable, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .inference import ConfidenceInterval, directional_ci
 from .optimizer import (DivergenceError, RngStreams, StepsizeSchedule,
                         TraceSink, fold_average, ridged_average)
 from .problems import grad_noise_factor, symmetric_noise
@@ -40,7 +39,6 @@ __all__ = [
     "newton_kkt_solve",
     "sqp_step",
     "run_sqp",
-    "inactive_functional_ci",
     "equality_qp",
     "maratos",
     "hs7",
@@ -243,21 +241,6 @@ def run_sqp(
         for sink in sinks:
             sink(state.t, state.x, state.last_alpha)
     return state
-
-
-def inactive_functional_ci(
-    x: np.ndarray,
-    alpha: float,
-    xi_hat: np.ndarray,
-    inactive: Tuple[int, ...],
-    level: float = 0.95,
-) -> ConfidenceInterval:
-    """CI for the average of the constraint-free coordinates."""
-    if len(inactive) == 0:
-        raise ValueError("no inactive coordinates to average")
-    w = np.zeros(x.shape[0])
-    w[list(inactive)] = 1.0 / len(inactive)
-    return directional_ci(x, alpha, xi_hat, w, level=level)
 
 
 # ---------------------------------------------------------------------------

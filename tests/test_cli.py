@@ -226,6 +226,17 @@ def test_run_command_malformed_direction_is_config_error(tmp_path, capsys):
     assert err.startswith("error:") and "ci_direction" in err
 
 
+def test_run_command_non_finite_value_is_config_error(tmp_path, capsys):
+    # a NaN chi used to reach the estimators and end in a traceback
+    path = _write_config(tmp_path, """\
+        [schedule]
+        chi = nan
+        """)
+    assert main(["run", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: [schedule] chi")
+
+
 def test_run_command_missing_config_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nowhere.ini")]) == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err

@@ -1,10 +1,20 @@
 """Tests for the INI experiment-configuration layer."""
 
+import dataclasses
+import math
+import pathlib
+import re
+import typing
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
+from snewt import config
 from snewt.config import (
     ConfigError,
+    ExperimentConfig,
     parse_config,
     parse_config_string,
     serialize_config,
@@ -43,6 +53,13 @@ def test_unknown_sections_and_keys_are_named():
         parse_config_string("[weird]\nx = 1\n")
     with pytest.raises(ConfigError, match="granularity"):
         parse_config_string("[problem]\ngranularity = 2\n")
+
+
+def test_default_section_is_rejected():
+    # its keys were ignored without a [problem] section and applied with one
+    for text in ("[DEFAULT]\nd = 3\n", "[DEFAULT]\nd = 3\n[problem]\n"):
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+            parse_config_string(text)
 
 
 def test_bad_values_name_the_key():
@@ -237,3 +254,189 @@ def test_direction_vector_resolution():
     with pytest.raises(ConfigError, match="constrained"):
         parse_config_string(
             "[experiment]\nci_direction = inactive\n").direction_vector(model)
+
+
+# ---------------------------------------------------------------------------
+# the key table: every key is a field of its section's dataclass
+
+SECTIONS = [(f.name, type(f.default))
+            for f in dataclasses.fields(ExperimentConfig)]
+KEYS = [(section, f) for section, cls in SECTIONS
+        for f in dataclasses.fields(cls)]
+FLOAT_KEYS = [(section, key) for section, cls in SECTIONS
+              for key, hint in typing.get_type_hints(cls).items()
+              if hint is float]
+
+
+def _one(section, key, raw):
+    return f"[{section}]\n{key} = {raw}\n"
+
+
+def test_there_are_26_keys_and_8_float_keys():
+    assert len(KEYS) == 26
+    assert len({f.name for _, f in KEYS}) == 26  # unique across sections
+    assert len(FLOAT_KEYS) == 8
+
+
+@pytest.mark.parametrize("section, key, raw", [
+    *[(s, k, raw) for s, k in FLOAT_KEYS for raw in ("nan", "inf", "-inf")],
+    ("problem", "x_star", "nan,1"),
+    ("problem", "x_star", "1,inf"),
+    ("experiment", "ci_direction", "nan,0,0,0,0"),
+    ("experiment", "ci_direction", "0,0,0,0,0"),
+])
+def test_non_finite_and_zero_weights_name_the_key(section, key, raw):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} ")):
+        parse_config_string(_one(section, key, raw))
+
+
+def test_readme_table_lists_every_key_in_order():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    reference = readme.split("## Configuration reference", 1)[1]
+    rows, section = [], None
+    for line in reference.split("\n## ", 1)[0].splitlines():
+        if not line.startswith("| "):  # prose and the |---| separator
+            continue
+        cell, key = (c.strip().strip("`") for c in line.split("|")[1:3])
+        if key != "Key":
+            # a blank section cell carries the previous section forward
+            section = cell.strip("[]") or section
+            rows.append((section, key))
+    assert rows == [(section, f.name) for section, f in KEYS]
+
+
+# ---------------------------------------------------------------------------
+# properties over the key table
+
+_WORD = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])
+
+
+def _invalid(cast):
+    """Raw texts that a key's cast must reject, or None for free text."""
+    if isinstance(cast, config._Unless):
+        return _invalid(cast.cast)
+    if isinstance(cast, config._Number):
+        bad = [st.sampled_from(["abc", "1..2", "", "--1"]), _NON_FINITE]
+        if cast.kind is int:
+            bad.append(st.sampled_from(["1.5", "2e3"]))
+            if cast.low > -math.inf:
+                bad.append(st.integers(max_value=int(cast.low) - (
+                    0 if cast.open_low else 1)).map(str))
+        elif cast.low > -math.inf:
+            bad.append(st.floats(max_value=cast.low,
+                                 exclude_max=not cast.open_low,
+                                 allow_infinity=False).map(repr))
+        if cast.high < math.inf:
+            bad.append(st.floats(min_value=cast.high,
+                                 exclude_min=not cast.open_high,
+                                 allow_infinity=False).map(repr))
+        return st.one_of(bad)
+    if isinstance(cast, config._Choice):
+        return _WORD.filter(lambda w: w not in cast.options)
+    if isinstance(cast, config._List):
+        bad = _invalid(cast.cast)
+        return st.one_of(bad, bad.map(lambda b: f"{b},{b}"))
+    if isinstance(cast, config._Direction):
+        return st.one_of(_NON_FINITE.map(lambda v: f"1,{v}"), st.just("1,x"),
+                         st.integers(1, 6).map(lambda n: ",".join(["0"] * n)),
+                         st.just("coord:x"))
+    return None
+
+
+_INVALID = [(section, f.name, bad) for section, f in KEYS
+            if (bad := _invalid(f.metadata["cast"])) is not None]
+
+
+def test_every_key_but_free_text_has_invalid_values():
+    free = {f.name for _, f in KEYS} - {key for _, key, _ in _INVALID}
+    assert free == {"aggregate", "summary", "oracle_prefix"}
+
+
+@given(st.data())
+def test_invalid_values_name_the_key(data):
+    section, key, raws = data.draw(st.sampled_from(_INVALID))
+    raw = data.draw(raws)
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} ")):
+        parse_config_string(_one(section, key, raw))
+
+
+def _finite(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw).map(repr)
+
+
+# valid raw text per key, given the drawn family and solver (None: drawn
+# first, in _valid_configs); keys are left out at random so that derived
+# defaults are exercised too.  Ranges keep clear of the cross-key rules:
+# c_beta > 1/2 for plugin at beta = 1, chi >= beta while c_chi > 0.
+_VALID = {
+    "family": None,
+    "d": lambda c: st.integers(1, 6).map(str),
+    "design": lambda c: st.sampled_from(["identity", "toeplitz", "equicorr"]),
+    "r": lambda c: _finite(-0.9, 0.9),
+    "sigma": lambda c: _finite(0.0, 10.0, exclude_min=True),
+    "sigma2": lambda c: _finite(0.0, 1.0),
+    "x_star": lambda c: st.one_of(
+        st.just("one_over_d"),
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6).map(
+            lambda v: ",".join(map(repr, v)))),
+    "solver": None,
+    "tau": lambda c: st.one_of(st.just("exact"), st.integers(1, 50).map(str)),
+    "sketch": lambda c: st.sampled_from(["kaczmarz", "gaussian"]),
+    "gaussian_q": lambda c: st.integers(1, 4).map(str),
+    "c_beta": lambda c: _finite(0.6, 5.0),
+    "beta": lambda c: _finite(0.5, 1.0, exclude_min=True,
+                              exclude_max=c["solver"] == "sgd"),
+    "c_chi": lambda c: _finite(0.0, 3.0),
+    "chi": lambda c: _finite(1.0, 3.0),
+    "mode": lambda c: st.sampled_from(["uniform_band", "deterministic"]),
+    "n_iters": lambda c: st.integers(1, 10**6).map(str),
+    "n_reps": lambda c: st.integers(1, 500).map(str),
+    "base_seed": lambda c: st.integers(0, 2**32).map(str),
+    "record_every": lambda c: st.integers(1, 1000).map(str),
+    "ci_level": lambda c: _finite(0.0, 1.0, exclude_min=True,
+                                  exclude_max=True),
+    "ci_direction": lambda c: st.one_of(
+        st.sampled_from(["mean", "inactive", "coord:0", "coord:4"]),
+        st.lists(st.floats(0.5, 2.0), min_size=1, max_size=6).map(
+            lambda v: ",".join(map(repr, v)))),
+    "estimators": lambda c: (
+        st.just("batchmeans") if c["solver"] == "sgd"
+        else st.just("wsc") if c["family"] in config.SQP_FAMILIES
+        else st.sampled_from(["wsc", "plugin", "wsc, plugin"])),
+    "aggregate": lambda c: _WORD.map(lambda w: f"out/{w}.csv"),
+    "summary": lambda c: _WORD,
+    "oracle_prefix": lambda c: _WORD,
+}
+
+
+@st.composite
+def _valid_configs(draw):
+    family = draw(st.sampled_from(config.REGRESSION_FAMILIES
+                                  + config.SQP_FAMILIES))
+    solver = ("newton" if family in config.SQP_FAMILIES
+              else draw(st.sampled_from(["newton", "sgd"])))
+    context = {"family": family, "solver": solver}
+    # sgd takes no tau; d and x_star are not both given, since d follows x_star
+    skip = {"tau"} if solver == "sgd" else set()
+    text = []
+    for section, cls in SECTIONS:
+        text.append(f"[{section}]")
+        for f in dataclasses.fields(cls):
+            if f.name in context:
+                text.append(f"{f.name} = {context[f.name]}")
+            elif f.name not in skip and draw(st.booleans()):
+                text.append(f"{f.name} = {draw(_VALID[f.name](context))}")
+                if f.name == "d":
+                    skip.add("x_star")
+    return "\n".join(text) + "\n"
+
+
+def test_valid_strategy_covers_every_key():
+    assert list(_VALID) == [f.name for _, f in KEYS]
+
+
+@given(_valid_configs())
+def test_valid_configs_round_trip(text):
+    cfg = parse_config_string(text)
+    assert parse_config_string(serialize_config(cfg)) == cfg

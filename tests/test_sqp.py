@@ -13,7 +13,6 @@ from snewt.sqp import (
     builtin_problem,
     equality_qp,
     hs7,
-    inactive_functional_ci,
     kkt_assemble,
     kkt_residual,
     maratos,
@@ -21,7 +20,6 @@ from snewt.sqp import (
     run_sqp,
     sqp_step,
 )
-from snewt.inference import directional_ci
 from tests.oracles import fd_grad, fd_jac, wsc_two_pass
 
 ALL_PROBLEMS = [equality_qp, maratos, hs7]
@@ -232,23 +230,3 @@ def test_sqp_trace_feeds_the_covariance_estimator():
     phis = [sched.phi(t - 1) for t, _ in records]
     direct = wsc_two_pass(xs, phis)
     assert np.abs(acc.estimate() - direct).max() <= 1e-10 * np.abs(direct).max()
-
-
-# ---------------------------------------------------------------------------
-# inference on the constraint-free coordinates
-
-
-def test_inactive_functional_ci_matches_directional_ci():
-    x = np.array([1.0, 2.0, 3.0])
-    xi = np.diag([1.0, 2.0, 4.0])
-    ci = inactive_functional_ci(x, 0.01, xi, inactive=(1, 2))
-    w = np.array([0.0, 0.5, 0.5])
-    direct = directional_ci(x, 0.01, xi, w)
-    assert ci.center == 2.5
-    assert ci.center == direct.center
-    assert ci.half_width == direct.half_width
-
-
-def test_inactive_functional_ci_requires_coordinates():
-    with pytest.raises(ValueError):
-        inactive_functional_ci(np.ones(2), 0.01, np.eye(2), inactive=())
