@@ -14,20 +14,25 @@ Library layout:
   batch-means baselines)
 - inference: self-contained normal/chi-square quantiles, confidence
   intervals and ellipsoidal confidence regions
-- oracle: ground-truth limiting covariances (closed forms where they
-  exist, seeded Monte Carlo elsewhere)
+- oracle: ground-truth limiting covariances of regression studies (closed
+  forms where they exist, seeded Monte Carlo elsewhere) and the relative
+  error metrics the harness reports against them
 - sqp: equality-constrained extension (stochastic SQP on the KKT system);
   its problems and its step work on stacks of replications, so run_sqp
   and the batched harness share one step
 - config / experiment / cli: study configs, the replication-batched
-  Monte-Carlo harness, and the ``snewt`` command-line entry point
+  Monte-Carlo harness, and the ``snewt`` command-line entry point; every
+  study is a config file that ``snewt run`` runs
+
+Independent reference implementations that only the tests compare against
+live in tests/oracles.py, not here.
 """
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .covariance import (BatchMeansAccumulator, PlugInAccumulator,
                          WscAccumulator, WscInverseTracker, WscSink,
                          plugin_estimate)
-from .experiment import (ExperimentResult, run_experiment, sqp_empirical_xi,
+from .experiment import (ExperimentResult, run_experiment,
                          write_aggregate_csv, write_summary_csv)
 from .inference import (ConfidenceInterval, ConfidenceRegion, chi2_quantile,
                         confidence_region, directional_ci, normal_quantile)
@@ -74,7 +79,6 @@ __all__ = [
     "run",
     "run_experiment",
     "run_sqp",
-    "sqp_empirical_xi",
     "write_aggregate_csv",
     "write_summary_csv",
     "xi_star",

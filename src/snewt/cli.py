@@ -64,9 +64,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     if cfg.problem.is_constrained:
         raise ConfigError(
-            f"[problem] family = {cfg.problem.family}: no closed-form ground "
-            "truth for constrained problems (measure one with the library's "
-            "sqp_empirical_xi helper)")
+            f"[problem] family = {cfg.problem.family}: ground truth for "
+            "constrained problems is not available yet")
     problem = cfg.build_problem()
     schedule = cfg.build_schedule()
     if cfg.method.solver == "sgd":

@@ -170,6 +170,9 @@ def _sgd(value):
 # sections
 
 
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class ProblemConfig:
     family: str = _key("linear", _Choice(REGRESSION_FAMILIES + SQP_FAMILIES))
@@ -179,7 +182,8 @@ class ProblemConfig:
     design: str = _key("identity",
                        _Choice(("identity", "toeplitz", "equicorr")))
     r: float = _key(0.0, _Number(float))
-    sigma: float = _key(1.0, _Number(float))
+    # the oracle squares sigma, so its square must be a finite float
+    sigma: float = _key(1.0, _Number(float, -_SQRT_MAX, _SQRT_MAX))
     sigma2: float = _key(0.01, _Number(float, 0.0))
     x_star: Optional[Tuple[float, ...]] = _key(
         None, _Unless("one_over_d", _List(_Number(float))))

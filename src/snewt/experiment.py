@@ -19,9 +19,12 @@ iterate.  A replication whose ||x|| + ||lam|| leaves the divergence guard
 excluded from every aggregate, and counted.
 
 At every record_every-th iteration the harness compares the running
-covariance estimators against the ground-truth limiting covariance and
-records confidence-interval hits; aggregates go to a per-checkpoint CSV
-plus a final summary CSV (schemas documented in the README).
+covariance estimators against the ground-truth limiting covariance, with
+the oracle module's rel_cov_error and rel_var_error applied to the whole
+(n_reps, d, d) stack, and records confidence-interval hits; aggregates go
+to a per-checkpoint CSV plus a final summary CSV (schemas documented in
+the README).  `snewt run` is the entry point: every study is a config
+file run by it.
 """
 
 from __future__ import annotations
@@ -33,13 +36,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .config import (ExperimentConfig, ExperimentSection, MethodConfig,
-                     ProblemConfig, ScheduleConfig)
+from .config import ExperimentConfig
 from .covariance import (_SUB, BatchMeansAccumulator, PlugInAccumulator,
                          WscAccumulator, plugin_estimate)
 from .inference import normal_quantile
 from .optimizer import NewtonState, RngStreams, StepsizeSchedule, newton_step
-from .oracle import omega_star, oracle_covariance
+from .oracle import (omega_star, oracle_covariance, rel_cov_error,
+                     rel_var_error)
 from .problems import RegressionModel, Sample, grad_noise_factor
 from .sketch import SketchSolveConfig, pinv_newton_solve
 from .sqp import EqConstrainedProblem, SqpState, sqp_step
@@ -51,7 +54,6 @@ __all__ = [
     "run_experiment",
     "write_aggregate_csv",
     "write_summary_csv",
-    "sqp_empirical_xi",
 ]
 
 AGGREGATE_COLUMNS = (
@@ -285,32 +287,6 @@ def _sweep_solve(M: np.ndarray, rhs: np.ndarray, draws: np.ndarray,
 # checkpoint metrics
 
 
-@dataclass(frozen=True)
-class _OracleRefs:
-    """Ground-truth matrices plus their precomputed norms/quadratic forms."""
-
-    xi: Optional[np.ndarray]
-    omega: Optional[np.ndarray]
-    xi_norm: float
-    xi_quad: float
-    omega_norm: float
-    omega_quad: float
-
-
-def _make_refs(oracle_xi: Optional[np.ndarray],
-               oracle_omega: Optional[np.ndarray],
-               w: np.ndarray) -> _OracleRefs:
-    xi_norm = xi_quad = omega_norm = omega_quad = 0.0
-    if oracle_xi is not None:
-        xi_norm = float(np.linalg.norm(oracle_xi, ord=2))
-        xi_quad = float(w @ oracle_xi @ w)
-    if oracle_omega is not None:
-        omega_norm = float(np.linalg.norm(oracle_omega, ord=2))
-        omega_quad = float(w @ oracle_omega @ w)
-    return _OracleRefs(oracle_xi, oracle_omega, xi_norm, xi_quad,
-                       omega_norm, omega_quad)
-
-
 def _checkpoint_metrics(
     t_now: int,
     schedule: StepsizeSchedule,
@@ -321,14 +297,18 @@ def _checkpoint_metrics(
     X: np.ndarray,
     mean: Optional[np.ndarray],
     ests: Dict[str, Optional[np.ndarray]],
-    refs: _OracleRefs,
+    xi: Optional[np.ndarray],
+    omega: Optional[np.ndarray],
     sgd: bool,
 ) -> Dict[str, np.ndarray]:
     """Per-replication metric arrays at one checkpoint.
 
-    Newton-style estimators pair the current iterate with the stepsize
-    scale phi_{t-1} (the band center used by the estimator weights); the
-    batch-means baseline pairs the running iterate average with scale 1/t.
+    Newton-style estimators are compared with xi and the batch-means
+    baseline with omega (either may be None: no ground truth).  For
+    intervals, Newton-style estimators pair the current iterate with the
+    stepsize scale phi_{t-1} (the band center used by the estimator
+    weights); the batch-means baseline pairs the running iterate average
+    with scale 1/t.
     """
     raw: Dict[str, np.ndarray] = {"alive": alive.copy()}
     phi_prev = schedule.phi(t_now - 1)
@@ -339,20 +319,12 @@ def _checkpoint_metrics(
             continue
         suffix = _SUFFIX[name]
         bm = name == "batchmeans"
-        truth = refs.omega if bm else refs.xi
-        quad = np.einsum("rij,i,j->r", est, w, w)
+        truth = omega if bm else xi
         if truth is not None:
-            tnorm = refs.omega_norm if bm else refs.xi_norm
-            tquad = refs.omega_quad if bm else refs.xi_quad
-            # the SVD rejects the NaN estimate of a replication frozen on a
-            # NaN iterate; its error stays NaN
-            diff = est - truth
-            fin = np.isfinite(diff).all(axis=(1, 2))
-            err = np.full(len(diff), np.nan)
-            err[fin] = np.linalg.norm(diff[fin], ord=2, axis=(1, 2))
-            raw["rel_cov_err_" + suffix] = err / tnorm
+            raw["rel_cov_err_" + suffix] = rel_cov_error(est, truth)
             if not bm:
-                raw["rel_var_err_" + suffix] = (quad - tquad) / tquad
+                raw["rel_var_err_" + suffix] = rel_var_error(est, truth, w)
+        quad = np.einsum("rij,i,j->r", est, w, w)
         if bm:
             center: np.ndarray = cmean
             scale = 1.0 / t_now
@@ -362,11 +334,11 @@ def _checkpoint_metrics(
         hw = z_level * np.sqrt(scale * np.maximum(quad, 0.0))
         raw["cov_" + suffix] = (np.abs(center - target) <= hw).astype(float)
     if sgd:
-        if refs.omega is not None and cmean is not None:
-            hw_o = z_level * math.sqrt(max(refs.omega_quad, 0.0) / t_now)
+        if omega is not None and cmean is not None:
+            hw_o = z_level * math.sqrt(max(float(w @ omega @ w), 0.0) / t_now)
             raw["cov_oracle"] = (np.abs(cmean - target) <= hw_o).astype(float)
-    elif refs.xi is not None:
-        hw_o = z_level * math.sqrt(phi_prev * max(refs.xi_quad, 0.0))
+    elif xi is not None:
+        hw_o = z_level * math.sqrt(phi_prev * max(float(w @ xi @ w), 0.0))
         raw["cov_oracle"] = (np.abs(cx - target) <= hw_o).astype(float)
     return raw
 
@@ -416,7 +388,8 @@ def _aggregate_raw(raw: Dict[str, np.ndarray]) -> Dict[str, object]:
 
 
 def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
-               solve_cfg: SketchSolveConfig, w: np.ndarray, refs: _OracleRefs,
+               solve_cfg: SketchSolveConfig, w: np.ndarray,
+               xi: Optional[np.ndarray], omega: Optional[np.ndarray],
                chunk: int, x0: np.ndarray, m: int, width: int, labels: bool,
                exact_solve: Callable, step: Callable) -> ExperimentResult:
     """Run every replication of a study and return its result.
@@ -477,7 +450,7 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
             ests["batchmeans"] = bm.estimate() if bm.n_completed >= 2 else None
         mean = bm.mean if bm is not None else None
         raw = _checkpoint_metrics(t_now, schedule, w, target, z_level, alive,
-                                  X, mean, ests, refs, sgd)
+                                  X, mean, ests, xi, omega, sgd)
         return raw, ests
 
     rows: List[Dict[str, object]] = []
@@ -538,8 +511,8 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
         },
         final_x=X.copy(),
         final_lam=Lam.copy() if m else None,
-        oracle_xi=refs.xi,
-        oracle_omega=refs.omega,
+        oracle_xi=xi,
+        oracle_omega=omega,
         w=w,
         target=target,
         n_reps=R,
@@ -553,7 +526,8 @@ def _run_shard_regression(
     schedule: StepsizeSchedule,
     solve_cfg: SketchSolveConfig,
     w: np.ndarray,
-    refs: _OracleRefs,
+    xi: Optional[np.ndarray],
+    omega: Optional[np.ndarray],
     chunk: int,
 ) -> ExperimentResult:
     """The study loop with Newton (or averaged-SGD) steps from x = 0."""
@@ -586,7 +560,7 @@ def _run_shard_regression(
 
     # linear: d feature normals plus the response noise per step;
     # logistic: d feature normals per step, then the label uniforms
-    return _run_shard(cfg, model, schedule, solve_cfg, w, refs, chunk,
+    return _run_shard(cfg, model, schedule, solve_cfg, w, xi, omega, chunk,
                       x0=np.zeros(d), m=0, width=d + 1 if lin else d,
                       labels=not lin, exact_solve=exact, step=step)
 
@@ -597,7 +571,8 @@ def _run_shard_sqp(
     schedule: StepsizeSchedule,
     solve_cfg: SketchSolveConfig,
     w: np.ndarray,
-    refs: _OracleRefs,
+    xi: Optional[np.ndarray],
+    omega: Optional[np.ndarray],
     chunk: int,
 ) -> ExperimentResult:
     """The study loop with stochastic SQP steps from the problem's x0."""
@@ -611,7 +586,7 @@ def _run_shard_sqp(
                          blk.data[:, k], alpha, solve, L)
         return state.x, state.lam, state.B, None
 
-    return _run_shard(cfg, problem, schedule, solve_cfg, w, refs, chunk,
+    return _run_shard(cfg, problem, schedule, solve_cfg, w, xi, omega, chunk,
                       x0=problem.x0, m=problem.n_cons,
                       width=d + d * (d + 1) // 2, labels=False,
                       exact_solve=_lu_solve_batched, step=step)
@@ -631,11 +606,12 @@ def run_experiment(
 
     Ground truth: for regression problems the limiting covariance and the
     sandwich covariance are computed once up front (closed form where
-    available, seeded Monte Carlo otherwise); for constrained problems no
-    analytic ground truth exists, so relative-error and oracle-CI columns
-    stay empty unless ``oracle_xi`` is supplied (see sqp_empirical_xi).
-    Replication r draws its randomness from streams seeded with
-    base_seed XOR r; all replications advance together in one engine call.
+    available, seeded Monte Carlo otherwise), unless ``oracle_xi`` and
+    ``oracle_omega`` are passed in.  Constrained problems have no ground
+    truth yet, so their relative-error and oracle-CI columns stay empty
+    unless ``oracle_xi`` is passed.  Replication r draws its randomness
+    from streams seeded with base_seed XOR r; all replications advance
+    together in one engine call.
     """
     problem = cfg.build_problem()
     schedule = cfg.build_schedule()
@@ -652,8 +628,8 @@ def run_experiment(
         elif oracle_omega is None:
             oracle_omega = omega_star(problem)
     runner = _run_shard_sqp if constrained else _run_shard_regression
-    return runner(cfg, problem, schedule, solve_cfg, w,
-                  _make_refs(oracle_xi, oracle_omega, w), chunk)
+    return runner(cfg, problem, schedule, solve_cfg, w, oracle_xi,
+                  oracle_omega, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -694,43 +670,3 @@ def write_summary_csv(result: ExperimentResult, path: str) -> None:
                 str(result.n_reps),
                 str(result.n_diverged),
             ])
-
-
-# ---------------------------------------------------------------------------
-# empirical ground truth for constrained problems
-
-
-def sqp_empirical_xi(
-    family: str,
-    sigma2: float,
-    n_iters: int = 1_000_000,
-    n_reps: int = 4,
-    base_seed: int = 20_000,
-    schedule: Optional[ScheduleConfig] = None,
-    chunk: int = _CHUNK,
-) -> np.ndarray:
-    """Empirical limiting covariance for a constrained problem.
-
-    No closed form is available, so the reference is measured: long
-    exact-KKT runs (default 10^6 iterations) with the weighted sample
-    covariance estimator, averaged over a few replications.  Intended for
-    offline study generation, not for routine test runs.
-    """
-    cfg = ExperimentConfig(
-        problem=ProblemConfig(family=family, sigma2=sigma2),
-        method=MethodConfig(solver="newton", tau=None),
-        schedule=schedule if schedule is not None else ScheduleConfig(),
-        experiment=ExperimentSection(
-            n_iters=n_iters,
-            n_reps=n_reps,
-            base_seed=base_seed,
-            record_every=n_iters,
-            ci_direction="inactive",
-            estimators=("wsc",),
-        ),
-    )
-    result = run_experiment(cfg, chunk=chunk)
-    est = result.final_estimates.get("wsc")
-    if est is None:
-        raise RuntimeError("empirical reference failed (no live replications)")
-    return est

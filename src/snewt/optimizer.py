@@ -82,7 +82,10 @@ class StepsizeSchedule:
     def chi_t(self, t: int) -> float:
         if self.c_chi == 0.0:
             return 0.0
-        return self.c_chi / (t + 1.0) ** self.chi
+        try:
+            return self.c_chi / (t + 1.0) ** self.chi
+        except OverflowError:  # the quotient rounds to zero
+            return 0.0
 
     def phi(self, t: int) -> float:
         """Deterministic band center beta_t + chi_t / 2."""

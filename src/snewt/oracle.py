@@ -18,6 +18,8 @@ definite the solution is explicit: with I - C* = U diag(s) U^T,
 Exact inner solves are the degenerate case C* = 0, Lambda = Omega*, giving
 Xi* = Omega* / (2 - delta).
 
+B* and Omega* come from one helper for omega_star and oracle_covariance:
+closed forms for linear models, seeded Monte Carlo for logistic ones.
 Uniform-coordinate sketching admits closed forms for every expectation; the
 Gaussian sketch falls back to Monte Carlo with reported standard errors.
 That Monte Carlo is vectorised: samples are drawn in blocks, each block's
@@ -27,6 +29,9 @@ statistics are accumulated per block.  No projector stack is formed: each projec
 as its rank-q factor W (Pi = W W^T), so E[Pi] sums W W^T and the tau-step
 product I - Ctilde is built by rank-q updates of one (d, d) matrix per
 sample.
+
+rel_cov_error and rel_var_error, the errors the study harness reports
+against this ground truth, take one estimate or a (..., d, d) stack.
 """
 
 from __future__ import annotations
@@ -41,8 +46,6 @@ from .sketch import SketchDistribution, _projector_factor
 
 __all__ = [
     "OracleCovariance",
-    "population_hessian",
-    "grad_second_moment",
     "omega_star",
     "single_step_projection_expectation",
     "spread_operator_uc",
@@ -50,7 +53,6 @@ __all__ = [
     "lambda_matrix",
     "xi_star",
     "oracle_covariance",
-    "lyapunov_residual",
     "rel_cov_error",
     "rel_var_error",
 ]
@@ -144,30 +146,23 @@ def _mc_hessian_moments(model: RegressionModel, n_mc: int,
     return mean_h, se_h, mean_m, se_m
 
 
-def population_hessian(
-    model: RegressionModel,
-    n_mc: int = 1_000_000,
-    rng: Optional[np.random.Generator] = None,
-):
-    """(B*, stderr) at x*.  Linear: exactly Sigma_a (stderr None)."""
-    if model.family == "linear":
-        return model.sigma_a.copy(), None
-    rng = np.random.default_rng(0) if rng is None else rng
-    mean_h, se_h, _, _ = _mc_hessian_moments(model, n_mc, rng)
-    return 0.5 * (mean_h + mean_h.T), se_h
+def _sandwich(model: RegressionModel, n_mc: int, rng: np.random.Generator):
+    """(B*, Omega*, MC stderr) at x*, Omega* = (B*)^{-1} E[g g^T] (B*)^{-1}.
 
-
-def grad_second_moment(
-    model: RegressionModel,
-    n_mc: int = 1_000_000,
-    rng: Optional[np.random.Generator] = None,
-):
-    """(E[g g^T] at x*, stderr).  Linear: exactly sigma^2 Sigma_a."""
+    Linear models have the closed forms B* = Sigma_a and E[g g^T] =
+    sigma^2 Sigma_a, so Omega* = sigma^2 Sigma_a^{-1} with no stderr.
+    Logistic ones average n_mc samples of both moments, report their
+    stderr under "b_star" and "grad_outer" (for E[g g^T]), and solve with
+    the symmetrised B*.
+    """
     if model.family == "linear":
-        return model.sigma**2 * model.sigma_a, None
-    rng = np.random.default_rng(0) if rng is None else rng
-    _, _, mean_m, se_m = _mc_hessian_moments(model, n_mc, rng)
-    return 0.5 * (mean_m + mean_m.T), se_m
+        return (model.sigma_a.copy(),
+                model.sigma**2 * np.linalg.inv(model.sigma_a), {})
+    mean_h, se_h, mean_m, se_m = _mc_hessian_moments(model, n_mc, rng)
+    b = 0.5 * (mean_h + mean_h.T)
+    omega = np.linalg.solve(b, np.linalg.solve(b, mean_m).T)
+    return (b, 0.5 * (omega + omega.T),
+            {"b_star": se_h, "grad_outer": se_m})
 
 
 def omega_star(
@@ -176,12 +171,8 @@ def omega_star(
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
     """Sandwich covariance (B*)^{-1} E[g g^T] (B*)^{-1} at x*."""
-    if model.family == "linear":
-        return model.sigma**2 * np.linalg.inv(model.sigma_a)
     rng = np.random.default_rng(0) if rng is None else rng
-    b, _, m, _ = _mc_hessian_moments(model, n_mc, rng)
-    omega = np.linalg.solve(b, np.linalg.solve(b, m).T)
-    return 0.5 * (omega + omega.T)
+    return _sandwich(model, n_mc, rng)[1]
 
 
 def single_step_projection_expectation(
@@ -314,14 +305,6 @@ def xi_star(
     return 0.5 * (out + out.T)
 
 
-def lyapunov_residual(
-    xi: np.ndarray, C: np.ndarray, lam: np.ndarray, beta: float, c_beta: float
-) -> np.ndarray:
-    """A Xi + Xi A^T - Lambda with A = (1 - delta/2) I - C (zero at solution)."""
-    A = (1.0 - 0.5 * _delta(beta, c_beta)) * np.eye(C.shape[0]) - C
-    return A @ xi + xi @ A.T - lam
-
-
 @dataclass
 class OracleCovariance:
     """Ground-truth matrices for one problem/method configuration."""
@@ -347,18 +330,7 @@ def oracle_covariance(
 ) -> OracleCovariance:
     """Assemble B*, Omega*, C*, Lambda and Xi* for a regression model."""
     rng = np.random.default_rng(seed)
-    stderr: Dict[str, np.ndarray] = {}
-    if model.family == "linear":
-        b = model.sigma_a.copy()
-        omega = model.sigma**2 * np.linalg.inv(model.sigma_a)
-    else:
-        mean_h, se_h, mean_m, se_m = _mc_hessian_moments(
-            model, max(n_mc, 200_000), rng)
-        b = 0.5 * (mean_h + mean_h.T)
-        stderr["b_star"] = se_h
-        stderr["grad_second_moment"] = se_m
-        omega = np.linalg.solve(b, np.linalg.solve(b, mean_m).T)
-        omega = 0.5 * (omega + omega.T)
+    b, omega, stderr = _sandwich(model, max(n_mc, 200_000), rng)
     if tau is None:
         C = np.zeros_like(b)
         lam, se_lam = omega.copy(), None
@@ -377,18 +349,31 @@ def oracle_covariance(
     )
 
 
-def rel_cov_error(est: np.ndarray, truth: np.ndarray) -> float:
-    """Spectral-norm relative error ||est - truth|| / ||truth||."""
-    return float(np.linalg.norm(est - truth, 2) / np.linalg.norm(truth, 2))
+def rel_cov_error(est: np.ndarray, truth: np.ndarray):
+    """Spectral-norm relative error ||est - truth|| / ||truth||.
+
+    est is one (d, d) matrix or a (..., d, d) stack, giving a float or a
+    (...) array; a slice with a non-finite entry gives NaN.
+    """
+    diff = est - truth
+    fin = np.isfinite(diff).all(axis=(-2, -1))
+    err = np.full(fin.shape, np.nan)
+    # the SVD rejects non-finite input, so only finite slices enter it
+    err[fin] = np.linalg.norm(diff[fin], ord=2, axis=(-2, -1))
+    return (err / np.linalg.norm(truth, ord=2))[()]
 
 
 def rel_var_error(
     est: np.ndarray, truth: np.ndarray, w: Optional[np.ndarray] = None
-) -> float:
-    """Signed relative error of the variance along w (default: all ones)."""
+):
+    """Signed relative error of the variance along w (default: all ones).
+
+    (w est w - w truth w) / (w truth w) for one (d, d) estimate or each
+    slice of a (..., d, d) stack.  A truth with no variance along w gives
+    inf or NaN, as the division does.
+    """
     if w is None:
         w = np.ones(truth.shape[0])
-    denom = float(w @ truth @ w)
-    if denom <= 0.0:
-        raise ValueError("truth has no variance along w")
-    return float(w @ (est - truth) @ w) / denom
+    tquad = float(w @ truth @ w)
+    quad = np.einsum("...ij,i,j->...", est, w, w)
+    return ((quad - tquad) / tquad)[()]

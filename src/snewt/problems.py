@@ -20,7 +20,6 @@ __all__ = [
     "Sample",
     "default_x_star",
     "materialize_design",
-    "sample_loss",
     "sigmoid",
     "grad_noise_factor",
     "symmetric_noise",
@@ -170,15 +169,6 @@ class RegressionModel:
             p = sigmoid(np.einsum("...d,...d->...", s.xi_a, x))
             h *= (p * (1.0 - p))[..., None, None]
         return h
-
-
-def sample_loss(model: RegressionModel, x: np.ndarray, s: Sample) -> float:
-    """Loss of one observation at one point (finite-difference reference)."""
-    if model.family == "linear":
-        res = s.xi_b - s.xi_a @ x
-        return 0.5 * float(res * res)
-    # log(1 + exp(-y z)) computed without overflow
-    return float(np.logaddexp(0.0, -s.xi_b * (s.xi_a @ x)))
 
 
 def grad_noise_factor(d: int, sigma2: float) -> np.ndarray:

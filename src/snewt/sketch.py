@@ -20,7 +20,6 @@ __all__ = [
     "SketchDistribution",
     "SketchSolveConfig",
     "sketch_project_step",
-    "projection_matrix",
     "solve_newton_sketched",
     "exact_newton_solve",
     "pinv_newton_solve",
@@ -142,20 +141,6 @@ def _projector_factor(B: np.ndarray, S: np.ndarray,
     keep = (evals > max(tol, 0.0))[..., None, :]
     vecs = evecs / np.sqrt(np.where(keep, evals[..., None, :], 1.0))
     return BS @ np.where(keep, vecs, 0.0)
-
-
-def projection_matrix(B: np.ndarray, S: np.ndarray, tol: float = 0.0) -> np.ndarray:
-    """The projector Pi = B S (S^T B^2 S)^+ S^T B (symmetric idempotent).
-
-    S is one sketch of shape (d, q), giving a (d, d) projector, or a stack
-    of shape (k, d, q), giving the (k, d, d) projectors slice by slice.
-    For q = 1 a slice whose denominator S^T B^2 S is <= tol projects onto
-    nothing (zero matrix); for q > 1 eigenvalues of S^T B^2 S that are
-    <= max(tol, 0) are dropped from the pseudo-inverse.  Pi is formed as
-    W W^T from the rank-q factor W of _projector_factor.
-    """
-    W = _projector_factor(B, S, tol)
-    return W @ W.swapaxes(-1, -2)
 
 
 def exact_newton_solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:

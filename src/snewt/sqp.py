@@ -35,8 +35,6 @@ __all__ = [
     "EqConstrainedProblem",
     "SqpState",
     "kkt_assemble",
-    "kkt_residual",
-    "newton_kkt_solve",
     "sqp_step",
     "run_sqp",
     "equality_qp",
@@ -94,44 +92,6 @@ def kkt_assemble(B: np.ndarray, G: np.ndarray) -> np.ndarray:
     K[..., :d, d:] = np.swapaxes(G, -1, -2)
     K[..., d:, :d] = G
     return K
-
-
-def kkt_residual(
-    problem: EqConstrainedProblem, x: np.ndarray, lam: np.ndarray
-) -> np.ndarray:
-    """Stacked first-order residual [grad f + G^T lam; c(x)]."""
-    return np.concatenate([
-        problem.grad(x) + np.einsum("...md,...m->...d", problem.jac(x), lam),
-        problem.cons(x),
-    ], axis=-1)
-
-
-def newton_kkt_solve(
-    problem: EqConstrainedProblem,
-    x0: Optional[np.ndarray] = None,
-    lam0: Optional[np.ndarray] = None,
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Deterministic full-Newton solve of the KKT conditions.
-
-    Used to derive / verify the reference solutions of the built-in
-    problems; raises RuntimeError if the residual does not reach tol.
-    """
-    x = problem.x_star.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    lam = (problem.lam_star.copy() if lam0 is None
-           else np.asarray(lam0, dtype=float).copy())
-    d = problem.dim
-    for _ in range(max_iter):
-        res = kkt_residual(problem, x, lam)
-        if np.linalg.norm(res, ord=np.inf) <= tol:
-            return x, lam
-        K = kkt_assemble(problem.lagrangian_hess(x, lam), problem.jac(x))
-        delta = np.linalg.solve(K, -res)
-        x = x + delta[:d]
-        lam = lam + delta[d:]
-    res = np.linalg.norm(kkt_residual(problem, x, lam), ord=np.inf)
-    raise RuntimeError(f"KKT Newton did not converge (residual {res:.2e})")
 
 
 @dataclass

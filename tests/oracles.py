@@ -317,6 +317,17 @@ def lambda_by_enumeration(B: np.ndarray, omega: np.ndarray,
     return total / float(d) ** tau
 
 
+def lyapunov_residual(xi: np.ndarray, C: np.ndarray, lam: np.ndarray,
+                      beta: float, c_beta: float) -> np.ndarray:
+    """A Xi + Xi A^T - Lambda with A = (1 - delta/2) I - C (zero at the solution).
+
+    delta = 1/c_beta when beta == 1 and 0 otherwise.
+    """
+    delta = 1.0 / c_beta if beta == 1.0 else 0.0
+    A = (1.0 - 0.5 * delta) * np.eye(C.shape[0]) - C
+    return A @ xi + xi @ A.T - lam
+
+
 # ---------------------------------------------------------------------------
 # Gaussian-sketch Monte Carlo, one sample at a time
 
@@ -378,7 +389,52 @@ def lambda_replay(B: np.ndarray, omega: np.ndarray, q: int,
 
 
 # ---------------------------------------------------------------------------
+# the KKT conditions of an equality-constrained problem, at one point
+
+
+def kkt_residual(problem, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """First-order residual [grad f + J^T lam; c(x)]."""
+    return np.concatenate([problem.grad(x) + problem.jac(x).T @ lam,
+                           problem.cons(x)])
+
+
+def newton_kkt_solve(problem, x0: np.ndarray, lam0: np.ndarray,
+                     tol: float = 1e-12,
+                     max_iter: int = 100) -> Tuple[np.ndarray, np.ndarray]:
+    """Deterministic full-Newton solve of the KKT conditions from (x0, lam0).
+
+    Raises RuntimeError if the residual's max norm does not reach tol.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    lam = np.asarray(lam0, dtype=float).copy()
+    d, m = len(x), len(lam)
+    for _ in range(max_iter):
+        res = kkt_residual(problem, x, lam)
+        if np.abs(res).max() <= tol:
+            return x, lam
+        J = problem.jac(x)
+        K = np.block([[problem.lagrangian_hess(x, lam), J.T],
+                      [J, np.zeros((m, m))]])
+        delta = np.linalg.solve(K, -res)
+        x = x + delta[:d]
+        lam = lam + delta[d:]
+    res = np.abs(kkt_residual(problem, x, lam)).max()
+    raise RuntimeError(f"KKT Newton did not converge (residual {res:.2e})")
+
+
+# ---------------------------------------------------------------------------
 # finite differences
+
+
+def sample_loss(model, x: np.ndarray, s) -> float:
+    """Loss of one regression observation at one point.
+
+    Linear: (xi_b - xi_a x)^2 / 2; logistic: log(1 + exp(-y xi_a x)).
+    """
+    if model.family == "linear":
+        res = s.xi_b - s.xi_a @ x
+        return 0.5 * float(res * res)
+    return float(np.logaddexp(0.0, -s.xi_b * (s.xi_a @ x)))
 
 
 def fd_grad(f: Callable[[np.ndarray], float], x: np.ndarray,

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, and file outputs."""
 
+import configparser
+import csv
 import dataclasses
+import os
 import textwrap
 
 import numpy as np
@@ -9,8 +12,8 @@ import pytest
 from snewt import cli
 from snewt.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main,
                        tail_slope)
-from snewt.config import ConfigError, parse_config_string
-from snewt.experiment import run_experiment
+from snewt.config import ConfigError, parse_config, parse_config_string
+from snewt.experiment import AGGREGATE_COLUMNS, SUMMARY_COLUMNS, run_experiment
 
 
 def _write_config(tmp_path, body, name="study.ini"):
@@ -237,6 +240,16 @@ def test_run_command_non_finite_value_is_config_error(tmp_path, capsys):
     assert err.startswith("error: [schedule] chi")
 
 
+def test_run_command_steep_band_decay_runs(tmp_path, capsys):
+    # (t + 1)^chi overflows a float from t = 1 on: the band width is 0.0,
+    # the value the quotient rounds to, not an OverflowError
+    text = _run_config_text(tmp_path).replace(
+        "[experiment]", "[schedule]\n        chi = 1100\n\n        [experiment]")
+    path = _write_config(tmp_path, text)
+    assert main(["run", path]) == EXIT_OK
+    assert "wsc:" in capsys.readouterr().out
+
+
 def test_run_command_missing_config_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nowhere.ini")]) == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err
@@ -263,6 +276,47 @@ def test_run_command_divergent_majority_exits_3(tmp_path, capsys, monkeypatch):
     assert "iterate-norm guard" in captured.err
     # The CSVs are still written so the surviving replications can be studied.
     assert (tmp_path / "agg.csv").exists() and (tmp_path / "sum.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the committed study configs, each cut to desk scale
+
+_CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                           "configs")
+_STUDY_CONFIGS = sorted(f for f in os.listdir(_CONFIG_DIR)
+                        if f.endswith(".ini"))
+
+
+def test_study_configs_are_committed():
+    assert len(_STUDY_CONFIGS) >= 4
+
+
+@pytest.mark.parametrize("name", _STUDY_CONFIGS)
+def test_study_config_runs_at_desk_scale(tmp_path, capsys, name):
+    parser = configparser.ConfigParser()
+    parser.read(os.path.join(_CONFIG_DIR, name))
+    parser["experiment"].update(n_iters="300", n_reps="4", record_every="100")
+    agg, summary = tmp_path / "agg.csv", tmp_path / "sum.csv"
+    parser["output"].update(aggregate=str(agg), summary=str(summary))
+    path = tmp_path / name
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    assert main(["run", str(path)]) == EXIT_OK
+    assert f"wrote {agg} (3 checkpoints)" in capsys.readouterr().out
+
+    with open(agg, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(AGGREGATE_COLUMNS)
+    assert [row[0] for row in rows[1:]] == ["100", "200", "300"]
+    estimators = parse_config(str(path)).experiment.estimators
+    with open(summary, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == list(SUMMARY_COLUMNS)
+    assert [row["estimator"] for row in rows] == list(estimators)
+    for row in rows:
+        assert (row["final_t"], row["n_reps"], row["n_diverged"]) == (
+            "300", "4", "0")
+        assert 0.0 <= float(row["coverage"]) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +404,9 @@ def test_oracle_command_constrained_is_config_error(tmp_path, capsys):
         family = eqqp
         """)
     assert main(["oracle", path]) == EXIT_CONFIG
-    assert "sqp_empirical_xi" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: [problem] family = eqqp")
+    assert "not available yet" in err
 
 
 def test_oracle_command_missing_config_is_config_error(tmp_path, capsys):

@@ -83,6 +83,9 @@ def test_bad_values_name_the_key():
         parse_config_string("[method]\nsolver = adam\n")
     with pytest.raises(ConfigError, match="sigma2"):
         parse_config_string("[problem]\nfamily = eqqp\nsigma2 = -1\n")
+    # sigma is squared in the oracle: its square must be a finite float
+    with pytest.raises(ConfigError, match=r"\[problem\] sigma must lie in"):
+        parse_config_string("[problem]\nsigma = 1e200\n")
     with pytest.raises(ConfigError, match="base_seed"):
         parse_config_string("[experiment]\nbase_seed = -1\n")
     with pytest.raises(ConfigError, match="gaussian_q"):

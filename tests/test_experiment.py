@@ -25,7 +25,6 @@ from snewt.experiment import (
     AGGREGATE_COLUMNS,
     SUMMARY_COLUMNS,
     run_experiment,
-    sqp_empirical_xi,
     write_aggregate_csv,
     write_summary_csv,
 )
@@ -583,10 +582,3 @@ def test_a_frozen_replication_is_reset_and_leaves_the_others_alone(
     assert result.final_per_rep.keys() == clean.final_per_rep.keys()
     for key, arr in clean.final_per_rep.items():
         assert _same_bits(result.final_per_rep[key][keep], arr[keep]), key
-
-
-def test_sqp_empirical_reference_smoke():
-    xi = sqp_empirical_xi("eqqp", 1e-2, n_iters=2000, n_reps=2, base_seed=1)
-    assert xi.shape == (3, 3)
-    assert np.array_equal(xi, xi.T)
-    assert np.linalg.eigvalsh(xi).min() >= -1e-12

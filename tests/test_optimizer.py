@@ -63,6 +63,10 @@ def test_schedule_hand_values():
     assert sched.phi(0) == 1.5
     assert abs(sched.beta_t(99) - 0.0977239) < 1e-6
     assert abs(sched.chi_t(99) - 0.0977239**2) < 1e-7
+    # 2^1100 overflows a float; c_chi / 2^1100 rounds to 0.0
+    steep = StepsizeSchedule(chi=1100.0)
+    assert steep.chi_t(0) == 1.0 and steep.chi_t(1) == 0.0
+    assert steep.phi(10**6) == steep.beta_t(10**6)
 
 
 def test_band_draw_is_uniform_on_the_band():

@@ -7,12 +7,9 @@ from snewt import oracle
 from snewt.oracle import (
     OracleCovariance,
     c_star,
-    grad_second_moment,
     lambda_matrix,
-    lyapunov_residual,
     omega_star,
     oracle_covariance,
-    population_hessian,
     rel_cov_error,
     rel_var_error,
     single_step_projection_expectation,
@@ -24,6 +21,7 @@ from snewt.sketch import SketchDistribution, _projector_factor
 from tests.oracles import (
     lambda_by_enumeration,
     lambda_replay,
+    lyapunov_residual,
     projection_expectation_replay,
 )
 
@@ -42,18 +40,21 @@ def test_linear_population_moments_are_closed_form():
         design=DesignCovSpec(kind="equicorr", r=0.3),
         sigma=2.0,
     )
-    B, se_b = population_hessian(model)
-    G, se_g = grad_second_moment(model)
-    assert se_b is None and se_g is None
+    oc = oracle_covariance(model, UC, None, 0.7, 1.0)
+    assert oc.mc_stderr == {}
+    B = oc.b_star
     assert np.array_equal(B, model.sigma_a)
-    assert np.allclose(G, 4.0 * model.sigma_a, atol=1e-14)
-    omega = omega_star(model)
-    assert np.allclose(omega, 4.0 * np.linalg.inv(model.sigma_a), atol=1e-12)
+    # E[g g^T] = B* Omega* B* = sigma^2 Sigma_a
+    assert np.allclose(B @ oc.omega @ B, 4.0 * model.sigma_a, atol=1e-12)
+    assert np.allclose(oc.omega, 4.0 * np.linalg.inv(model.sigma_a),
+                       atol=1e-12)
+    assert np.array_equal(omega_star(model), oc.omega)
 
 
 def test_linear_identity_design_gives_identity_moments():
     model = RegressionModel(family="linear", x_star=default_x_star(3))
-    assert np.array_equal(population_hessian(model)[0], np.eye(3))
+    oc = oracle_covariance(model, UC, None, 0.7, 1.0)
+    assert np.array_equal(oc.b_star, np.eye(3))
     assert np.allclose(omega_star(model), np.eye(3), atol=1e-14)
 
 
@@ -61,16 +62,19 @@ def test_logistic_moments_at_zero_target_match_exact_values():
     # x_star = 0 makes p = 1/2 surely: Hessian weight and squared-gradient
     # weight are both exactly 1/4, so B* = G* = I/4 and Omega* = 4 I.
     model = RegressionModel(family="logistic", x_star=np.zeros(3))
-    B, se_b = population_hessian(model, n_mc=200_000,
-                                 rng=np.random.default_rng(0))
-    G, se_g = grad_second_moment(model, n_mc=200_000,
-                                 rng=np.random.default_rng(1))
+    B, se_b, G, se_g = oracle._mc_hessian_moments(
+        model, 200_000, np.random.default_rng(0))
     assert np.abs(B - 0.25 * np.eye(3)).max() < 0.01
     assert np.abs(B - 0.25 * np.eye(3)).max() < 4.0 * se_b.max() + 1e-3
     assert np.abs(G - 0.25 * np.eye(3)).max() < 0.01
     assert se_g.max() < 0.002
     omega = omega_star(model, n_mc=200_000, rng=np.random.default_rng(2))
     assert np.abs(omega - 4.0 * np.eye(3)).max() < 0.08
+    # the oracle reports the same moments, with B* symmetrised
+    oc = oracle_covariance(model, UC, None, 0.7, 1.0, n_mc=200_000, seed=0)
+    assert np.array_equal(oc.b_star, 0.5 * (B + B.T))
+    assert np.array_equal(oc.mc_stderr["b_star"], se_b)
+    assert np.array_equal(oc.mc_stderr["grad_outer"], se_g)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +317,7 @@ def test_oracle_covariance_reports_monte_carlo_stderr_keys():
     model = RegressionModel(family="logistic", x_star=np.zeros(2))
     oc = oracle_covariance(model, UC, tau=1, beta=0.505, c_beta=1.0,
                            n_mc=50_000)
-    assert set(oc.mc_stderr) == {"b_star", "grad_second_moment"}
+    assert set(oc.mc_stderr) == {"b_star", "grad_outer"}
     gauss = SketchDistribution(kind="gaussian", q=1)
     oc2 = oracle_covariance(
         RegressionModel(family="linear", x_star=default_x_star(2)),
@@ -329,5 +333,30 @@ def test_error_metrics_hand_cases():
     assert abs(rel_var_error(0.5 * truth, truth) + 0.5) < 1e-15
     w = np.array([1.0, 0.0])
     assert abs(rel_var_error(np.diag([2.0, 3.0]), truth, w) - 1.0) < 1e-15
-    with pytest.raises(ValueError):
-        rel_var_error(eye, np.zeros((2, 2)))
+    # a truth with no variance along w gives what the division gives
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.isinf(rel_var_error(eye, np.zeros((2, 2))))
+        assert np.isnan(rel_var_error(np.zeros((2, 2)), np.zeros((2, 2))))
+
+
+def test_error_metrics_take_stacks_slice_by_slice():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((3, 3))
+    truth = A @ A.T + np.eye(3)
+    est = truth + 0.1 * rng.standard_normal((2, 4, 3, 3))
+    w = np.array([1.0, -2.0, 0.5])
+    est[1, 2, 0, 1] = np.nan
+    est[0, 3, 2, 2] = np.inf
+    cov = rel_cov_error(est, truth)
+    var = rel_var_error(est, truth, w)
+    assert cov.shape == var.shape == (2, 4)
+    for idx in np.ndindex(2, 4):
+        if idx in ((1, 2), (0, 3)):
+            # the SVD rejects non-finite input: the slice's error is NaN
+            assert np.isnan(cov[idx])
+            continue
+        assert cov[idx] == rel_cov_error(est[idx], truth)
+        assert isinstance(rel_cov_error(est[idx], truth), np.floating)
+        assert np.isclose(var[idx], rel_var_error(est[idx], truth, w),
+                          rtol=1e-13, atol=0.0)
+    assert np.isnan(var[1, 2]) and np.isinf(var[0, 3])

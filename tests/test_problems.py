@@ -12,13 +12,13 @@ from snewt.problems import (
     default_x_star,
     grad_noise_factor,
     materialize_design,
-    sample_loss,
     sigmoid,
     symmetric_noise,
 )
 from snewt.problems import _upper_triangle
 from snewt.sqp import SqpState, equality_qp, hs7, sqp_step
-from tests.oracles import fd_grad, fd_jac, symmetric_noise_replay
+from tests.oracles import (fd_grad, fd_jac, sample_loss,
+                           symmetric_noise_replay)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from snewt.sketch import (
     _projector_factor,
     exact_newton_solve,
     pinv_newton_solve,
-    projection_matrix,
     sketch_project_step,
     solve_newton_sketched,
 )
@@ -19,6 +18,12 @@ from tests.oracles import _pinv_projector, coordinate_sketches, sketch_loop
 def _random_spd(rng, d, ridge=0.5):
     A = rng.standard_normal((d, d))
     return A @ A.T + ridge * np.eye(d)
+
+
+def _projector(B, S, tol=0.0):
+    """Pi = W W^T from the rank-q factor W, slice by slice over S's stack."""
+    W = _projector_factor(B, S, tol)
+    return W @ W.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +139,7 @@ def test_degenerate_sketch_leaves_iterate_unchanged():
     S = np.array([[0.0], [1.0]])
     out = sketch_project_step(B, np.ones(2), dx, S, tol=1e-12)
     assert np.array_equal(out, dx)
-    assert np.array_equal(projection_matrix(B, S, tol=1e-12), np.zeros((2, 2)))
+    assert np.array_equal(_projector(B, S, tol=1e-12), np.zeros((2, 2)))
 
 
 def test_projection_matrix_is_symmetric_idempotent():
@@ -142,7 +147,7 @@ def test_projection_matrix_is_symmetric_idempotent():
     for q in (1, 2):
         B = _random_spd(rng, 4)
         S = rng.standard_normal((4, q))
-        P = projection_matrix(B, S)
+        P = _projector(B, S)
         assert np.allclose(P, P.T, atol=1e-12)
         assert np.allclose(P @ P, P, atol=1e-10)
         assert abs(np.trace(P) - q) < 1e-10
@@ -153,10 +158,10 @@ def test_stacked_projection_matrix_matches_single_calls():
     for q in (1, 2):
         B = _random_spd(rng, 4)
         S = rng.standard_normal((6, 4, q))
-        P = projection_matrix(B, S)
+        P = _projector(B, S)
         assert P.shape == (6, 4, 4)
         for k in range(6):
-            assert np.allclose(P[k], projection_matrix(B, S[k]),
+            assert np.allclose(P[k], _projector(B, S[k]),
                                rtol=1e-12, atol=1e-14)
             assert np.allclose(P[k], P[k].T, atol=1e-12)
             assert np.allclose(P[k] @ P[k], P[k], atol=1e-10)
@@ -169,15 +174,15 @@ def test_stacked_projection_matrix_zeroes_exactly_the_degenerate_slices():
     e1, e2, e3 = np.eye(3)
     ones = np.ones(3)
     S1 = np.stack([e1, e3, ones, 2.0 * e3])[:, :, None]
-    P1 = projection_matrix(B, S1, tol=1e-12)
+    P1 = _projector(B, S1, tol=1e-12)
     for k in (1, 3):
         assert np.array_equal(P1[k], np.zeros((3, 3)))
     for k in (0, 2):
-        assert np.allclose(P1[k], projection_matrix(B, S1[k]), atol=1e-14)
+        assert np.allclose(P1[k], _projector(B, S1[k]), atol=1e-14)
         assert abs(np.trace(P1[k]) - 1.0) < 1e-12
     S2 = np.stack([np.column_stack(pair) for pair in
                    [(e1, e2), (e3, 2.0 * e3), (e1, e3)]])
-    P2 = projection_matrix(B, S2, tol=1e-12)
+    P2 = _projector(B, S2, tol=1e-12)
     assert np.array_equal(P2[1], np.zeros((3, 3)))
     assert np.allclose(P2[0], np.diag([1.0, 1.0, 0.0]), atol=1e-12)
     # a rank-deficient slice keeps only its non-degenerate direction

@@ -14,13 +14,12 @@ from snewt.sqp import (
     equality_qp,
     hs7,
     kkt_assemble,
-    kkt_residual,
     maratos,
-    newton_kkt_solve,
     run_sqp,
     sqp_step,
 )
-from tests.oracles import fd_grad, fd_jac, wsc_two_pass
+from tests.oracles import (fd_grad, fd_jac, kkt_residual, newton_kkt_solve,
+                           wsc_two_pass)
 
 ALL_PROBLEMS = [equality_qp, maratos, hs7]
 
