@@ -5,18 +5,27 @@
 
 OLD_SRC and NEW_SRC are directories that hold the ``snewt`` package (a
 checkout's ``src/``).  Each tree runs the fixed list of studies in CONFIGS
-in its own interpreter; then, per study and output, the script prints
-whether the two trees' outputs are bit-identical and, where they are not,
-the largest relative difference.  The outputs compared are final_x,
-final_lam, each final estimate, the per-replication final metrics, every
-checkpoint row and n_diverged.  The exit status is 0 when every output of
-every study is bit-identical, and 1 otherwise.
+and the sequential runs in SEQUENTIAL in its own interpreter; then, per
+study and output, the script prints whether the two trees' outputs are
+bit-identical and, where they are not, the largest relative difference.
+The exit status is 0 when every output of every study is bit-identical,
+and 1 otherwise.
 
-The list covers both model families with exact, coordinate-sketch and
-Gaussian-sketch solves, the averaged-SGD baseline with batch means, the
-three constrained problems with exact and sketched KKT solves, and a
-lowered divergence guard under which some replications freeze and others
-do not.  It takes about six seconds per tree on a 2-core x86 VM.
+For the studies (run_experiment) the outputs compared are final_x,
+final_lam, each final estimate, the per-replication final metrics, every
+checkpoint row and n_diverged.  The list covers both model families with
+exact, coordinate-sketch and Gaussian-sketch solves, the averaged-SGD
+baseline with batch means, the three constrained problems with exact and
+sketched KKT solves, and a lowered divergence guard under which some
+replications freeze and others do not.
+
+The sequential runs call optimizer.run (both model families, exact,
+coordinate and Gaussian solves) and sqp.run_sqp (eqqp, exact and tau = 2)
+with the arguments every tree takes: the problem, solve config and
+schedule a config builds, n_iters, an int seed and a sink that records
+each (t, x_t, alpha).  Their outputs are the final x, B and lam, every
+sink record, and the step at which the run diverged (0 when it did not).
+All of it takes about seven seconds per tree on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -90,6 +99,27 @@ def _configs():
 CONFIGS = _configs()
 
 
+def _sequential():
+    """(name, INI text, driver): single runs of the library drivers."""
+    out = []
+    for family in ("linear", "logistic"):
+        for i, (tag, method) in enumerate(_SKETCHES):
+            out.append((f"run:{family}-d4-{tag}",
+                        _config(f"family = {family}\nd = 4\n"
+                                "design = equicorr\nr = 0.3",
+                                "solver = newton\n" + method, 50 + i),
+                        "run"))
+    for i, (tag, method) in enumerate(_SKETCHES[:2]):
+        out.append((f"run_sqp:eqqp-{tag}",
+                    _config("family = eqqp\nsigma2 = 0.01",
+                            "solver = newton\n" + method, 60 + i),
+                    "run_sqp"))
+    return out
+
+
+SEQUENTIAL = _sequential()
+
+
 # ---------------------------------------------------------------------------
 # one tree: run every study, pickle its outputs
 
@@ -108,6 +138,41 @@ def _outputs(result, columns) -> dict:
     return out
 
 
+def _sequential_outputs(cfg, driver: str) -> dict:
+    from snewt.optimizer import DivergenceError, run
+    from snewt.sqp import run_sqp
+
+    problem = cfg.build_problem()
+    solve_cfg = cfg.build_solve_config()
+    schedule = cfg.build_schedule()
+    n_iters, seed = cfg.experiment.n_iters, cfg.experiment.base_seed
+    records = []
+
+    def sink(t, x, alpha):
+        records.append((t, x.copy(), alpha))
+
+    final, diverged_at = None, 0
+    try:
+        if driver == "run":
+            final = run(problem, solve_cfg, schedule, n_iters, seed,
+                        sinks=[sink])
+        else:
+            final = run_sqp(problem, cfg.problem.sigma2, solve_cfg, schedule,
+                            n_iters, seed, sinks=[sink])
+    except DivergenceError as exc:
+        diverged_at = exc.t
+    return {
+        "final_x": None if final is None else final.x,
+        "final_B": None if final is None else final.B,
+        "final_lam": getattr(final, "lam", None),
+        "records.t": np.array([t for t, _, _ in records], dtype=float),
+        "records.x": np.array([x for _, x, _ in records]),
+        "records.alpha": np.array([a for _, _, a in records]),
+        "diverged_at": diverged_at,
+        "n_diverged": int(diverged_at > 0),
+    }
+
+
 def _worker(path: str) -> None:
     # the tree under test, which _run_tree puts on PYTHONPATH
     import snewt.experiment as experiment
@@ -119,6 +184,8 @@ def _worker(path: str) -> None:
         experiment._DIVERGENCE_NORM = default_guard if guard is None else guard
         result = experiment.run_experiment(parse_config_string(text))
         results[name] = _outputs(result, experiment.AGGREGATE_COLUMNS)
+    for name, text, driver in SEQUENTIAL:
+        results[name] = _sequential_outputs(parse_config_string(text), driver)
     with open(path, "wb") as fh:
         pickle.dump({"snewt": experiment.__file__, "results": results}, fh)
 
@@ -172,7 +239,7 @@ def main(argv) -> int:
         old = _run_tree(argv[1], os.path.join(tmp, "old.pkl"))
         new = _run_tree(argv[2], os.path.join(tmp, "new.pkl"))
     all_same = True
-    for name, _, _ in CONFIGS:
+    for name, _, _ in CONFIGS + SEQUENTIAL:
         keys = sorted(set(old[name]) | set(new[name]))
         diffs = []
         for key in keys:

@@ -40,11 +40,12 @@ from .config import ExperimentConfig
 from .covariance import (_SUB, BatchMeansAccumulator, PlugInAccumulator,
                          WscAccumulator, plugin_estimate)
 from .inference import normal_quantile
-from .optimizer import NewtonState, RngStreams, StepsizeSchedule, newton_step
+from .optimizer import (_DIVERGENCE_NORM, NewtonState, RngStreams,
+                        StepsizeSchedule, newton_step)
 from .oracle import (omega_star, oracle_covariance, rel_cov_error,
                      rel_var_error)
 from .problems import RegressionModel, Sample, grad_noise_factor
-from .sketch import SketchSolveConfig, pinv_newton_solve
+from .sketch import PINV_TOL, SketchSolveConfig, pinv_newton_solve
 from .sqp import EqConstrainedProblem, SqpState, sqp_step
 
 __all__ = [
@@ -91,7 +92,6 @@ SUMMARY_COLUMNS = (
 # per step, generator time was 15-30% above 1024-step refills (2-4% of a
 # headline study) and 35-75% above at 128 steps.
 _CHUNK = 8 * _SUB
-_DIVERGENCE_NORM = 1e8
 
 _SUFFIX = {"wsc": "wsc", "plugin": "plugin", "batchmeans": "bm"}
 
@@ -113,8 +113,7 @@ _plugin_estimate_batched = plugin_estimate
 # batched linear-system solves
 
 
-def _exact_solve_batched(B: np.ndarray, g: np.ndarray,
-                         pinv_tol: float) -> np.ndarray:
+def _exact_solve_batched(B: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Stacked exact Newton directions: Cholesky-gated solve of B dx = -g.
 
     Callers pass the positive-definite solve blend, so the gate is pure
@@ -131,7 +130,7 @@ def _exact_solve_batched(B: np.ndarray, g: np.ndarray,
                 np.linalg.cholesky(B[r])
                 out[r] = np.linalg.solve(B[r], -g[r])
             except np.linalg.LinAlgError:
-                out[r] = pinv_newton_solve(B[r], g[r], pinv_tol)
+                out[r] = pinv_newton_solve(B[r], g[r])
         return out
 
 
@@ -187,9 +186,10 @@ def _uc_solve_batched(B: np.ndarray, g: np.ndarray, idx: np.ndarray,
 
 
 def _gaussian_solve_batched(B: np.ndarray, g: np.ndarray, zblk: np.ndarray,
-                            chol: Optional[np.ndarray],
                             tol: np.ndarray) -> np.ndarray:
     """Stacked Gaussian sketch-and-project sweep; zblk is (R, tau, n, q).
+
+    The sketches are the standard normal blocks zblk[:, s] themselves.
 
     The first step starts from dx = 0, where the residual is S^T g.
     """
@@ -197,8 +197,6 @@ def _gaussian_solve_batched(B: np.ndarray, g: np.ndarray, zblk: np.ndarray,
     dx = np.zeros_like(g)
     for s in range(tau):
         S = zblk[:, s]
-        if chol is not None:
-            S = np.einsum("ij,rjq->riq", chol, S)
         W = np.einsum("rij,rjq->riq", B, S)
         res = np.einsum("riq,ri->rq", S, g)
         if s:  # from dx = 0 the residual is S^T g
@@ -273,14 +271,13 @@ class _ChunkBlocks:
 
 
 def _sweep_solve(M: np.ndarray, rhs: np.ndarray, draws: np.ndarray,
-                 solve_cfg: SketchSolveConfig,
-                 chol: Optional[np.ndarray]) -> np.ndarray:
+                 solve_cfg: SketchSolveConfig) -> np.ndarray:
     """One tau-step sketch sweep on the stacked systems M delta = -rhs."""
     flat = M.reshape(M.shape[0], -1)
-    tol = solve_cfg.pinv_tol * np.einsum("ri,ri->r", flat, flat) / M.shape[-1]
+    tol = PINV_TOL * np.einsum("ri,ri->r", flat, flat) / M.shape[-1]
     if solve_cfg.dist.kind == "uniform_coordinate":
         return _uc_solve_batched(M, rhs, draws, tol)
-    return _gaussian_solve_batched(M, rhs, draws, chol, tol)
+    return _gaussian_solve_batched(M, rhs, draws, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +407,6 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
     target = float(w @ problem.x_star)
     uniform = schedule.mode == "uniform_band"
 
-    sk_chol = (solve_cfg.dist.cov_factor(d + m)
-               if solve_cfg.dist.kind == "gaussian" else None)
-
     streams = [RngStreams.from_seed(exp.base_seed ^ r) for r in range(R)]
     blk = _ChunkBlocks(streams, min(chunk, n_iters), d + m, solve_cfg,
                        uniform, width, labels)
@@ -431,7 +425,7 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
         # the sweep reads the sketch draws of the current step k
         if solve_cfg.tau is None:
             return exact_solve(M, rhs)
-        return _sweep_solve(M, rhs, blk.sketch[:, k], solve_cfg, sk_chol)
+        return _sweep_solve(M, rhs, blk.sketch[:, k], solve_cfg)
 
     def snapshot(t_now: int) -> Tuple[Dict[str, np.ndarray],
                                       Dict[str, Optional[np.ndarray]]]:
@@ -555,14 +549,12 @@ def _run_shard_regression(
                             solve)
         return state.x, Lam, state.B, state.last_grad
 
-    def exact(B: np.ndarray, G: np.ndarray) -> np.ndarray:
-        return _exact_solve_batched(B, G, solve_cfg.pinv_tol)
-
     # linear: d feature normals plus the response noise per step;
     # logistic: d feature normals per step, then the label uniforms
     return _run_shard(cfg, model, schedule, solve_cfg, w, xi, omega, chunk,
                       x0=np.zeros(d), m=0, width=d + 1 if lin else d,
-                      labels=not lin, exact_solve=exact, step=step)
+                      labels=not lin, exact_solve=_exact_solve_batched,
+                      step=step)
 
 
 def _run_shard_sqp(

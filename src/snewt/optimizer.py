@@ -34,7 +34,10 @@ __all__ = [
 ]
 
 TraceSink = Callable[[int, np.ndarray, float], None]
-GradSink = Callable[[int, np.ndarray], None]
+
+# Iterate-norm bound of run, run_sqp and the study harness: an iterate
+# past it (or non-finite) has diverged.
+_DIVERGENCE_NORM = 1e8
 
 
 class DivergenceError(RuntimeError):
@@ -114,9 +117,9 @@ class RngStreams(NamedTuple):
     step: np.random.Generator
 
     @classmethod
-    def from_seed(cls, seed: Union[int, np.random.SeedSequence]) -> "RngStreams":
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        return cls(*(np.random.default_rng(child) for child in ss.spawn(3)))
+    def from_seed(cls, seed: int) -> "RngStreams":
+        """The three children of the generator seeded with seed, in order."""
+        return cls(*np.random.default_rng(seed).spawn(3))
 
 
 @dataclass
@@ -134,11 +137,9 @@ class NewtonState:
     last_grad: Optional[np.ndarray] = None
 
     @classmethod
-    def initial(cls, d: int, x0: Optional[np.ndarray] = None,
-                B0: Optional[np.ndarray] = None) -> "NewtonState":
-        x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
-        B = np.eye(d) if B0 is None else np.asarray(B0, dtype=float).copy()
-        return cls(t=0, x=x, B=B)
+    def initial(cls, d: int) -> "NewtonState":
+        """t = 0 at x = 0 with B = I."""
+        return cls(t=0, x=np.zeros(d), B=np.eye(d))
 
 
 def ridged_average(B: np.ndarray, H: np.ndarray, schedule: StepsizeSchedule,
@@ -219,20 +220,17 @@ def run(
     cfg: SketchSolveConfig,
     schedule: StepsizeSchedule,
     n_iters: int,
-    seed: Union[int, np.random.SeedSequence, RngStreams],
+    seed: int,
     sinks: Iterable[TraceSink] = (),
-    grad_sinks: Iterable[GradSink] = (),
-    x0: Optional[np.ndarray] = None,
-    B0: Optional[np.ndarray] = None,
-    divergence_norm: float = 1e8,
 ) -> NewtonState:
-    """Run n_iters Newton steps, streaming (t, x_t, alpha_{t-1}) to sinks.
+    """Run n_iters Newton steps from x = 0, B = I, streaming to sinks.
 
-    Sinks are plain callables sink(t, x, alpha), invoked once per step in
-    order with t = 1..n_iters; grad_sinks receive (t, g) with the gradient
-    sample used at step t (t = 0..n_iters-1).  Raises DivergenceError when
-    the iterate norm exceeds divergence_norm or turns non-finite.
+    Sinks are plain callables sink(t, x_t, alpha_{t-1}), invoked once per
+    step in order with t = 1..n_iters.  Raises DivergenceError when the
+    iterate norm exceeds 1e8 (the study harness's guard) or turns
+    non-finite.
 
+    The int seed gives three independent generators (RngStreams.from_seed).
     Per step, the data stream gives one observation (problem.draw), the
     step stream one uniform in band mode only, and the sketch stream the
     draws of solve_newton_sketched; a solve that raises LinAlgError falls
@@ -240,29 +238,23 @@ def run(
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
-    rngs = seed if isinstance(seed, RngStreams) else RngStreams.from_seed(seed)
-    d = problem.dim
-    state = NewtonState.initial(d, x0=x0, B0=B0)
+    rngs = RngStreams.from_seed(seed)
+    state = NewtonState.initial(problem.dim)
     sinks = tuple(sinks)
-    grad_sinks = tuple(grad_sinks)
-    # clamped so that an infinite bound still rejects inf and NaN iterates
-    bound2 = min(divergence_norm * divergence_norm, np.finfo(float).max)
+    bound2 = _DIVERGENCE_NORM * _DIVERGENCE_NORM
 
     def solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:
         try:
             return solve_newton_sketched(B, g, cfg, rngs.sketch)
         except np.linalg.LinAlgError:
-            return pinv_newton_solve(B, g, cfg.pinv_tol)
+            return pinv_newton_solve(B, g)
 
     for _ in range(n_iters):
-        t_eval = state.t
         s = problem.draw(rngs.data)
-        alpha = schedule.draw(t_eval, rngs.step)
+        alpha = schedule.draw(state.t, rngs.step)
         state = newton_step(state, problem, s, schedule, alpha, solve)
         if not state.x @ state.x <= bound2:
             raise DivergenceError(state.t, float(np.linalg.norm(state.x)))
-        for gs in grad_sinks:
-            gs(t_eval, state.last_grad)
         for sink in sinks:
             sink(state.t, state.x, state.last_alpha)
     return state

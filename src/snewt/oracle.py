@@ -41,6 +41,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from .config import ConfigError
 from .problems import RegressionModel, sigmoid
 from .sketch import SketchDistribution, _projector_factor
 
@@ -62,6 +63,20 @@ def _delta(beta: float, c_beta: float) -> float:
     return 1.0 / c_beta if beta == 1.0 else 0.0
 
 
+def _require_finite(model: RegressionModel,
+                    mats: Dict[str, np.ndarray]) -> None:
+    """ConfigError naming the model's scale at the first non-finite matrix.
+
+    A linear model's ground truth scales with sigma^2, which can overflow.
+    """
+    for name, mat in mats.items():
+        if not np.isfinite(mat).all():
+            key = (f"sigma = {model.sigma:g}" if model.family == "linear"
+                   else "x_star")
+            raise ConfigError(f"[problem] {key}: the ground truth {name} is "
+                              "not finite; use a smaller scale")
+
+
 # Gaussian-sketch Monte Carlo draws blocks of samples whose `steps` (d, d)
 # projectors would hold about this many entries (1 MB of float64): large
 # enough that per-block Python overhead is negligible, small next to the
@@ -74,8 +89,8 @@ def _gaussian_mc(B: np.ndarray, dist: SketchDistribution, steps: int,
                  rng: np.random.Generator, chunk: Optional[int]):
     """MC mean and stderr of stat over samples of `steps` Gaussian sketches.
 
-    Each sample is `steps` sketches S = chol Z with Z a (d, q) standard
-    normal block.  A block of n samples reads the generator as one
+    Each sample is `steps` sketches S, each a (d, q) standard normal
+    block.  A block of n samples reads the generator as one
     (n, steps, d, q) array, the same order as n * steps separate (d, q)
     draws.  Each projector Pi = B S (S^T B^2 S)^+ S^T B enters as its
     rank-q factor W (Pi = W W^T): stat maps the (n, steps, d, q) factor
@@ -87,8 +102,6 @@ def _gaussian_mc(B: np.ndarray, dist: SketchDistribution, steps: int,
     number of samples per block (default: _MC_BLOCK_ENTRIES / (steps d^2)).
     """
     d = B.shape[0]
-    chol = dist.cov_factor(d)
-    BL = B if chol is None else B @ chol  # B S = (B chol) Z
     per_block = chunk or max(1, _MC_BLOCK_ENTRIES // (steps * d * d))
     total = np.zeros((d, d))
     m2 = np.zeros((d, d))  # sum of squared deviations from the mean
@@ -96,7 +109,7 @@ def _gaussian_mc(B: np.ndarray, dist: SketchDistribution, steps: int,
     while done < n_mc:
         n = min(per_block, n_mc - done)
         z = rng.standard_normal((n, steps, d, dist.q))
-        x = stat(_projector_factor(BL, z))
+        x = stat(_projector_factor(B, z))
         s = x.sum(axis=0)
         x -= s / n  # stat's output is a fresh array: centre it in place
         m2 += np.einsum("nij,nij->ij", x, x)
@@ -172,7 +185,9 @@ def omega_star(
 ) -> np.ndarray:
     """Sandwich covariance (B*)^{-1} E[g g^T] (B*)^{-1} at x*."""
     rng = np.random.default_rng(0) if rng is None else rng
-    return _sandwich(model, n_mc, rng)[1]
+    omega = _sandwich(model, n_mc, rng)[1]
+    _require_finite(model, {"Omega*": omega})
+    return omega
 
 
 def single_step_projection_expectation(
@@ -328,7 +343,10 @@ def oracle_covariance(
     n_mc: int = 200_000,
     seed: int = 0,
 ) -> OracleCovariance:
-    """Assemble B*, Omega*, C*, Lambda and Xi* for a regression model."""
+    """Assemble B*, Omega*, C*, Lambda and Xi* for a regression model.
+
+    Raises ConfigError when B*, Omega*, Lambda or Xi* is not finite.
+    """
     rng = np.random.default_rng(seed)
     b, omega, stderr = _sandwich(model, max(n_mc, 200_000), rng)
     if tau is None:
@@ -343,6 +361,8 @@ def oracle_covariance(
         if se_lam is not None:
             stderr["lambda"] = se_lam
     xi = xi_star(C, lam, beta, c_beta)
+    _require_finite(model, {"B*": b, "Omega*": omega, "Lambda": lam,
+                            "Xi*": xi})
     return OracleCovariance(
         b_star=b, omega=omega, c_star=C, lam=lam, xi=xi,
         beta=beta, c_beta=c_beta, mc_stderr=stderr,

@@ -7,6 +7,11 @@ iterate onto the solution space of the sketched equations S^T B dx = -S^T g:
 
 Running tau such steps from dx = 0 gives an inexact Newton direction; the
 exact direction is recovered either as tau -> infinity or by a direct solve.
+
+Sketches are uniform coordinate columns or standard normal (d, q) blocks.
+The pseudo-inverses of S^T B^2 S in a sketch step and of B in
+pinv_newton_solve drop eigenvalues below PINV_TOL * ||B||_F^2 / d, with
+the fixed PINV_TOL = 1e-12; a q = 1 step below the cutoff is skipped.
 """
 
 from __future__ import annotations
@@ -32,12 +37,11 @@ class SketchDistribution:
 
     kind "uniform_coordinate": S is a uniformly random canonical basis
         column (q = 1).  Equivalent to randomized Kaczmarz on the rows.
-    kind "gaussian": q i.i.d. columns N(0, cov); cov defaults to identity.
+    kind "gaussian": q i.i.d. standard normal columns.
     """
 
     kind: str = "uniform_coordinate"
     q: int = 1
-    cov: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("uniform_coordinate", "gaussian"):
@@ -46,17 +50,6 @@ class SketchDistribution:
             raise ValueError("sketch width q must be >= 1")
         if self.kind == "uniform_coordinate" and self.q != 1:
             raise ValueError("uniform_coordinate sketches have q = 1")
-        if self.cov is not None and self.kind != "gaussian":
-            raise ValueError("cov is only meaningful for gaussian sketches")
-
-    def cov_factor(self, d: int) -> Optional[np.ndarray]:
-        """Cholesky factor of cov, or None when cov is the identity."""
-        if self.cov is None:
-            return None
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (d, d):
-            raise ValueError("sketch cov has wrong shape")
-        return np.linalg.cholesky(cov)
 
 
 @dataclass(frozen=True)
@@ -64,31 +57,29 @@ class SketchSolveConfig:
     """How to produce the Newton direction.
 
     tau = None requests an exact solve (Cholesky); tau = n >= 1 runs n
-    sketch-and-project steps.  pinv_tol is the relative eigenvalue cutoff
-    used when pseudo-inverting S^T B^2 S: eigenvalues below
-    pinv_tol * ||B||_F^2 / d are treated as zero (for q = 1 the step is
-    skipped).
+    sketch-and-project steps.
     """
 
     dist: SketchDistribution = SketchDistribution()
     tau: Optional[int] = None
-    pinv_tol: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.tau is not None and self.tau < 1:
             raise ValueError("tau must be >= 1 or None for an exact solve")
-        if self.pinv_tol <= 0.0:
-            raise ValueError("pinv_tol must be positive")
 
     @property
     def is_exact(self) -> bool:
         return self.tau is None
 
 
-def _pinv_tol_abs(B: np.ndarray, pinv_tol: float) -> np.ndarray:
+# relative eigenvalue cutoff of every pseudo-inverse in a solve
+PINV_TOL = 1e-12
+
+
+def _tol_abs(B: np.ndarray) -> np.ndarray:
     # Cheap O(d^2) scale proxy, per (d, d) slice: ||B||_F^2 / d lies within
     # a factor d of the squared spectral norm.
-    return pinv_tol * (B * B).sum(axis=(-2, -1)) / B.shape[-1]
+    return PINV_TOL * (B * B).sum(axis=(-2, -1)) / B.shape[-1]
 
 
 def sketch_project_step(
@@ -153,19 +144,18 @@ def exact_newton_solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.linalg.solve(B, -g)
 
 
-def pinv_newton_solve(B: np.ndarray, g: np.ndarray,
-                      pinv_tol: float = 1e-12) -> np.ndarray:
+def pinv_newton_solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares Newton directions -B^+ g.
 
     B is one symmetric (d, d) matrix with g of shape (d,), or a stack
     (..., d, d) with g (..., d), solved slice by slice.  Eigenvalues of a
-    slice below pinv_tol * ||B||_F^2 / d are dropped.  This is the
+    slice below PINV_TOL * ||B||_F^2 / d are dropped.  This is the
     well-posed extension of the exact solve to the singular Hessian
     averages of the first few iterations (a mean of fewer than d rank-1
     samples has rank < d by construction).
     """
     evals, evecs = np.linalg.eigh(B)
-    keep = evals > _pinv_tol_abs(B, pinv_tol)[..., None]
+    keep = evals > _tol_abs(B)[..., None]
     inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
     proj = np.einsum("...dk,...d->...k", evecs, g)
     return -np.einsum("...dk,...k->...d", evecs, inv * proj)
@@ -194,7 +184,7 @@ def solve_newton_sketched(
     if cfg.dist.kind == "uniform_coordinate":
         BB = B * B
         coldens = BB.sum(axis=0)
-        tol = cfg.pinv_tol * BB.sum() / d
+        tol = PINV_TOL * BB.sum() / d
         dx = None
         for i in rng.integers(0, d, size=tau).tolist():
             den = coldens[i]
@@ -205,11 +195,8 @@ def solve_newton_sketched(
             else:
                 dx = dx - ((B[i] @ dx + g[i]) / den) * B[i]
         return np.zeros(d) if dx is None else dx
-    tol = _pinv_tol_abs(B, cfg.pinv_tol)
+    tol = _tol_abs(B)
     dx = np.zeros(d)
-    z = rng.standard_normal((tau, d, cfg.dist.q))
-    chol = cfg.dist.cov_factor(d)
-    for j in range(tau):
-        s = z[j] if chol is None else chol @ z[j]
+    for s in rng.standard_normal((tau, d, cfg.dist.q)):
         dx = sketch_project_step(B, g, dx, s, tol)
     return dx

@@ -26,8 +26,9 @@ from typing import Callable, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-from .optimizer import (DivergenceError, RngStreams, StepsizeSchedule,
-                        TraceSink, fold_average, ridged_average)
+from .optimizer import (_DIVERGENCE_NORM, DivergenceError, RngStreams,
+                        StepsizeSchedule, TraceSink, fold_average,
+                        ridged_average)
 from .problems import grad_noise_factor, symmetric_noise
 from .sketch import SketchSolveConfig, solve_newton_sketched
 
@@ -79,9 +80,6 @@ class EqConstrainedProblem:
         """sum_i lam[..., i] hess c_i(x), shape (..., d, d)."""
         return np.einsum("...m,...mij->...ij", lam, self.cons_hess(x))
 
-    def lagrangian_hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self.hess(x) + self.weighted_cons_hess(x, lam)
-
 
 def kkt_assemble(B: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Symmetric KKT matrices [[B, G^T], [G, 0]], stacked over leading axes."""
@@ -117,15 +115,16 @@ def sqp_step(
     z: np.ndarray,
     alpha: Union[float, np.ndarray],
     solve: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grad_chol: Optional[np.ndarray] = None,
+    grad_chol: np.ndarray,
 ) -> SqpState:
     """One stochastic SQP step, for one replication or a stack of them.
 
     ``z`` holds each replication's d + d(d+1)/2 standard normals: the
-    first d give gradient noise of covariance sigma2 (I + 1 1^T), the rest
-    the symmetric Hessian noise (see problems.symmetric_noise).
-    Constraints are exact.  The Lagrangian Hessian sample weights the
-    constraint Hessians by the current multipliers:
+    first d give gradient noise of covariance sigma2 (I + 1 1^T) through
+    ``grad_chol`` = grad_noise_factor(d, sigma2), the rest the symmetric
+    Hessian noise (see problems.symmetric_noise).  Constraints are exact.
+    The Lagrangian Hessian sample weights the constraint Hessians by the
+    current multipliers:
 
         H_t = (hess f(x_t) + noise) + sum_i lam_t[i] hess c_i(x_t),
         B_{t+1} = (t B_t + H_t) / (t + 1).
@@ -144,8 +143,6 @@ def sqp_step(
     d = problem.dim
     t = state.t
     X, Lam, B = state.x, state.lam, state.B
-    if grad_chol is None:
-        grad_chol = grad_noise_factor(d, sigma2)
     gbar = problem.grad(X) + z[..., :d] @ grad_chol.T
     H = (problem.hess(X) + symmetric_noise(z[..., d:], d, sigma2)
          + problem.weighted_cons_hess(X, Lam))
@@ -166,19 +163,23 @@ def run_sqp(
     cfg: SketchSolveConfig,
     schedule: StepsizeSchedule,
     n_iters: int,
-    seed: Union[int, np.random.SeedSequence, RngStreams],
+    seed: int,
     sinks: Iterable[TraceSink] = (),
-    divergence_norm: float = 1e8,
 ) -> SqpState:
-    """Run n_iters SQP steps; sinks receive (t, x_t, alpha_{t-1}).
+    """Run n_iters SQP steps from (problem.x0, lam = 0, B = I).
 
-    Per step, the data stream gives d + d(d+1)/2 normals (see sqp_step),
-    the sketch stream gives the draws of solve_newton_sketched on the
-    assembled KKT system, and the step stream gives one uniform in band
-    mode only.  The three are separate generators, so the order in which
-    they are read does not matter.
+    Sinks receive (t, x_t, alpha_{t-1}).  Raises DivergenceError when
+    ||x|| + ||lam|| exceeds 1e8 (the study harness's guard) or turns
+    non-finite.
+
+    The int seed gives three independent generators
+    (RngStreams.from_seed).  Per step, the data stream gives d + d(d+1)/2
+    normals (see sqp_step), the sketch stream gives the draws of
+    solve_newton_sketched on the assembled KKT system, and the step stream
+    gives one uniform in band mode only.  The three are separate
+    generators, so the order in which they are read does not matter.
     """
-    rngs = seed if isinstance(seed, RngStreams) else RngStreams.from_seed(seed)
+    rngs = RngStreams.from_seed(seed)
     d = problem.dim
     n_normals = d + d * (d + 1) // 2
     grad_chol = grad_noise_factor(d, sigma2)
@@ -188,15 +189,13 @@ def run_sqp(
     state = SqpState(t=0, x=problem.x0.copy(), lam=np.zeros(problem.n_cons),
                      B=np.eye(d))
     sinks = tuple(sinks)
-    # clamped so that an infinite bound still rejects inf and NaN iterates
-    bound = min(divergence_norm, np.finfo(float).max)
     for _ in range(n_iters):
         z = rngs.data.standard_normal(n_normals)
         alpha = schedule.draw(state.t, rngs.step)
         state = sqp_step(state, problem, sigma2, schedule, z, alpha, solve,
                          grad_chol)
         norm = math.sqrt(state.x @ state.x) + math.sqrt(state.lam @ state.lam)
-        if not norm <= bound:
+        if not norm <= _DIVERGENCE_NORM:
             raise DivergenceError(state.t, norm)
         for sink in sinks:
             sink(state.t, state.x, state.last_alpha)

@@ -332,12 +332,6 @@ def lyapunov_residual(xi: np.ndarray, C: np.ndarray, lam: np.ndarray,
 # Gaussian-sketch Monte Carlo, one sample at a time
 
 
-def _gaussian_sketch(rng: np.random.Generator, d: int, q: int,
-                     cov: Optional[np.ndarray]) -> np.ndarray:
-    z = rng.standard_normal((d, q))
-    return z if cov is None else np.linalg.cholesky(cov) @ z
-
-
 def _pinv_projector(B: np.ndarray, S: np.ndarray) -> np.ndarray:
     BS = B @ S
     return BS @ np.linalg.pinv(BS.T @ BS) @ BS.T
@@ -357,19 +351,17 @@ def _mean_and_stderr(samples: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]
     return 0.5 * (mean + mean.T), se
 
 
-def projection_expectation_replay(B: np.ndarray, q: int,
-                                  cov: Optional[np.ndarray], n_mc: int,
+def projection_expectation_replay(B: np.ndarray, q: int, n_mc: int,
                                   rng: np.random.Generator):
     """(E[Pi], stderr) from n_mc sketches, each drawn as its own (d, q) block."""
     d = B.shape[0]
     return _mean_and_stderr([
-        _pinv_projector(B, _gaussian_sketch(rng, d, q, cov))
+        _pinv_projector(B, rng.standard_normal((d, q)))
         for _ in range(n_mc)])
 
 
-def lambda_replay(B: np.ndarray, omega: np.ndarray, q: int,
-                  cov: Optional[np.ndarray], tau: int, n_mc: int,
-                  rng: np.random.Generator):
+def lambda_replay(B: np.ndarray, omega: np.ndarray, q: int, tau: int,
+                  n_mc: int, rng: np.random.Generator):
     """(Lambda, stderr): mean of (I - Ctilde) Omega (I - Ctilde)^T per sample.
 
     Each sample multiplies out its tau residual factors (I - Pi_j), drawing
@@ -381,7 +373,7 @@ def lambda_replay(B: np.ndarray, omega: np.ndarray, q: int,
     for _ in range(n_mc):
         resid = eye.copy()
         for _ in range(tau):
-            pi = _pinv_projector(B, _gaussian_sketch(rng, d, q, cov))
+            pi = _pinv_projector(B, rng.standard_normal((d, q)))
             resid = (eye - pi) @ resid
         half = eye - resid
         samples.append(half @ omega @ half.T)
@@ -413,7 +405,8 @@ def newton_kkt_solve(problem, x0: np.ndarray, lam0: np.ndarray,
         if np.abs(res).max() <= tol:
             return x, lam
         J = problem.jac(x)
-        K = np.block([[problem.lagrangian_hess(x, lam), J.T],
+        H = problem.hess(x) + problem.weighted_cons_hess(x, lam)
+        K = np.block([[H, J.T],
                       [J, np.zeros((m, m))]])
         delta = np.linalg.solve(K, -res)
         x = x + delta[:d]

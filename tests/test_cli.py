@@ -250,6 +250,30 @@ def test_run_command_steep_band_decay_runs(tmp_path, capsys):
     assert "wsc:" in capsys.readouterr().out
 
 
+# sigma^2 is a finite float here, but the sketch terms of Lambda overflow
+_OVERFLOWING_SIGMA = """\
+    [problem]
+    d = 3
+    sigma = 1.3e154
+
+    [method]
+    tau = 2
+
+    [experiment]
+    n_iters = 50
+    """
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_command_non_finite_ground_truth_is_config_error(tmp_path, capsys):
+    # used to end in "LinAlgError: SVD did not converge" at a checkpoint
+    path = _write_config(tmp_path, _OVERFLOWING_SIGMA)
+    assert main(["run", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: [problem] sigma = 1.3e+154")
+    assert "Lambda is not finite" in err
+
+
 def test_run_command_missing_config_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nowhere.ini")]) == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err
@@ -407,6 +431,18 @@ def test_oracle_command_constrained_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: [problem] family = eqqp")
     assert "not available yet" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_oracle_command_non_finite_ground_truth_is_config_error(tmp_path,
+                                                                capsys):
+    # used to print an all-NaN xi_star and exit 0
+    path = _write_config(tmp_path, _OVERFLOWING_SIGMA)
+    assert main(["oracle", path]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "xi_star" not in out
+    assert err.startswith("error: [problem] sigma = 1.3e+154")
+    assert "Lambda is not finite" in err
 
 
 def test_oracle_command_missing_config_is_config_error(tmp_path, capsys):

@@ -58,21 +58,6 @@ def _cfg(problem=None, method=None, schedule=None, seed=11, n_iters=300,
     )
 
 
-def _sequential_newton(cfg, n_iters, rep=0):
-    model = cfg.build_problem()
-    sched = cfg.build_schedule()
-    solve_cfg = cfg.build_solve_config()
-    acc = WscAccumulator(model.dim)
-    plug = PlugInAccumulator(model.dim)
-    final = run(
-        model, solve_cfg, sched, n_iters,
-        RngStreams.from_seed(cfg.experiment.base_seed ^ rep),
-        sinks=(WscSink(sched, acc),),
-        grad_sinks=(lambda t, g: plug.update(g),),
-    )
-    return final, acc, plug, sched
-
-
 def _close(a, b, tol=1e-10):
     scale = max(1.0, float(np.abs(b).max()))
     assert np.abs(a - b).max() <= tol * scale
@@ -104,12 +89,15 @@ def _check_newton_against_replay(cfg, chunk=experiment._CHUNK):
     _close(result.final_estimates["wsc"], expected_wsc)
     _close(result.final_estimates["plugin"], expected_plug)
 
-    final, acc, plug, _ = _sequential_newton(cfg, n)
+    # run's sinks see no gradients, so its plug-in input is checked only
+    # at the last step
+    acc = WscAccumulator(model.dim)
+    final = run(model, cfg.build_solve_config(), sched, n,
+                cfg.experiment.base_seed, sinks=(WscSink(sched, acc),))
     _close(final.x, xs[-1])
+    _close(final.last_grad, grads[-1])
     _close(final.B, B)
     _close(acc.estimate(), expected_wsc)
-    _close(plugin_estimate(plug, final.B, sched.beta, sched.c_beta),
-           expected_plug)
 
 
 def test_uc_newton_engine_matches_sequential_run():
@@ -186,8 +174,7 @@ def _check_sqp_against_replay(method, seed, n_iters):
 
         acc = WscAccumulator(problem.dim)
         final = run_sqp(problem, 1e-2, cfg.build_solve_config(), sched,
-                        n_iters, RngStreams.from_seed(seed),
-                        sinks=(WscSink(sched, acc),))
+                        n_iters, seed, sinks=(WscSink(sched, acc),))
         _close(final.x, xs[-1])
         _close(final.lam, lam)
         _close(acc.estimate(), expected_wsc)
@@ -228,8 +215,8 @@ def test_exact_solve_falls_back_to_pseudo_inverse_per_replication():
     g = rng.standard_normal((3, 3))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(B[1])
-    out = experiment._exact_solve_batched(B, g, 1e-12)
-    _close(out[1], pinv_newton_solve(B[1], g[1], 1e-12), tol=1e-14)
+    out = experiment._exact_solve_batched(B, g)
+    _close(out[1], pinv_newton_solve(B[1], g[1]), tol=1e-14)
     for r in (0, 2):
         assert np.array_equal(out[r], np.linalg.solve(B[r], -g[r]))
 

@@ -107,50 +107,51 @@ def test_gaussian_projection_expectation_monte_carlo():
     assert np.abs(P - np.eye(3) / 3.0).max() < 0.04
 
 
-def _gaussian_case(rng, q, with_cov):
+def _gaussian_case(rng, q):
     # three sketch columns in d = 4 make S^T B^2 S ill-conditioned on some
     # draws, where eigh and the replay's SVD pseudo-inverse differ by more
     # than roundoff; d = 6 keeps q = 3 well posed
     d = 6 if q == 3 else 4
     A = rng.standard_normal((d, d))
     B = A @ A.T + 0.5 * np.eye(d)
-    A = rng.standard_normal((d, d))
-    cov = A @ A.T + np.eye(d) if with_cov else None
-    return B, SketchDistribution(kind="gaussian", q=q, cov=cov)
+    return B, SketchDistribution(kind="gaussian", q=q)
 
 
 def _rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
-@pytest.mark.parametrize("with_cov", [False, True])
+@pytest.mark.parametrize("one_block", [False, True])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_gaussian_projection_expectation_matches_per_sample_replay(
-        q, with_cov):
-    B, dist = _gaussian_case(np.random.default_rng(11), q, with_cov)
-    # 1001 samples in blocks of 300: the last block is partial
+        q, one_block):
+    B, dist = _gaussian_case(np.random.default_rng(11), q)
+    # 1001 samples in blocks of 300, so that the last block is partial and
+    # the blocks' sums are merged, or all in one block
     P, se = single_step_projection_expectation(
-        B, dist, n_mc=1001, rng=np.random.default_rng(12), chunk=300)
+        B, dist, n_mc=1001, rng=np.random.default_rng(12),
+        chunk=1001 if one_block else 300)
     P_ref, se_ref = projection_expectation_replay(
-        B, q, dist.cov, 1001, np.random.default_rng(12))
+        B, q, 1001, np.random.default_rng(12))
     assert _rel(P, P_ref) < 1e-12
     assert _rel(se, se_ref) < 1e-12
 
 
-@pytest.mark.parametrize("with_cov", [False, True])
+@pytest.mark.parametrize("one_block", [False, True])
 @pytest.mark.parametrize("tau", [1, 2, 3, 12])  # 12 > d
 @pytest.mark.parametrize("q", [1, 2, 3])
-def test_gaussian_lambda_matches_per_sample_replay(q, tau, with_cov):
+def test_gaussian_lambda_matches_per_sample_replay(q, tau, one_block):
     # 701 sequences in blocks of 200, or of 350 at tau = 2 (the benchmark's
-    # case): the last block is partial, and with 350 it holds one sequence
-    chunk = 350 if tau == 2 else 200
+    # case): the last block is partial, and with 350 it holds one sequence;
+    # or all 701 in one block, whose sums are not merged
+    chunk = 701 if one_block else 350 if tau == 2 else 200
     rng = np.random.default_rng(13)
-    B, dist = _gaussian_case(rng, q, with_cov)
+    B, dist = _gaussian_case(rng, q)
     A = rng.standard_normal(B.shape)
     omega = A @ A.T + np.eye(B.shape[0])
     lam, se = lambda_matrix(B, omega, dist, tau, n_mc=701,
                             rng=np.random.default_rng(14), chunk=chunk)
-    lam_ref, se_ref = lambda_replay(B, omega, q, dist.cov, tau, 701,
+    lam_ref, se_ref = lambda_replay(B, omega, q, tau, 701,
                                     np.random.default_rng(14))
     assert _rel(lam, lam_ref) < 1e-12
     assert _rel(se, se_ref) < 1e-12
@@ -159,7 +160,7 @@ def test_gaussian_lambda_matches_per_sample_replay(q, tau, with_cov):
 def test_monte_carlo_stderr_keeps_its_digits_around_a_large_mean():
     # a statistic of mean about 1e3 that varies by O(1): the one-pass
     # sum x^2 / n - mean^2 would lose about 1e6 eps of relative accuracy
-    B, dist = _gaussian_case(np.random.default_rng(15), 2, False)
+    B, dist = _gaussian_case(np.random.default_rng(15), 2)
 
     def stat(w):  # three rank-2 factors per sample
         return 1e3 + np.einsum("nsiq,nsjq->nij", w, w)

@@ -57,21 +57,8 @@ def test_uniform_coordinate_frequencies_are_uniform():
     assert np.abs(counts / n - 1.0 / d).max() < 0.01
 
 
-def test_gaussian_sketch_moments():
-    # a solve forms its sketches as cov_factor(d) @ z from standard normals
-    d, q, n = 3, 2, 20_000
-    cov = np.array([[1.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.0]])
-    dist = SketchDistribution(kind="gaussian", q=q, cov=cov)
-    z = np.random.default_rng(2).standard_normal((n, d, q))
-    cols = np.einsum("ij,njq->nqi", dist.cov_factor(d), z).reshape(n * q, d)
-    emp = cols.T @ cols / (n * q)
-    assert np.abs(cols.mean(axis=0)).max() < 0.02
-    assert np.linalg.norm(emp - cov, 2) / np.linalg.norm(cov, 2) < 0.05
-
-
 def test_gaussian_sketch_without_cov_is_standard_normal_block():
     dist = SketchDistribution(kind="gaussian", q=2)
-    assert dist.cov_factor(3) is None
     B = _random_spd(np.random.default_rng(6), 3)
     g = np.array([1.0, -2.0, 0.5])
     dx = solve_newton_sketched(B, g, SketchSolveConfig(dist=dist, tau=1),
@@ -84,13 +71,9 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         SketchDistribution(kind="uniform_coordinate", q=2)
     with pytest.raises(ValueError):
-        SketchDistribution(kind="uniform_coordinate", cov=np.eye(2))
-    with pytest.raises(ValueError):
         SketchDistribution(kind="subsampled_hadamard")
     with pytest.raises(ValueError):
         SketchSolveConfig(tau=0)
-    with pytest.raises(ValueError):
-        SketchSolveConfig(pinv_tol=0.0)
     assert SketchSolveConfig().is_exact
     assert not SketchSolveConfig(tau=3).is_exact
 
@@ -275,13 +258,11 @@ def test_gaussian_solve_matches_straight_line_replay():
     rng = np.random.default_rng(14)
     B = _random_spd(rng, 3)
     g = rng.standard_normal(3)
-    cov = np.array([[1.0, 0.2, 0.0], [0.2, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    dist = SketchDistribution(kind="gaussian", q=2, cov=cov)
+    dist = SketchDistribution(kind="gaussian", q=2)
     cfg = SketchSolveConfig(dist=dist, tau=4)
     seed = 77
     dx = solve_newton_sketched(B, g, cfg, np.random.default_rng(seed))
     # replay the documented draw order: one (tau, d, q) normal block
     z = np.random.default_rng(seed).standard_normal((4, 3, 2))
-    chol = dist.cov_factor(3)
-    expected = sketch_loop(B, g, [chol @ z[j] for j in range(4)])
+    expected = sketch_loop(B, g, list(z))
     assert np.abs(dx - expected).max() < 1e-10

@@ -5,8 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import snewt.sqp as sqp
 from snewt.covariance import WscAccumulator, WscSink
-from snewt.optimizer import DivergenceError, RngStreams, StepsizeSchedule
+from snewt.optimizer import DivergenceError, StepsizeSchedule
+from snewt.problems import grad_noise_factor
 from snewt.sketch import SketchDistribution, SketchSolveConfig
 from snewt.sqp import (
     SqpState,
@@ -92,7 +94,8 @@ def test_lagrangian_hessian_combines_objective_and_constraints():
     x = np.array([0.6, 0.4])
     lam = np.array([0.7])
     expected = prob.hess(x) + 0.7 * prob.cons_hess(x)[0]
-    assert np.array_equal(prob.lagrangian_hess(x, lam), expected)
+    assert np.array_equal(prob.hess(x) + prob.weighted_cons_hess(x, lam),
+                          expected)
 
 
 def test_builtin_problem_lookup():
@@ -135,7 +138,8 @@ def test_noise_free_step_leaves_the_solution_fixed():
                      B=np.eye(3))
     sched = StepsizeSchedule(mode="deterministic")
     z = np.random.default_rng(0).standard_normal(9)
-    out = sqp_step(state, prob, 0.0, sched, z, sched.phi(0), _lu)
+    out = sqp_step(state, prob, 0.0, sched, z, sched.phi(0), _lu,
+                   grad_noise_factor(3, 0.0))
     # the stored solution satisfies the optimality system to one ulp, so
     # the step may move by rounding noise but nothing more
     assert np.abs(out.x - prob.x_star).max() <= 1e-15
@@ -171,11 +175,12 @@ def test_stacked_step_equals_row_by_row_steps(factory):
     Z = rng.standard_normal((R, d + d * (d + 1) // 2))
     alpha = rng.uniform(0.1, 0.5, size=R)
     sched = StepsizeSchedule()
+    L = grad_noise_factor(d, 0.04)
     out = sqp_step(SqpState(t=5, x=X, lam=Lam, B=B), prob, 0.04, sched, Z,
-                   alpha, _lu)
+                   alpha, _lu, L)
     for r in range(R):
         row = sqp_step(SqpState(t=5, x=X[r], lam=Lam[r], B=B[r]), prob, 0.04,
-                       sched, Z[r], alpha[r], _lu)
+                       sched, Z[r], alpha[r], _lu, L)
         assert np.allclose(out.x[r], row.x, rtol=1e-13, atol=1e-15)
         assert np.allclose(out.lam[r], row.lam, rtol=1e-13, atol=1e-15)
         assert np.allclose(out.B[r], row.B, rtol=1e-13, atol=1e-15)
@@ -200,21 +205,23 @@ def test_run_sqp_same_seed_is_bitwise_identical():
     assert np.array_equal(a.B, b.B)
 
 
-def test_run_sqp_divergence_guard():
+def test_run_sqp_divergence_guard(monkeypatch):
     prob = equality_qp()
-    with pytest.raises(DivergenceError) as exc:
-        run_sqp(prob, 1e-2, SketchSolveConfig(), StepsizeSchedule(), 100, 0,
-                divergence_norm=1e-6)
-    assert exc.value.t == 1
-    # an infinite gradient makes the first KKT step NaN, which an infinite
-    # bound must still reject
+    # an infinite gradient makes the first KKT step NaN, which the guard
+    # must reject
     blowup = dataclasses.replace(
         prob, grad=lambda X: np.full(np.shape(X), -np.inf))
     with pytest.raises(DivergenceError) as exc:
         run_sqp(blowup, 1e-2, SketchSolveConfig(), StepsizeSchedule(), 100,
-                0, divergence_norm=np.inf)
+                0)
     assert exc.value.t == 1
     assert not np.isfinite(exc.value.norm)
+    # run_sqp reads the guard when it steps
+    monkeypatch.setattr(sqp, "_DIVERGENCE_NORM", 1e-6)
+    with pytest.raises(DivergenceError) as exc:
+        run_sqp(prob, 1e-2, SketchSolveConfig(), StepsizeSchedule(), 100, 0)
+    assert exc.value.t == 1
+    assert 1e-6 < exc.value.norm < 1e8
 
 
 def test_sqp_trace_feeds_the_covariance_estimator():
