@@ -20,12 +20,13 @@ sketched KKT solves, and a lowered divergence guard under which some
 replications freeze and others do not.
 
 The sequential runs call optimizer.run (both model families, exact,
-coordinate and Gaussian solves) and sqp.run_sqp (eqqp, exact and tau = 2)
-with the arguments every tree takes: the problem, solve config and
-schedule a config builds, n_iters, an int seed and a sink that records
-each (t, x_t, alpha).  Their outputs are the final x, B and lam, every
-sink record, and the step at which the run diverged (0 when it did not).
-All of it takes about seven seconds per tree on a 2-core x86 VM.
+coordinate and Gaussian solves) and sqp.run_sqp (eqqp, exact, coordinate
+and Gaussian solves; the sketched ones at tau = 2) with the arguments
+every tree takes: the problem, solve config and schedule a config builds,
+n_iters, an int seed and a sink that records each (t, x_t, alpha).  Their
+outputs are the final x, B and lam, every sink record, and the step at
+which the run diverged (0 when it did not).  All of it takes about eight
+seconds per tree on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _sequential():
                                 "design = equicorr\nr = 0.3",
                                 "solver = newton\n" + method, 50 + i),
                         "run"))
-    for i, (tag, method) in enumerate(_SKETCHES[:2]):
+    for i, (tag, method) in enumerate(_SKETCHES):
         out.append((f"run_sqp:eqqp-{tag}",
                     _config("family = eqqp\nsigma2 = 0.01",
                             "solver = newton\n" + method, 60 + i),

@@ -5,7 +5,9 @@ Library layout:
 - problems: streaming regression models, defined on stacks of
   replications, and the Gaussian noise of the constrained problems'
   gradient and Hessian observations
-- sketch: sketch-and-project solvers for symmetric linear systems
+- sketch: the Newton-system solves (exact, KKT, coordinate and Gaussian
+  sketch-and-project sweeps), each written once on stacks of systems;
+  run, run_sqp and the batched harness all call them
 - optimizer: the averaged-Hessian stochastic Newton iteration; its step
   works on stacks of replications, so run and the batched harness share
   one step

@@ -304,9 +304,13 @@ class BatchMeansAccumulator:
         self._N2 = 0  # sum n_m^2
         self.n_completed = 0
 
-    def boundary(self, m: int) -> int:
-        """a_m = floor(m**(2/(1-beta)))."""
-        return int(np.floor(float(m) ** self._exponent))
+    def boundary(self, m: int) -> float:
+        """a_m = floor(m**(2/(1-beta))), or inf (never reached) if the
+        power overflows a float."""
+        try:
+            return int(np.floor(float(m) ** self._exponent))
+        except OverflowError:
+            return math.inf
 
     mean = property(
         lambda self: self.shift + (self._S1 + self._batch_sum) / self.t)

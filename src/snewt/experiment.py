@@ -12,10 +12,11 @@ records checkpoints, and only the step differs.  Each step is the
 library's own, applied to the whole stack: optimizer.newton_step (or the
 averaged-SGD update) for regression studies, which form their samples
 once per 32-step sub-block, and sqp.sqp_step for constrained ones, which
-read their noise normals per step.  So are the estimators: the covariance
-module's accumulators take the (n_reps, d) stack as they take one
-iterate.  A replication whose ||x|| + ||lam|| leaves the divergence guard
-(or turns non-finite) is held at x0, lam = 0, B = I from then on,
+read their noise normals per step.  So are the solves, the sketch
+module's stacked exact, LU and sweep solves, and the estimators: the
+covariance module's accumulators take the (n_reps, d) stack as they take
+one iterate.  A replication whose ||x|| + ||lam|| leaves the divergence
+guard (or turns non-finite) is held at x0, lam = 0, B = I from then on,
 excluded from every aggregate, and counted.
 
 At every record_every-th iteration the harness compares the running
@@ -45,7 +46,9 @@ from .optimizer import (_DIVERGENCE_NORM, NewtonState, RngStreams,
 from .oracle import (omega_star, oracle_covariance, rel_cov_error,
                      rel_var_error)
 from .problems import RegressionModel, Sample, grad_noise_factor
-from .sketch import PINV_TOL, SketchSolveConfig, pinv_newton_solve
+from .sketch import (SketchSolveConfig, _exact_solve_batched,
+                     _gaussian_solve_batched, _lu_solve_batched, _tol_abs,
+                     _uc_solve_batched)
 from .sqp import EqConstrainedProblem, SqpState, sqp_step
 
 __all__ = [
@@ -97,124 +100,17 @@ _SUFFIX = {"wsc": "wsc", "plugin": "plugin", "batchmeans": "bm"}
 
 
 # ---------------------------------------------------------------------------
-# the covariance module's estimators, under the names perfbench/ wraps to
-# time them and to stamp each step at the wsc update, until its instruments
-# move into the program.  Aliases, not subclasses: it patches the class's
-# own attribute, and the harness calls plugin_estimate by its alias so that
-# the patch sees it.
+# Names perfbench/ wraps, until its instruments move into the program: the
+# sketch module's two sweeps, imported above and looked up here by
+# _sweep_solve, and the covariance module's estimators below, which it
+# times and at whose wsc update it stamps each step.  Aliases, not
+# subclasses: it patches the class's own attribute, and the harness calls
+# plugin_estimate by its alias so that the patch sees it.
 
 _BatchedWsc = WscAccumulator
 _BatchedPlugin = PlugInAccumulator
 _BatchedBatchMeans = BatchMeansAccumulator
 _plugin_estimate_batched = plugin_estimate
-
-
-# ---------------------------------------------------------------------------
-# batched linear-system solves
-
-
-def _exact_solve_batched(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Stacked exact Newton directions: Cholesky-gated solve of B dx = -g.
-
-    Callers pass the positive-definite solve blend, so the gate is pure
-    paranoia; should it ever fail, the offending replication falls back to
-    the minimum-norm least-squares direction.
-    """
-    try:
-        np.linalg.cholesky(B)
-        return np.linalg.solve(B, -g[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(g)
-        for r in range(g.shape[0]):
-            try:
-                np.linalg.cholesky(B[r])
-                out[r] = np.linalg.solve(B[r], -g[r])
-            except np.linalg.LinAlgError:
-                out[r] = pinv_newton_solve(B[r], g[r])
-        return out
-
-
-def _lu_solve_batched(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Stacked solve of K delta = -rhs for symmetric indefinite K (LU)."""
-    try:
-        return np.linalg.solve(K, -rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(rhs)
-        for r in range(rhs.shape[0]):
-            try:
-                out[r] = np.linalg.solve(K[r], -rhs[r])
-            except np.linalg.LinAlgError:
-                out[r] = np.linalg.lstsq(K[r], -rhs[r], rcond=None)[0]
-        return out
-
-
-def _uc_solve_batched(B: np.ndarray, g: np.ndarray, idx: np.ndarray,
-                      tol: np.ndarray) -> np.ndarray:
-    """Stacked coordinate sketch-and-project sweep (tau steps each).
-
-    B is (R, n, n), g (R, n), idx (R, tau) and tol (R,).  B must be
-    symmetric (its rows equal its columns), which lets the column-energy
-    denominators come from rows.  Degenerate rows (energy not above tol,
-    NaN included) leave the iterate unchanged, replication by replication.
-
-    Nothing but the iterate changes between the tau steps, so the selected
-    rows, their right-hand-side entries, their energies and the degenerate
-    mask are gathered once, step-major as (tau, R, ...), by two flat takes;
-    each step then does one dot, add, divide, masked zero and axpy, on the
-    same operands and in the same order as a step that gathers its own
-    row.  The first step starts from dx = 0, where the residual is g_i.
-    """
-    n_rep, n = g.shape
-    flat = idx.T + np.arange(0, n_rep * n, n)  # (tau, R) rows of the stack
-    brows = np.take(B.reshape(n_rep * n, n), flat, axis=0)
-    gsel = np.take(g, flat)
-    den = np.einsum("srn,srn->sr", brows, brows)
-    skip = ~(den > tol)
-    den[skip] = 1.0
-    coef = gsel[0] / den[0]
-    coef[skip[0]] = 0.0
-    # 0.0 - p rather than -p: a skipped row leaves +0.0, as dx -= p does
-    dx = 0.0 - coef[:, None] * brows[0]
-    for s in range(1, idx.shape[1]):
-        brow = brows[s]
-        coef = np.einsum("rn,rn->r", brow, dx)
-        coef += gsel[s]
-        coef /= den[s]
-        coef[skip[s]] = 0.0
-        dx -= coef[:, None] * brow
-    return dx
-
-
-def _gaussian_solve_batched(B: np.ndarray, g: np.ndarray, zblk: np.ndarray,
-                            tol: np.ndarray) -> np.ndarray:
-    """Stacked Gaussian sketch-and-project sweep; zblk is (R, tau, n, q).
-
-    The sketches are the standard normal blocks zblk[:, s] themselves.
-
-    The first step starts from dx = 0, where the residual is S^T g.
-    """
-    tau, q = zblk.shape[1], zblk.shape[3]
-    dx = np.zeros_like(g)
-    for s in range(tau):
-        S = zblk[:, s]
-        W = np.einsum("rij,rjq->riq", B, S)
-        res = np.einsum("riq,ri->rq", S, g)
-        if s:  # from dx = 0 the residual is S^T g
-            res += np.einsum("riq,ri->rq", W, dx)
-        if q == 1:
-            den = np.einsum("riq,riq->r", W, W)
-            ok = den > tol
-            coef = np.where(ok, res[:, 0] / np.where(ok, den, 1.0), 0.0)
-            dx -= coef[:, None] * W[:, :, 0]
-        else:
-            M = np.einsum("riq,rip->rqp", W, W)
-            evals, evecs = np.linalg.eigh(M)
-            keep = evals > tol[:, None]
-            proj = np.einsum("rqk,rq->rk", evecs, res)
-            inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
-            coef = np.einsum("rqk,rk->rq", evecs, inv * proj)
-            dx -= np.einsum("riq,rq->ri", W, coef)
-    return dx
 
 
 class _ChunkBlocks:
@@ -273,8 +169,7 @@ class _ChunkBlocks:
 def _sweep_solve(M: np.ndarray, rhs: np.ndarray, draws: np.ndarray,
                  solve_cfg: SketchSolveConfig) -> np.ndarray:
     """One tau-step sketch sweep on the stacked systems M delta = -rhs."""
-    flat = M.reshape(M.shape[0], -1)
-    tol = PINV_TOL * np.einsum("ri,ri->r", flat, flat) / M.shape[-1]
+    tol = _tol_abs(M)
     if solve_cfg.dist.kind == "uniform_coordinate":
         return _uc_solve_batched(M, rhs, draws, tol)
     return _gaussian_solve_batched(M, rhs, draws, tol)

@@ -10,7 +10,9 @@ deterministic given the trajectory up to t.
 newton_step works on one replication or a stack of them, with the solve
 passed in: run steps one replication with solve_newton_sketched, and the
 batched harness (experiment.run_experiment) steps all of its replications
-at once with the same function.
+at once with the same function.  Both solve with the sketch module's
+stacked solves (run on one-row stacks), except run's coordinate sketches,
+which take sketch's scalar loop.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .sketch import SketchSolveConfig, pinv_newton_solve, solve_newton_sketched
+from .sketch import SketchSolveConfig, solve_newton_sketched
 
 __all__ = [
     "StepsizeSchedule",
@@ -233,8 +235,8 @@ def run(
     The int seed gives three independent generators (RngStreams.from_seed).
     Per step, the data stream gives one observation (problem.draw), the
     step stream one uniform in band mode only, and the sketch stream the
-    draws of solve_newton_sketched; a solve that raises LinAlgError falls
-    back to the pseudo-inverse direction.
+    draws of solve_newton_sketched.  An exact solve whose system fails the
+    Cholesky gate falls back to the pseudo-inverse direction.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -244,10 +246,7 @@ def run(
     bound2 = _DIVERGENCE_NORM * _DIVERGENCE_NORM
 
     def solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        try:
-            return solve_newton_sketched(B, g, cfg, rngs.sketch)
-        except np.linalg.LinAlgError:
-            return pinv_newton_solve(B, g)
+        return solve_newton_sketched(B, g, cfg, rngs.sketch)
 
     for _ in range(n_iters):
         s = problem.draw(rngs.data)

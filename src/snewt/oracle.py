@@ -334,6 +334,9 @@ class OracleCovariance:
     mc_stderr: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# a matrix that overflows is named by _require_finite, so numpy's overflow
+# and invalid-value warnings on the way there are silenced
+@np.errstate(over="ignore", invalid="ignore")
 def oracle_covariance(
     model: RegressionModel,
     dist: SketchDistribution,

@@ -7,8 +7,9 @@ running Lagrangian-Hessian average B_t,
     [ B_t  G^T ] [dx  ]     [ grad_x L ]
     [ G    0   ] [dlam] = - [ c(x)     ],
 
-solves it exactly (LU; the KKT matrix is symmetric indefinite) or with tau
-sketch-and-project steps on the full (d+m)-dimensional system, and moves
+solves it exactly (LU, least squares if singular; the KKT matrix is
+symmetric indefinite) or with tau sketch-and-project steps on the full
+(d+m)-dimensional system, and moves
 the primal-dual pair by a banded stepsize.  The covariance machinery
 applies to the primal block unchanged: trace sinks receive (t, x_t, alpha).
 
@@ -30,7 +31,8 @@ from .optimizer import (_DIVERGENCE_NORM, DivergenceError, RngStreams,
                         StepsizeSchedule, TraceSink, fold_average,
                         ridged_average)
 from .problems import grad_noise_factor, symmetric_noise
-from .sketch import SketchSolveConfig, solve_newton_sketched
+from .sketch import (SketchSolveConfig, _lu_solve_batched,
+                     solve_newton_sketched)
 
 __all__ = [
     "EqConstrainedProblem",
@@ -178,13 +180,16 @@ def run_sqp(
     solve_newton_sketched on the assembled KKT system, and the step stream
     gives one uniform in band mode only.  The three are separate
     generators, so the order in which they are read does not matter.
+    Exact solves use the LU solve of the study harness on a one-row stack,
+    so a singular KKT matrix gives its least-squares direction.
     """
     rngs = RngStreams.from_seed(seed)
     d = problem.dim
     n_normals = d + d * (d + 1) // 2
     grad_chol = grad_noise_factor(d, sigma2)
-    # the KKT matrix is indefinite, so the exact path is a plain LU solve
-    solve = ((lambda K, rhs: np.linalg.solve(K, -rhs)) if cfg.is_exact else
+    # the KKT matrix is indefinite, so the exact path is the LU solve
+    solve = ((lambda K, rhs: _lu_solve_batched(K[None], rhs[None])[0])
+             if cfg.is_exact else
              (lambda K, rhs: solve_newton_sketched(K, rhs, cfg, rngs.sketch)))
     state = SqpState(t=0, x=problem.x0.copy(), lam=np.zeros(problem.n_cons),
                      B=np.eye(d))

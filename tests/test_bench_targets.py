@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import snewt.experiment as experiment
+import snewt.optimizer as optimizer
 import snewt.oracle as oracle
 from snewt.config import parse_config_string
 from snewt.problems import RegressionModel, default_x_star
@@ -46,7 +47,7 @@ def test_benchmark_target_resolves(target):
 # ---------------------------------------------------------------------------
 # what the count hooks read from each call
 
-def _traced_counts(spans, fn, *args, **kwargs):
+def _traced(spans, fn, *args, **kwargs):
     tracer = Tracer()
     studies._install(tracer, spans)
     try:
@@ -54,7 +55,11 @@ def _traced_counts(spans, fn, *args, **kwargs):
     finally:
         tracer.restore()
     assert tracer.missing == []
-    return tracer.counts
+    return tracer
+
+
+def _traced_counts(spans, fn, *args, **kwargs):
+    return _traced(spans, fn, *args, **kwargs).counts
 
 
 @pytest.mark.parametrize("method,tau", [
@@ -91,3 +96,24 @@ def test_oracle_hooks_bind_dist_n_mc_and_tau_by_name():
                             model, dist, 2, 0.505, 1.0, n_mc=500)
     # one sketch per E[Pi] sample, tau per Lambda sequence
     assert counts["oracle.mc_samples"] == 500 * (1 + 2)
+
+
+@pytest.mark.parametrize("method", [
+    "tau = 2",
+    "tau = 2\nsketch = gaussian\ngaussian_q = 2",
+    "tau = exact",
+], ids=["coordinate", "gaussian", "exact"])
+def test_stream_run_records_one_solve_span_per_step(method):
+    # sketch.solve_s and sketch.solve_calls of the stream workload time
+    # optimizer.run's solve through its module global solve_newton_sketched
+    n_iters = 25
+    cfg = parse_config_string(f"[problem]\nd = 3\n[method]\n{method}\n")
+    tracer = _traced(studies.STREAM_SPANS, optimizer.run,
+                     cfg.build_problem(), cfg.build_solve_config(),
+                     cfg.build_schedule(), n_iters, 7)
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert names.count("optimizer.step") == n_iters
+    assert names.count("sketch.solve") == n_iters
+    for i, name in enumerate(names):
+        if name == "sketch.solve":
+            assert names[tracer.parent[i]] == "optimizer.step"

@@ -250,6 +250,21 @@ def test_run_command_steep_band_decay_runs(tmp_path, capsys):
     assert "wsc:" in capsys.readouterr().out
 
 
+def test_run_command_batch_means_past_float_range_runs(tmp_path, capsys):
+    # the second batch boundary 2**(2 / (1 - beta)) overflows a float: no
+    # later batch closes, so the batch-means columns stay blank
+    text = _run_config_text(tmp_path).replace(
+        "tau = 2", "solver = sgd").replace(
+        "[experiment]", "[schedule]\n        beta = 0.9999\n\n"
+        "        [experiment]").replace(
+        "estimators = wsc", "estimators = batchmeans")
+    path = _write_config(tmp_path, text)
+    assert main(["run", path]) == EXIT_OK
+    assert "batchmeans:" in capsys.readouterr().out
+    rows = (tmp_path / "sum.csv").read_text().strip().splitlines()
+    assert rows[1].startswith("batchmeans,200,,,,")
+
+
 # sigma^2 is a finite float here, but the sketch terms of Lambda overflow
 _OVERFLOWING_SIGMA = """\
     [problem]
@@ -264,7 +279,7 @@ _OVERFLOWING_SIGMA = """\
     """
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_command_non_finite_ground_truth_is_config_error(tmp_path, capsys):
     # used to end in "LinAlgError: SVD did not converge" at a checkpoint
     path = _write_config(tmp_path, _OVERFLOWING_SIGMA)
@@ -433,7 +448,7 @@ def test_oracle_command_constrained_is_config_error(tmp_path, capsys):
     assert "not available yet" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_oracle_command_non_finite_ground_truth_is_config_error(tmp_path,
                                                                 capsys):
     # used to print an all-NaN xi_star and exit 0

@@ -1,6 +1,7 @@
 """Tests for the online covariance estimators and their inverse recursion."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -374,6 +375,22 @@ def test_batch_means_needs_two_completed_batches():
         bm.estimate()
     bm.update(np.array([1.0]))
     bm.estimate()  # exactly two completed batches now
+
+
+def test_batch_means_boundary_past_float_range_never_closes():
+    # 2**(2 / (1 - beta)) = 2**20000 overflows a float: batch 2 never closes
+    bm = BatchMeansAccumulator(2, beta=0.9999)
+    assert bm.boundary(1) == 1 and bm.boundary(2) == math.inf
+    for x in np.arange(1.0, 101.0):
+        bm.update(np.array([x, -x]))
+    assert bm.n_completed == 1
+    assert np.allclose(bm.mean, [50.5, -50.5], rtol=0.0, atol=1e-12)
+    with pytest.raises(InsufficientData):
+        bm.estimate()
+    # below 1 - 2/1024 the second boundary is a float
+    assert math.isfinite(BatchMeansAccumulator(1, beta=0.998).boundary(2))
+    edge = BatchMeansAccumulator(1, beta=1.0 - 2.0 / 1024)
+    assert edge.boundary(2) == math.inf
 
 
 def test_batch_means_beta_range():

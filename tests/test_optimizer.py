@@ -14,7 +14,7 @@ from snewt.optimizer import (
 )
 from snewt.problems import DesignCovSpec, RegressionModel, default_x_star
 from snewt.sketch import (SketchDistribution, SketchSolveConfig,
-                          exact_newton_solve)
+                          _exact_solve_batched)
 
 
 class Quadratic:
@@ -37,6 +37,16 @@ class Quadratic:
     def value(self, x):
         dev = x - self.c
         return 0.5 * float(dev @ self.A @ dev)
+
+
+class StackedQuadratic(Quadratic):
+    """Quadratic on a (R, d) stack of points."""
+
+    def grad(self, x, s):
+        return (x - self.c) @ self.A.T
+
+    def hess(self, x, s):
+        return np.broadcast_to(self.A, x.shape[:-1] + self.A.shape)
 
 
 class Repeller:
@@ -154,11 +164,20 @@ def test_quadratic_objective_decreases_monotonically():
     xs = [state.x]
     for t in range(50):
         state = newton_step(state, prob, None, sched, sched.phi(t),
-                            exact_newton_solve)
+                            lambda B, g: _exact_solve_batched(B[None],
+                                                              g[None])[0])
         xs.append(state.x)
     vals = [prob.value(x) for x in xs]
     for before, after in zip(vals, vals[1:]):
         assert after <= before + 1e-12
+    # the same steps on a stack of three starting points
+    stack = NewtonState(t=0, x=np.array([[4.0, 3.0], [-2.0, 0.5], xs[0]]),
+                        B=np.stack([A] * 3))
+    for t in range(50):
+        stack = newton_step(stack, StackedQuadratic(A, c), None, sched,
+                            sched.phi(t), _exact_solve_batched)
+    assert np.allclose(stack.x[2], state.x, rtol=0.0, atol=1e-12)
+    assert np.abs(stack.x - c).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import pytest
 from snewt.sketch import (
     SketchDistribution,
     SketchSolveConfig,
+    _exact_solve_batched,
+    _gaussian_solve_batched,
     _projector_factor,
-    exact_newton_solve,
+    _tol_abs,
+    _uc_solve_batched,
     pinv_newton_solve,
-    sketch_project_step,
     solve_newton_sketched,
 )
 from tests.oracles import _pinv_projector, coordinate_sketches, sketch_loop
@@ -79,50 +81,80 @@ def test_distribution_validation():
 
 
 # ---------------------------------------------------------------------------
-# single projection steps
+# projection steps of the stacked sweeps, on one-row and multi-row stacks
+
+
+def _spd_stack(rng, R, d):
+    return np.stack([_random_spd(rng, d) for _ in range(R)])
 
 
 def test_coordinate_projection_hand_example():
-    B = np.eye(2)
-    g = np.array([3.0, 4.0])
-    S = np.array([[1.0], [0.0]])
-    dx = sketch_project_step(B, g, np.zeros(2), S)
-    assert np.array_equal(dx, [-3.0, 0.0])
+    B = np.eye(2)[None]
+    g = np.array([[3.0, 4.0]])
+    dx = _uc_solve_batched(B, g, np.array([[0]]), np.zeros(1))
+    assert np.array_equal(dx, [[-3.0, 0.0]])
+    # each row of a stack projects onto its own coordinate
+    B3 = np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
+    g3 = np.array([[3.0, 4.0], [3.0, 4.0], [-1.0, 5.0]])
+    dx3 = _uc_solve_batched(B3, g3, np.array([[0], [1], [1]]), np.zeros(3))
+    assert np.array_equal(dx3, [[-3.0, 0.0], [0.0, -2.0], [0.0, -5.0]])
 
 
 def test_projection_step_satisfies_sketched_equation():
+    # after a sweep, the last step's sketched equation holds
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        B = _random_spd(rng, 4)
-        g = rng.standard_normal(4)
-        S = rng.standard_normal((4, 2))
-        dx = sketch_project_step(B, g, rng.standard_normal(4), S)
-        assert np.abs(S.T @ (B @ dx + g)).max() < 1e-9
+    for R, tau in ((1, 1), (1, 3), (20, 1), (20, 3)):
+        B = _spd_stack(rng, R, 4)
+        g = rng.standard_normal((R, 4))
+        z = rng.standard_normal((R, tau, 4, 2))
+        dx = _gaussian_solve_batched(B, g, z, np.zeros(R))
+        res = np.einsum("riq,ri->rq", z[:, -1],
+                        np.einsum("rij,rj->ri", B, dx) + g)
+        assert np.abs(res).max() < 1e-9
 
 
 def test_projection_step_never_increases_error():
+    # the error to the exact direction is non-increasing along a sweep, up
+    # to roundoff once a q = d sketch has reached it
     rng = np.random.default_rng(8)
-    for _ in range(300):
-        d = int(rng.integers(2, 6))
-        B = _random_spd(rng, d)
-        g = rng.standard_normal(d)
-        target = np.linalg.solve(B, -g)
-        dx = rng.standard_normal(d)
-        q = int(rng.integers(1, 3))
-        S = rng.standard_normal((d, q))
-        dx_new = sketch_project_step(B, g, dx, S)
-        before = np.linalg.norm(dx - target)
-        after = np.linalg.norm(dx_new - target)
-        assert after <= before * (1.0 + 1e-12) + 1e-14
+    for R in (1, 30):
+        for d, q in ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (5, 2)):
+            B = _spd_stack(rng, R, d)
+            g = rng.standard_normal((R, d))
+            target = np.linalg.solve(B, -g[..., None])[..., 0]
+            z = rng.standard_normal((R, 6, d, q))
+            before = np.linalg.norm(target, axis=1)
+            slack = 1e-12 * (1.0 + before)
+            for tau in range(1, 7):
+                dx = _gaussian_solve_batched(B, g, z[:, :tau], np.zeros(R))
+                after = np.linalg.norm(dx - target, axis=1)
+                assert (after <= before * (1.0 + 1e-12) + slack).all()
+                before = after
 
 
 def test_degenerate_sketch_leaves_iterate_unchanged():
-    B = np.diag([1.0, 0.0])
-    dx = np.array([0.3, -0.7])
-    S = np.array([[0.0], [1.0]])
-    out = sketch_project_step(B, np.ones(2), dx, S, tol=1e-12)
-    assert np.array_equal(out, dx)
-    assert np.array_equal(_projector(B, S, tol=1e-12), np.zeros((2, 2)))
+    # e2 spans the null space of B: the second step of each sweep is skipped
+    B = np.diag([1.0, 0.0])[None]
+    g = np.ones((1, 2))
+    tol = _tol_abs(B)
+    one_step = _uc_solve_batched(B, g, np.array([[0]]), tol)
+    assert np.array_equal(one_step, [[-1.0, 0.0]])
+    assert np.array_equal(_uc_solve_batched(B, g, np.array([[0, 1]]), tol),
+                          one_step)
+    e1, e2 = np.eye(2)[:, :, None]
+    for S2 in (e2, np.column_stack([e2[:, 0], -3.0 * e2[:, 0]])):
+        q = S2.shape[1]
+        S1 = np.column_stack([e1[:, 0]] + [np.zeros(2)] * (q - 1))
+        first = _gaussian_solve_batched(B, g, S1[None, None], tol)
+        both = _gaussian_solve_batched(B, g, np.stack([S1, S2])[None], tol)
+        assert np.array_equal(both, first)
+    # on a stack, only the degenerate row is left where it was
+    B2 = np.stack([np.diag([1.0, 0.0]), np.eye(2)])
+    g2 = np.ones((2, 2))
+    out = _uc_solve_batched(B2, g2, np.array([[0, 1], [0, 1]]), _tol_abs(B2))
+    assert np.array_equal(out, [[-1.0, 0.0], [-1.0, -1.0]])
+    assert np.array_equal(_projector(np.diag([1.0, 0.0]), e2, tol=1e-12),
+                          np.zeros((2, 2)))
 
 
 def test_projection_matrix_is_symmetric_idempotent():
@@ -206,13 +238,33 @@ def test_projector_factor_is_zero_where_b_s_is_zero():
 
 
 def test_exact_solve_diagonal_hand_example():
-    dx = exact_newton_solve(np.diag([1.0, 2.0]), np.array([1.0, 1.0]))
-    assert np.array_equal(dx, [-1.0, -0.5])
+    dx = _exact_solve_batched(np.diag([1.0, 2.0])[None], np.ones((1, 2)))
+    assert np.array_equal(dx, [[-1.0, -0.5]])
+    B = np.stack([np.diag([1.0, 2.0]), np.diag([4.0, 0.5])])
+    dx2 = _exact_solve_batched(B, np.array([[1.0, 1.0], [2.0, -1.0]]))
+    assert np.array_equal(dx2, [[-1.0, -0.5], [-0.5, 2.0]])
 
 
-def test_exact_solve_rejects_indefinite_matrix():
-    with pytest.raises(np.linalg.LinAlgError):
-        exact_newton_solve(np.diag([1.0, -1.0]), np.ones(2))
+def test_exact_solve_falls_back_to_pinv_on_indefinite_matrix():
+    # the pseudo-inverse keeps only eigenvalues above the cutoff, so the
+    # negative one is dropped with the zero one
+    B = np.diag([2.0, -1.0, 0.0])
+    g = np.array([1.0, 1.0, 1.0])
+    expected = pinv_newton_solve(B, g)
+    assert np.allclose(expected, [-0.5, 0.0, 0.0], atol=1e-15)
+    assert np.array_equal(_exact_solve_batched(B[None], g[None])[0], expected)
+    assert np.array_equal(solve_newton_sketched(B, g, SketchSolveConfig()),
+                          expected)
+
+
+def test_exact_solve_of_one_system_has_the_stacked_bits():
+    rng = np.random.default_rng(15)
+    for d in (2, 3, 5, 8):
+        for _ in range(50):
+            B = _random_spd(rng, d)
+            g = rng.standard_normal(d)
+            one = solve_newton_sketched(B, g, SketchSolveConfig())
+            assert one.tobytes() == np.linalg.solve(B, -g).tobytes()
 
 
 def test_pinv_solve_handles_singular_and_zero_matrices():

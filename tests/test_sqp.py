@@ -7,7 +7,7 @@ import pytest
 
 import snewt.sqp as sqp
 from snewt.covariance import WscAccumulator, WscSink
-from snewt.optimizer import DivergenceError, StepsizeSchedule
+from snewt.optimizer import DivergenceError, RngStreams, StepsizeSchedule
 from snewt.problems import grad_noise_factor
 from snewt.sketch import SketchDistribution, SketchSolveConfig
 from snewt.sqp import (
@@ -222,6 +222,31 @@ def test_run_sqp_divergence_guard(monkeypatch):
         run_sqp(prob, 1e-2, SketchSolveConfig(), StepsizeSchedule(), 100, 0)
     assert exc.value.t == 1
     assert 1e-6 < exc.value.norm < 1e8
+
+
+def test_run_sqp_exact_falls_back_to_lstsq_on_a_singular_kkt_matrix():
+    # at x = 0 maratos's constraint Jacobian 2x vanishes, so the first KKT
+    # matrix [[I, 0], [0, 0]] is singular and LU fails on it
+    prob = dataclasses.replace(maratos(), x0=np.zeros(2))
+    sched = StepsizeSchedule()
+    records = []
+    final = run_sqp(prob, 1e-2, SketchSolveConfig(), sched, 50, 3,
+                    sinks=(lambda t, x, a: records.append((x.copy(), a)),))
+    assert len(records) == 50
+    assert np.isfinite(final.x).all() and np.isfinite(final.lam).all()
+    # the first step replayed with the least-squares direction
+    z = RngStreams.from_seed(3).data.standard_normal(2 + 3)
+
+    def lstsq(K, rhs):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(K, -rhs)
+        return np.linalg.lstsq(K, -rhs, rcond=None)[0]
+
+    first = sqp_step(SqpState(0, prob.x0, np.zeros(1), np.eye(2)), prob,
+                     1e-2, sched, z, records[0][1], lstsq,
+                     grad_noise_factor(2, 1e-2))
+    assert np.array_equal(records[0][0], first.x)
+    assert first.x[0] != 0.0 and first.x[1] != 0.0
 
 
 def test_sqp_trace_feeds_the_covariance_estimator():
