@@ -20,8 +20,10 @@ sketched KKT solves, and a lowered divergence guard under which some
 replications freeze and others do not.
 
 The sequential runs call optimizer.run (both model families, exact,
-coordinate and Gaussian solves) and sqp.run_sqp (eqqp, exact, coordinate
-and Gaussian solves; the sketched ones at tau = 2) with the arguments
+coordinate and Gaussian solves) and sqp.run_sqp (eqqp with exact,
+coordinate and Gaussian solves, and hs7, whose nonzero constraint Hessian
+enters the multiplier-weighted Lagrangian Hessian, with coordinate
+sketches; the sketched ones at tau = 2) with the arguments
 every tree takes: the problem, solve config and schedule a config builds,
 n_iters, an int seed and a sink that records each (t, x_t, alpha).  Their
 outputs are the final x, B and lam, every sink record, and the step at
@@ -115,6 +117,12 @@ def _sequential():
                     _config("family = eqqp\nsigma2 = 0.01",
                             "solver = newton\n" + method, 60 + i),
                     "run_sqp"))
+    # eqqp's constraint Hessian is zero; hs7's is not, so this run moves
+    # the multiplier-weighted Lagrangian Hessian
+    out.append(("run_sqp:hs7-tau2-coordinate",
+                _config("family = hs7\nsigma2 = 0.01",
+                        "solver = newton\ntau = 2", 63),
+                "run_sqp"))
     return out
 
 

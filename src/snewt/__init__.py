@@ -8,9 +8,9 @@ Library layout:
 - sketch: the Newton-system solves (exact, KKT, coordinate and Gaussian
   sketch-and-project sweeps), each written once on stacks of systems;
   run, run_sqp and the batched harness all call them
-- optimizer: the averaged-Hessian stochastic Newton iteration; its step
-  works on stacks of replications, so run and the batched harness share
-  one step
+- optimizer: the averaged-Hessian stochastic Newton iteration; one step
+  for both families and for stacks of replications, which run, run_sqp
+  and the batched harness share (run and run_sqp through one loop)
 - covariance: running covariance estimators (weighted sample covariance
   with O(d^2) state and a rank-3 inverse recursion, plus plug-in and
   batch-means baselines)
@@ -19,9 +19,9 @@ Library layout:
 - oracle: ground-truth limiting covariances of regression studies (closed
   forms where they exist, seeded Monte Carlo elsewhere) and the relative
   error metrics the harness reports against them
-- sqp: equality-constrained extension (stochastic SQP on the KKT system);
-  its problems and its step work on stacks of replications, so run_sqp
-  and the batched harness share one step
+- sqp: equality-constrained extension (stochastic SQP on the KKT system):
+  its problems and the observation that feeds the one step work on stacks
+  of replications, so run_sqp and the batched harness share them
 - config / experiment / cli: study configs, the replication-batched
   Monte-Carlo harness, and the ``snewt`` command-line entry point; every
   study is a config file that ``snewt run`` runs

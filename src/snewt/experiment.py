@@ -8,11 +8,11 @@ blocks.  Per-replication randomness therefore depends only on the base
 seed and the replication index, and a fixed seed reproduces every output
 byte for byte.  One loop (_run_shard) runs both families: it draws the
 blocks, sets the stepsizes, updates the estimators, guards, freezes and
-records checkpoints, and only the step differs.  Each step is the
-library's own, applied to the whole stack: optimizer.newton_step (or the
-averaged-SGD update) for regression studies, which form their samples
-once per 32-step sub-block, and sqp.sqp_step for constrained ones, which
-read their noise normals per step.  So are the solves, the sketch
+records checkpoints, and only the observations differ.  Each step is the
+library's one step, optimizer.newton_step, applied to the whole stack (or
+the averaged-SGD update): regression studies form their samples once per
+32-step sub-block, and constrained ones turn their noise normals into
+samples per step with sqp.observe.  So are the solves, the sketch
 module's stacked exact, LU and sweep solves, and the estimators: the
 covariance module's accumulators take the (n_reps, d) stack as they take
 one iterate.  A replication whose ||x|| + ||lam|| leaves the divergence
@@ -49,7 +49,7 @@ from .problems import RegressionModel, Sample, grad_noise_factor
 from .sketch import (SketchSolveConfig, _exact_solve_batched,
                      _gaussian_solve_batched, _lu_solve_batched, _tol_abs,
                      _uc_solve_batched)
-from .sqp import EqConstrainedProblem, SqpState, sqp_step
+from .sqp import EqConstrainedProblem, observe
 
 __all__ = [
     "AGGREGATE_COLUMNS",
@@ -224,7 +224,9 @@ def _checkpoint_metrics(
             center = cx
             scale = phi_prev
         hw = z_level * np.sqrt(scale * np.maximum(quad, 0.0))
-        raw["cov_" + suffix] = (np.abs(center - target) <= hw).astype(float)
+        # a NaN estimate gives no interval: neither a hit nor a miss
+        raw["cov_" + suffix] = np.where(np.isnan(hw), np.nan,
+                                        np.abs(center - target) <= hw)
     if sgd:
         if omega is not None and cmean is not None:
             hw_o = z_level * math.sqrt(max(float(w @ omega @ w), 0.0) / t_now)
@@ -273,6 +275,23 @@ def _aggregate_raw(raw: Dict[str, np.ndarray]) -> Dict[str, object]:
         vals = vals[np.isfinite(vals)]
         out[col] = float(vals.mean()) if vals.size else None
     return out
+
+
+def _plugin_per_rep(plug: PlugInAccumulator, B: np.ndarray,
+                    schedule: StepsizeSchedule) -> np.ndarray:
+    """The stacked plug-in estimate, NaN for a replication whose B is
+    singular.  One singular slice fails the stacked solve; the others are
+    then solved with it replaced by I, which keeps their bits."""
+    try:
+        return _plugin_estimate_batched(plug, B, schedule.beta,
+                                        schedule.c_beta)
+    except np.linalg.LinAlgError:
+        singular = np.linalg.det(B) == 0.0  # an exactly zero pivot of LU
+    est = _plugin_estimate_batched(
+        plug, np.where(singular[:, None, None], np.eye(B.shape[-1]), B),
+        schedule.beta, schedule.c_beta)
+    est[singular] = np.nan
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -325,18 +344,17 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
     def snapshot(t_now: int) -> Tuple[Dict[str, np.ndarray],
                                       Dict[str, Optional[np.ndarray]]]:
         ests: Dict[str, Optional[np.ndarray]] = {}
-        if wsc is not None:
-            ests["wsc"] = wsc.estimate()
-        if plug is not None:
-            ests["plugin"] = None
-            if t_now >= d:  # the Hessian average is singular before that
-                try:
-                    ests["plugin"] = _plugin_estimate_batched(
-                        plug, B, schedule.beta, schedule.c_beta)
-                except np.linalg.LinAlgError:
-                    pass
-        if bm is not None:
-            ests["batchmeans"] = bm.estimate() if bm.n_completed >= 2 else None
+        # frozen replications' sums may hold the overflowed iterate; their
+        # estimates are masked out of every aggregate, so are their warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            if wsc is not None:
+                ests["wsc"] = wsc.estimate()
+            if plug is not None:  # B is singular before t = d
+                ests["plugin"] = (_plugin_per_rep(plug, B, schedule)
+                                  if t_now >= d else None)
+            if bm is not None:
+                ests["batchmeans"] = (bm.estimate() if bm.n_completed >= 2
+                                      else None)
         mean = bm.mean if bm is not None else None
         raw = _checkpoint_metrics(t_now, schedule, w, target, z_level, alive,
                                   X, mean, ests, xi, omega, sgd)
@@ -386,6 +404,10 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
                              **_aggregate_raw(snapshot(t_now)[0])})
         t_done += K
 
+    def live_mean(est: np.ndarray) -> Optional[np.ndarray]:
+        ok = alive & np.isfinite(est).all(axis=(-2, -1))  # plug-in: NaN rows
+        return est[ok].mean(axis=0) if ok.any() else None
+
     final_raw, final_ests = snapshot(n_iters)
     return ExperimentResult(
         config=cfg,
@@ -393,11 +415,8 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
         rows=rows,
         final={"t": n_iters, **_aggregate_raw(final_raw)},
         final_per_rep=final_raw,
-        final_estimates={
-            name: est[alive].mean(axis=0) if est is not None and alive.any()
-            else None
-            for name, est in final_ests.items()
-        },
+        final_estimates={name: None if est is None else live_mean(est)
+                         for name, est in final_ests.items()},
         final_x=X.copy(),
         final_lam=Lam.copy() if m else None,
         oracle_xi=xi,
@@ -437,12 +456,12 @@ def _run_shard_regression(
             sub = model.sample(np.ascontiguousarray(z), None if lin
                                else blk.labels[:, k:k + _SUB].T.copy())
         s = Sample(sub.xi_a[j], sub.xi_b[j])
+        G = model.grad(X, s)
         if sgd:
-            G = model.grad(X, s)
             return X - np.asarray(alpha)[..., None] * G, Lam, B, G
-        state = newton_step(NewtonState(t, X, B), model, s, schedule, alpha,
-                            solve)
-        return state.x, Lam, state.B, state.last_grad
+        state = newton_step(NewtonState(t, X, B), schedule, alpha, solve, G,
+                            model.hess(X, s))
+        return state.x, Lam, state.B, G
 
     # linear: d feature normals plus the response noise per step;
     # logistic: d feature normals per step, then the label uniforms
@@ -469,8 +488,9 @@ def _run_shard_sqp(
 
     def step(blk, k, t, alpha, solve, X, Lam, B):
         # d gradient plus d(d+1)/2 Hessian noise normals, read per step
-        state = sqp_step(SqpState(t, X, Lam, B), problem, sigma2, schedule,
-                         blk.data[:, k], alpha, solve, L)
+        obs = observe(problem, X, Lam, blk.data[:, k], sigma2, L)
+        state = newton_step(NewtonState(t, X, B, Lam), schedule, alpha,
+                            solve, *obs)
         return state.x, state.lam, state.B, None
 
     return _run_shard(cfg, problem, schedule, solve_cfg, w, xi, omega, chunk,

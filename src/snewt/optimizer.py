@@ -1,22 +1,24 @@
 """Online Newton iteration with averaged Hessians and banded stepsizes.
 
-Each step forms the stochastic gradient of one observation at the current
+Each step takes the observed gradient and Hessian samples at the current
 point, computes an (in)exact Newton direction against the running Hessian
 average, and moves with a stepsize drawn from a shrinking band
 [beta_t, beta_t + chi_t].  The Hessian sample taken at step t enters the
 average used from step t+1 on, so the system matrix of step t is
-deterministic given the trajectory up to t.
+deterministic given the trajectory up to t.  With equality constraints
+the same step solves the KKT system and moves the multipliers too.
 
-newton_step works on one replication or a stack of them, with the solve
-passed in: run steps one replication with solve_newton_sketched, and the
-batched harness (experiment.run_experiment) steps all of its replications
-at once with the same function.  Both solve with the sketch module's
-stacked solves (run on one-row stacks), except run's coordinate sketches,
-which take sketch's scalar loop.
+newton_step is the one step of both families, on one replication or a
+stack of them, with the solve passed in: run and sqp.run_sqp step one
+replication through one loop, and the batched harness
+(experiment.run_experiment) steps all of its replications at once.  All
+of them use the sketch module's stacked solves (run on one-row stacks),
+except run's coordinate sketches, which take sketch's scalar loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
@@ -29,8 +31,7 @@ __all__ = [
     "NewtonState",
     "RngStreams",
     "DivergenceError",
-    "ridged_average",
-    "fold_average",
+    "kkt_assemble",
     "newton_step",
     "run",
 ]
@@ -126,17 +127,18 @@ class RngStreams(NamedTuple):
 
 @dataclass
 class NewtonState:
-    """Iteration state: step count t, iterate x, Hessian average B.
+    """Iteration state: step count t, iterate x, Hessian average B, and
+    the multipliers lam of a constrained problem (None without).
 
-    x and B have shapes (..., d) and (..., d, d): one replication, or a
-    stack of them sharing t.
+    x, B and lam have shapes (..., d), (..., d, d) and (..., m): one
+    replication, or a stack of them sharing t.  With constraints B is the
+    running Lagrangian-Hessian average.
     """
 
     t: int
     x: np.ndarray
     B: np.ndarray
-    last_alpha: Optional[Union[float, np.ndarray]] = None
-    last_grad: Optional[np.ndarray] = None
+    lam: Optional[np.ndarray] = None
 
     @classmethod
     def initial(cls, d: int) -> "NewtonState":
@@ -144,51 +146,42 @@ class NewtonState:
         return cls(t=0, x=np.zeros(d), B=np.eye(d))
 
 
-def ridged_average(B: np.ndarray, H: np.ndarray, schedule: StepsizeSchedule,
-                   t: int) -> np.ndarray:
-    """System matrix of step t: B at t = 0, else B + beta_t ||H||_F I.
-
-    B and H are (..., d, d) stacks; the ridge is taken per slice.
-    """
-    if t == 0:
-        return B
+def kkt_assemble(B: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Symmetric KKT matrices [[B, G^T], [G, 0]], stacked over leading axes."""
     d = B.shape[-1]
-    fro = np.sqrt(np.einsum("...ij,...ij->...", H, H))
-    out = B.copy()
-    # the diagonal as a strided view of the flattened copy
-    out.reshape(out.shape[:-2] + (d * d,))[..., ::d + 1] += (
-        schedule.beta_t(t) * fro[..., None])
-    return out
-
-
-def fold_average(B: np.ndarray, H: np.ndarray, t: int) -> np.ndarray:
-    """Running mean after step t: (t B + H) / (t + 1), as a new array."""
-    B_new = B * t
-    B_new += H
-    B_new /= t + 1
-    return B_new
+    m = G.shape[-2]
+    K = np.zeros(B.shape[:-2] + (d + m, d + m))
+    K[..., :d, :d] = B
+    K[..., :d, d:] = np.swapaxes(G, -1, -2)
+    K[..., d:, :d] = G
+    return K
 
 
 def newton_step(
     state: NewtonState,
-    problem,
-    sample,
     schedule: StepsizeSchedule,
     alpha: Union[float, np.ndarray],
     solve: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    g: np.ndarray,
+    H: np.ndarray,
+    J: Optional[np.ndarray] = None,
+    c: Optional[np.ndarray] = None,
 ) -> NewtonState:
     """One online Newton step, for one replication or a stack of them.
 
-    Forms the gradient and Hessian samples of ``sample`` at x_t, solves for
-    the Newton direction, moves x by ``alpha`` (a scalar or one stepsize
-    per replication), and folds the Hessian sample into the running
-    average:
+    Takes the gradient and Hessian samples g and H observed at x_t, solves
+    for the Newton direction, moves x by ``alpha`` (a scalar or one
+    stepsize per replication), and folds the Hessian sample into the
+    running average:
 
         B_{t+1} = (t B_t + H_t) / (t + 1).
 
-    ``problem`` provides grad(x, s) and hess(x, s) on arrays with the
-    leading axes of ``state.x``; ``solve(B, g)`` returns dx with
-    B dx = -g, exactly or by a sketch sweep.
+    ``solve(M, rhs)`` returns delta with M delta = -rhs, exactly or by a
+    sketch sweep, on M = the ridged average below and rhs = g.  Given the
+    constraint Jacobian J and values c at x_t (H being the Lagrangian-
+    Hessian sample), it gets [[M, J^T], [J, 0]] and [g + J^T lam; c]
+    instead, and lam moves by alpha too.  Only a passed J adds that
+    block, so a regression step does no KKT work.
 
     Solve stabilization: the average B_t drops the initial B_0 after the
     first step, so for t < d it is a mean of fewer than d rank-1 samples —
@@ -199,22 +192,66 @@ def newton_step(
     several orders of magnitude before contracting.  The solve therefore
     targets the damped matrix
 
-        B_t + beta_t * ||H_t||_F * I          (t >= 1),
+        M = B_t + beta_t * ||H_t||_F * I          (t >= 1),
 
     a Levenberg-style ridge scaled by the current Hessian sample.  Along
     the sampled direction this caps the stepsize-times-curvature product
     at alpha_t * xi^T (B_t + ridge)^{-1} xi <= 1 + chi_t/beta_t <= 2 for
     rank-1 samples, so no step can overshoot multiplicatively; the ridge
     vanishes at the beta_t rate, leaving the asymptotics and the reported
-    average untouched.  At t = 0 the solve uses B_0 exactly.
+    average untouched.  At t = 0 the solve uses B_0 exactly.  With
+    constraints the ridge damps the KKT system's upper-left block.
     """
-    t = state.t
-    g = problem.grad(state.x, sample)
-    H = problem.hess(state.x, sample)
-    dx = solve(ridged_average(state.B, H, schedule, t), g)
-    x_new = state.x + np.asarray(alpha)[..., None] * dx
-    return NewtonState(t=t + 1, x=x_new, B=fold_average(state.B, H, t),
-                       last_alpha=alpha, last_grad=g)
+    t, B, lam = state.t, state.B, state.lam
+    d = B.shape[-1]
+    M = B
+    if t > 0:
+        fro = np.sqrt(np.einsum("...ij,...ij->...", H, H))
+        M = B.copy()
+        # the diagonal as a strided view of the flattened copy
+        M.reshape(M.shape[:-2] + (d * d,))[..., ::d + 1] += (
+            schedule.beta_t(t) * fro[..., None])
+    step = np.asarray(alpha)[..., None]
+    if J is None:
+        x = state.x + step * solve(M, g)
+    else:
+        rhs = np.concatenate(
+            [g + np.einsum("...md,...m->...d", J, lam), c], axis=-1)
+        delta = solve(kkt_assemble(M, J), rhs)
+        x = state.x + step * delta[..., :d]
+        lam = lam + step * delta[..., d:]
+    B_new = B * t
+    B_new += H
+    B_new /= t + 1
+    return NewtonState(t=t + 1, x=x, B=B_new, lam=lam)
+
+
+def _run_loop(state: NewtonState, schedule: StepsizeSchedule, n_iters: int,
+              rngs: RngStreams, observe: Callable, solve: Callable,
+              sinks: Iterable[TraceSink]) -> NewtonState:
+    """The loop of run and run_sqp: n_iters newton_steps from state.
+
+    Per step, observe(state, rngs.data) gives the samples (g, H), or
+    (g, H, J, c), and the step stream one uniform in band mode only.
+    Sinks get (t, x_t, alpha_{t-1}).  Raises DivergenceError when ||x|| +
+    ||lam|| (lam only with constraints) passes the study harness's guard
+    or turns non-finite.
+    """
+    if n_iters < 1:
+        raise ValueError("n_iters must be >= 1")
+    sinks = tuple(sinks)
+    for _ in range(n_iters):
+        obs = observe(state, rngs.data)
+        alpha = schedule.draw(state.t, rngs.step)
+        state = newton_step(state, schedule, alpha, solve, *obs)
+        norm = math.sqrt(state.x @ state.x)
+        if state.lam is not None:
+            norm += math.sqrt(state.lam @ state.lam)
+        if not norm <= _DIVERGENCE_NORM:
+            raise DivergenceError(state.t, norm)
+        for sink in sinks:
+            sink(state.t, state.x, alpha)
+    return state
 
 
 def run(
@@ -238,22 +275,14 @@ def run(
     draws of solve_newton_sketched.  An exact solve whose system fails the
     Cholesky gate falls back to the pseudo-inverse direction.
     """
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
     rngs = RngStreams.from_seed(seed)
-    state = NewtonState.initial(problem.dim)
-    sinks = tuple(sinks)
-    bound2 = _DIVERGENCE_NORM * _DIVERGENCE_NORM
+
+    def observe(state, data):
+        s = problem.draw(data)
+        return problem.grad(state.x, s), problem.hess(state.x, s)
 
     def solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:
         return solve_newton_sketched(B, g, cfg, rngs.sketch)
 
-    for _ in range(n_iters):
-        s = problem.draw(rngs.data)
-        alpha = schedule.draw(state.t, rngs.step)
-        state = newton_step(state, problem, s, schedule, alpha, solve)
-        if not state.x @ state.x <= bound2:
-            raise DivergenceError(state.t, float(np.linalg.norm(state.x)))
-        for sink in sinks:
-            sink(state.t, state.x, state.last_alpha)
-    return state
+    return _run_loop(NewtonState.initial(problem.dim), schedule, n_iters,
+                     rngs, observe, solve, sinks)

@@ -1,44 +1,40 @@
 """Stochastic equality-constrained SQP with sketched KKT solves.
 
 Each step observes a noisy objective gradient and Hessian (constraints are
-exact), assembles the KKT system of the local quadratic model with the
-running Lagrangian-Hessian average B_t,
+exact) and takes optimizer.newton_step with the constraint Jacobian and
+values: the KKT system of the local quadratic model with the running
+Lagrangian-Hessian average B_t,
 
     [ B_t  G^T ] [dx  ]     [ grad_x L ]
     [ G    0   ] [dlam] = - [ c(x)     ],
 
-solves it exactly (LU, least squares if singular; the KKT matrix is
+solved exactly (LU, least squares if singular; the KKT matrix is
 symmetric indefinite) or with tau sketch-and-project steps on the full
-(d+m)-dimensional system, and moves
-the primal-dual pair by a banded stepsize.  The covariance machinery
-applies to the primal block unchanged: trace sinks receive (t, x_t, alpha).
+(d+m)-dimensional system, and the primal-dual pair moves by a banded
+stepsize.  The covariance machinery applies to the primal block
+unchanged: trace sinks receive (t, x_t, alpha).
 
-Problems and the step work on stacks of replications as well as on single
-points: run_sqp steps one replication with sqp_step, and the batched
-harness (experiment.run_experiment) steps all of its replications at once
-with the same function.
+The problems and observe, which turns a step's noise normals into the
+samples newton_step takes, work on stacks of replications as well as on
+single points, so run_sqp and the batched harness share them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
-from .optimizer import (_DIVERGENCE_NORM, DivergenceError, RngStreams,
-                        StepsizeSchedule, TraceSink, fold_average,
-                        ridged_average)
+from .optimizer import (NewtonState, RngStreams, StepsizeSchedule,
+                        TraceSink, _run_loop)
 from .problems import grad_noise_factor, symmetric_noise
 from .sketch import (SketchSolveConfig, _lu_solve_batched,
                      solve_newton_sketched)
 
 __all__ = [
     "EqConstrainedProblem",
-    "SqpState",
-    "kkt_assemble",
-    "sqp_step",
+    "observe",
     "run_sqp",
     "equality_qp",
     "maratos",
@@ -83,43 +79,9 @@ class EqConstrainedProblem:
         return np.einsum("...m,...mij->...ij", lam, self.cons_hess(x))
 
 
-def kkt_assemble(B: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Symmetric KKT matrices [[B, G^T], [G, 0]], stacked over leading axes."""
-    d = B.shape[-1]
-    m = G.shape[-2]
-    K = np.zeros(B.shape[:-2] + (d + m, d + m))
-    K[..., :d, :d] = B
-    K[..., :d, d:] = np.swapaxes(G, -1, -2)
-    K[..., d:, :d] = G
-    return K
-
-
-@dataclass
-class SqpState:
-    """Step count t plus iterate, multipliers and Lagrangian-Hessian average.
-
-    x, lam and B have shapes (..., d), (..., m) and (..., d, d): one
-    replication, or a stack of them sharing t.
-    """
-
-    t: int
-    x: np.ndarray
-    lam: np.ndarray
-    B: np.ndarray
-    last_alpha: Optional[Union[float, np.ndarray]] = None
-
-
-def sqp_step(
-    state: SqpState,
-    problem: EqConstrainedProblem,
-    sigma2: float,
-    schedule: StepsizeSchedule,
-    z: np.ndarray,
-    alpha: Union[float, np.ndarray],
-    solve: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grad_chol: np.ndarray,
-) -> SqpState:
-    """One stochastic SQP step, for one replication or a stack of them.
+def observe(problem: EqConstrainedProblem, X: np.ndarray, Lam: np.ndarray,
+            z: np.ndarray, sigma2: float, grad_chol: np.ndarray) -> tuple:
+    """One step's samples (g, H, J, c) at (X, Lam) for newton_step.
 
     ``z`` holds each replication's d + d(d+1)/2 standard normals: the
     first d give gradient noise of covariance sigma2 (I + 1 1^T) through
@@ -128,35 +90,13 @@ def sqp_step(
     The Lagrangian Hessian sample weights the constraint Hessians by the
     current multipliers:
 
-        H_t = (hess f(x_t) + noise) + sum_i lam_t[i] hess c_i(x_t),
-        B_{t+1} = (t B_t + H_t) / (t + 1).
-
-    ``solve(K, rhs)`` returns delta with K delta = -rhs (exactly or by a
-    sketch sweep); the primal-dual pair then moves by ``alpha``, a scalar
-    or one stepsize per replication.
-
-    As in the unconstrained step, the KKT system's upper-left block is
-    damped for t >= 1 with the vanishing sample-scaled ridge
-    B_t + beta_t * ||H_t||_F * I (optimizer.ridged_average), which keeps
-    the early solves from amplifying the residual without bound; the
-    reported average B_t is untouched and the ridge fades at the beta_t
-    rate.
+        H_t = (hess f(x_t) + noise) + sum_i lam_t[i] hess c_i(x_t).
     """
     d = problem.dim
-    t = state.t
-    X, Lam, B = state.x, state.lam, state.B
-    gbar = problem.grad(X) + z[..., :d] @ grad_chol.T
+    g = problem.grad(X) + z[..., :d] @ grad_chol.T
     H = (problem.hess(X) + symmetric_noise(z[..., d:], d, sigma2)
          + problem.weighted_cons_hess(X, Lam))
-    J = problem.jac(X)
-    rhs = np.concatenate(
-        [gbar + np.einsum("...md,...m->...d", J, Lam), problem.cons(X)],
-        axis=-1)
-    delta = solve(kkt_assemble(ridged_average(B, H, schedule, t), J), rhs)
-    step = np.asarray(alpha)[..., None]
-    return SqpState(t=t + 1, x=X + step * delta[..., :d],
-                    lam=Lam + step * delta[..., d:],
-                    B=fold_average(B, H, t), last_alpha=alpha)
+    return g, H, problem.jac(X), problem.cons(X)
 
 
 def run_sqp(
@@ -167,16 +107,16 @@ def run_sqp(
     n_iters: int,
     seed: int,
     sinks: Iterable[TraceSink] = (),
-) -> SqpState:
+) -> NewtonState:
     """Run n_iters SQP steps from (problem.x0, lam = 0, B = I).
 
-    Sinks receive (t, x_t, alpha_{t-1}).  Raises DivergenceError when
-    ||x|| + ||lam|| exceeds 1e8 (the study harness's guard) or turns
-    non-finite.
+    Sinks receive (t, x_t, alpha_{t-1}).  Raises ValueError when n_iters
+    < 1, and DivergenceError when ||x|| + ||lam|| exceeds 1e8 (the study
+    harness's guard) or turns non-finite.
 
     The int seed gives three independent generators
     (RngStreams.from_seed).  Per step, the data stream gives d + d(d+1)/2
-    normals (see sqp_step), the sketch stream gives the draws of
+    normals (see observe), the sketch stream gives the draws of
     solve_newton_sketched on the assembled KKT system, and the step stream
     gives one uniform in band mode only.  The three are separate
     generators, so the order in which they are read does not matter.
@@ -191,20 +131,14 @@ def run_sqp(
     solve = ((lambda K, rhs: _lu_solve_batched(K[None], rhs[None])[0])
              if cfg.is_exact else
              (lambda K, rhs: solve_newton_sketched(K, rhs, cfg, rngs.sketch)))
-    state = SqpState(t=0, x=problem.x0.copy(), lam=np.zeros(problem.n_cons),
-                     B=np.eye(d))
-    sinks = tuple(sinks)
-    for _ in range(n_iters):
-        z = rngs.data.standard_normal(n_normals)
-        alpha = schedule.draw(state.t, rngs.step)
-        state = sqp_step(state, problem, sigma2, schedule, z, alpha, solve,
-                         grad_chol)
-        norm = math.sqrt(state.x @ state.x) + math.sqrt(state.lam @ state.lam)
-        if not norm <= _DIVERGENCE_NORM:
-            raise DivergenceError(state.t, norm)
-        for sink in sinks:
-            sink(state.t, state.x, state.last_alpha)
-    return state
+    state = NewtonState(t=0, x=problem.x0.copy(), B=np.eye(d),
+                        lam=np.zeros(problem.n_cons))
+    return _run_loop(
+        state, schedule, n_iters, rngs,
+        lambda st, data: observe(problem, st.x, st.lam,
+                                 data.standard_normal(n_normals), sigma2,
+                                 grad_chol),
+        solve, sinks)
 
 
 # ---------------------------------------------------------------------------

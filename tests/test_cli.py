@@ -289,6 +289,23 @@ def test_run_command_non_finite_ground_truth_is_config_error(tmp_path, capsys):
     assert "Lambda is not finite" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_command_all_diverged_prints_only_the_divergence_message(
+        tmp_path, capsys):
+    # SGD with no ground truth to build: every replication overflows, and
+    # the frozen rows' batch-means sums, masked out of every aggregate,
+    # must not raise numpy warnings at the checkpoint
+    text = _OVERFLOWING_SIGMA.replace("tau = 2", "solver = sgd").replace(
+        "n_iters = 50", f"n_iters = 50\n    n_reps = 4\n\n    [output]\n"
+        f"    aggregate = {tmp_path / 'agg.csv'}\n"
+        f"    summary = {tmp_path / 'sum.csv'}")
+    path = _write_config(tmp_path, text)
+    assert main(["run", path]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: 4 of 4 replications")
+    assert err.count("\n") == 1
+
+
 def test_run_command_missing_config_is_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nowhere.ini")]) == EXIT_CONFIG
     assert "cannot read" in capsys.readouterr().err

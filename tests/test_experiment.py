@@ -69,7 +69,9 @@ def _close(a, b, tol=1e-10):
 
 def _check_newton_against_replay(cfg, chunk=experiment._CHUNK):
     # the harness (one replication) and optimizer.run share newton_step;
-    # both are checked against the straight-line replay, not each other
+    # both are checked against the straight-line replay, not each other.
+    # The replayed gradients are checked through the harness's plug-in
+    # estimate; run's sinks see x, whose trajectory the gradients drive
     n = cfg.experiment.n_iters
     method = cfg.method
     model = cfg.build_problem()
@@ -89,13 +91,10 @@ def _check_newton_against_replay(cfg, chunk=experiment._CHUNK):
     _close(result.final_estimates["wsc"], expected_wsc)
     _close(result.final_estimates["plugin"], expected_plug)
 
-    # run's sinks see no gradients, so its plug-in input is checked only
-    # at the last step
     acc = WscAccumulator(model.dim)
     final = run(model, cfg.build_solve_config(), sched, n,
                 cfg.experiment.base_seed, sinks=(WscSink(sched, acc),))
     _close(final.x, xs[-1])
-    _close(final.last_grad, grads[-1])
     _close(final.B, B)
     _close(acc.estimate(), expected_wsc)
 
@@ -155,8 +154,9 @@ def test_sgd_engine_matches_manual_first_order_loop():
 
 
 def _check_sqp_against_replay(method, seed, n_iters):
-    # the harness (one replication) and run_sqp share sqp_step; both are
-    # checked against the straight-line replay, not against each other
+    # the harness (one replication) and run_sqp share newton_step and
+    # sqp.observe; both are checked against the straight-line replay, not
+    # against each other
     for family in ("eqqp", "maratos", "hs7"):
         cfg = _cfg(problem=ProblemConfig(family=family, sigma2=1e-2),
                    method=method, estimators=("wsc",), direction="inactive",
@@ -535,19 +535,17 @@ def test_divergent_replications_are_masked_not_fatal(monkeypatch):
     # through the steps that trip no guard
     lambda t: t == 10,
 ], ids=["t>=10", "t==10"])
-@pytest.mark.parametrize("problem,direction,estimators,step_name", [
-    (ProblemConfig(d=3, design="equicorr", r=0.3), "mean", ("wsc", "plugin"),
-     "newton_step"),
-    (ProblemConfig(family="eqqp", sigma2=1e-2), "inactive", ("wsc",),
-     "sqp_step"),
+@pytest.mark.parametrize("problem,direction,estimators", [
+    (ProblemConfig(d=3, design="equicorr", r=0.3), "mean", ("wsc", "plugin")),
+    (ProblemConfig(family="eqqp", sigma2=1e-2), "inactive", ("wsc",)),
 ])
 def test_a_frozen_replication_is_reset_and_leaves_the_others_alone(
-        monkeypatch, problem, direction, estimators, step_name, hit):
+        monkeypatch, problem, direction, estimators, hit):
     cfg = _cfg(problem=problem, method=MethodConfig(tau=2), n_iters=100,
                n_reps=3, record_every=25, estimators=estimators,
                direction=direction)
     clean = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3)
-    step = getattr(experiment, step_name)
+    step = experiment.newton_step  # the one step of both families
 
     def poisoned(state, *args):
         out = step(state, *args)
@@ -555,12 +553,12 @@ def test_a_frozen_replication_is_reset_and_leaves_the_others_alone(
             out.x[1] = np.nan
         return out
 
-    monkeypatch.setattr(experiment, step_name, poisoned)
+    monkeypatch.setattr(experiment, "newton_step", poisoned)
     result = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3)
     x0 = getattr(cfg.build_problem(), "x0", np.zeros(3))
     assert result.n_diverged == 1
     assert np.array_equal(result.final_x[1], x0)
-    if step_name == "sqp_step":
+    if problem.family == "eqqp":
         assert np.array_equal(result.final_lam[1], np.zeros(1))
     else:
         assert result.final_lam is None
@@ -569,3 +567,33 @@ def test_a_frozen_replication_is_reset_and_leaves_the_others_alone(
     assert result.final_per_rep.keys() == clean.final_per_rep.keys()
     for key, arr in clean.final_per_rep.items():
         assert _same_bits(result.final_per_rep[key][keep], arr[keep]), key
+
+
+def test_a_singular_hessian_average_blanks_only_its_own_plugin_row(
+        monkeypatch):
+    cfg = _cfg(method=MethodConfig(tau=2), n_iters=100, n_reps=4,
+               record_every=25)
+    clean = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3)
+    step = experiment.newton_step
+
+    def poisoned(state, *args):
+        # replication 1's Hessian average is exactly zero from t = 60 on,
+        # which fails the stacked solve of the plug-in estimate
+        out = step(state, *args)
+        if out.t >= 60:
+            out.B[1] = 0.0
+        return out
+
+    monkeypatch.setattr(experiment, "newton_step", poisoned)
+    result = run_experiment(cfg, oracle_xi=EYE3, oracle_omega=EYE3)
+    assert result.n_diverged == 0
+    for row in result.rows[-2:]:  # t = 75 and t = 100
+        assert row["rel_cov_err_plugin"] is not None
+        assert row["cov_plugin"] is not None
+    keep = [0, 2, 3]
+    for key in ("rel_cov_err_plugin", "rel_var_err_plugin", "cov_plugin"):
+        assert _same_bits(result.final_per_rep[key][keep],
+                          clean.final_per_rep[key][keep]), key
+        assert np.isnan(result.final_per_rep[key][1]), key
+    # the final plug-in estimate averages the replications that have one
+    assert np.isfinite(result.final_estimates["plugin"]).all()

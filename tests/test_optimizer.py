@@ -132,7 +132,7 @@ def test_newton_state_defaults():
     assert state.t == 0
     assert np.array_equal(state.x, np.zeros(3))
     assert np.array_equal(state.B, np.eye(3))
-    assert state.last_alpha is None
+    assert state.lam is None
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +146,14 @@ def test_one_exact_step_with_unit_stepsize_hits_the_minimizer():
     sched = StepsizeSchedule(c_beta=1.0, beta=0.6, c_chi=0.0,
                              mode="deterministic")
     state = NewtonState(t=0, x=np.array([2.0, -1.0]), B=A)
-    out = newton_step(state, prob, None, sched, sched.phi(0),
-                      lambda B, g: np.linalg.solve(B, -g))
     # t = 0 solves against B_0 exactly (no damping), and alpha_0 = 1
-    assert out.last_alpha == 1.0
+    assert sched.phi(0) == 1.0
+    out = newton_step(state, sched, sched.phi(0),
+                      lambda B, g: np.linalg.solve(B, -g),
+                      prob.grad(state.x, None), prob.hess(state.x, None))
     assert np.abs(out.x - c).max() < 1e-12
     assert out.t == 1
+    assert out.lam is None
 
 
 def test_quadratic_objective_decreases_monotonically():
@@ -163,9 +165,11 @@ def test_quadratic_objective_decreases_monotonically():
     state = NewtonState(t=0, x=np.array([4.0, 3.0]), B=A)
     xs = [state.x]
     for t in range(50):
-        state = newton_step(state, prob, None, sched, sched.phi(t),
+        state = newton_step(state, sched, sched.phi(t),
                             lambda B, g: _exact_solve_batched(B[None],
-                                                              g[None])[0])
+                                                              g[None])[0],
+                            prob.grad(state.x, None),
+                            prob.hess(state.x, None))
         xs.append(state.x)
     vals = [prob.value(x) for x in xs]
     for before, after in zip(vals, vals[1:]):
@@ -173,9 +177,11 @@ def test_quadratic_objective_decreases_monotonically():
     # the same steps on a stack of three starting points
     stack = NewtonState(t=0, x=np.array([[4.0, 3.0], [-2.0, 0.5], xs[0]]),
                         B=np.stack([A] * 3))
+    stacked = StackedQuadratic(A, c)
     for t in range(50):
-        stack = newton_step(stack, StackedQuadratic(A, c), None, sched,
-                            sched.phi(t), _exact_solve_batched)
+        stack = newton_step(stack, sched, sched.phi(t), _exact_solve_batched,
+                            stacked.grad(stack.x, None),
+                            stacked.hess(stack.x, None))
     assert np.allclose(stack.x[2], state.x, rtol=0.0, atol=1e-12)
     assert np.abs(stack.x - c).max() < 1e-6
 

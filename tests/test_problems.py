@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from snewt.optimizer import StepsizeSchedule
+from snewt.optimizer import NewtonState, StepsizeSchedule, newton_step
 from snewt.problems import (
     DesignCovSpec,
     RegressionModel,
@@ -16,7 +16,7 @@ from snewt.problems import (
     symmetric_noise,
 )
 from snewt.problems import _upper_triangle
-from snewt.sqp import SqpState, equality_qp, hs7, sqp_step
+from snewt.sqp import equality_qp, hs7, observe
 from tests.oracles import (fd_grad, fd_jac, sample_loss,
                            symmetric_noise_replay)
 
@@ -252,13 +252,16 @@ def test_grad_noise_factor_closed_form_identity():
 
 def _first_steps(prob, x, lam, sigma2, n):
     """n independent t = 0 SQP steps from (x, lam) with B = I and alpha = 1."""
-    d, m = prob.dim, prob.n_cons
-    state = SqpState(t=0, x=np.tile(x, (n, 1)), lam=np.tile(lam, (n, 1)),
-                     B=np.tile(np.eye(d), (n, 1, 1)))
+    d = prob.dim
+    state = NewtonState(t=0, x=np.tile(x, (n, 1)),
+                        B=np.tile(np.eye(d), (n, 1, 1)),
+                        lam=np.tile(lam, (n, 1)))
     z = np.random.default_rng(2).standard_normal((n, d + d * (d + 1) // 2))
-    return sqp_step(state, prob, sigma2, StepsizeSchedule(), z, np.ones(n),
-                    lambda K, rhs: np.linalg.solve(K, -rhs[..., None])[..., 0],
-                    grad_noise_factor(d, sigma2))
+    obs = observe(prob, state.x, state.lam, z, sigma2,
+                  grad_noise_factor(d, sigma2))
+    return newton_step(state, StepsizeSchedule(), np.ones(n),
+                       lambda K, rhs: np.linalg.solve(K, -rhs[..., None])[..., 0],
+                       *obs)
 
 
 def test_noisy_grad_covariance_law_monte_carlo():

@@ -5,20 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-import snewt.sqp as sqp
+import snewt.optimizer as optimizer
 from snewt.covariance import WscAccumulator, WscSink
-from snewt.optimizer import DivergenceError, RngStreams, StepsizeSchedule
+from snewt.optimizer import (DivergenceError, NewtonState, RngStreams,
+                             StepsizeSchedule, kkt_assemble, newton_step)
 from snewt.problems import grad_noise_factor
 from snewt.sketch import SketchDistribution, SketchSolveConfig
 from snewt.sqp import (
-    SqpState,
     builtin_problem,
     equality_qp,
     hs7,
-    kkt_assemble,
     maratos,
+    observe,
     run_sqp,
-    sqp_step,
 )
 from tests.oracles import (fd_grad, fd_jac, kkt_residual, newton_kkt_solve,
                            wsc_two_pass)
@@ -132,14 +131,20 @@ def _lu(K, rhs):
     return np.linalg.solve(K, -rhs[..., None])[..., 0]
 
 
+def _sqp_step(state, prob, sigma2, sched, z, alpha, solve):
+    """newton_step on the samples observe forms from the normals z."""
+    obs = observe(prob, state.x, state.lam, z, sigma2,
+                  grad_noise_factor(prob.dim, sigma2))
+    return newton_step(state, sched, alpha, solve, *obs)
+
+
 def test_noise_free_step_leaves_the_solution_fixed():
     prob = equality_qp()
-    state = SqpState(t=0, x=prob.x_star.copy(), lam=prob.lam_star.copy(),
-                     B=np.eye(3))
+    state = NewtonState(t=0, x=prob.x_star.copy(), B=np.eye(3),
+                        lam=prob.lam_star.copy())
     sched = StepsizeSchedule(mode="deterministic")
     z = np.random.default_rng(0).standard_normal(9)
-    out = sqp_step(state, prob, 0.0, sched, z, sched.phi(0), _lu,
-                   grad_noise_factor(3, 0.0))
+    out = _sqp_step(state, prob, 0.0, sched, z, sched.phi(0), _lu)
     # the stored solution satisfies the optimality system to one ulp, so
     # the step may move by rounding noise but nothing more
     assert np.abs(out.x - prob.x_star).max() <= 1e-15
@@ -175,12 +180,11 @@ def test_stacked_step_equals_row_by_row_steps(factory):
     Z = rng.standard_normal((R, d + d * (d + 1) // 2))
     alpha = rng.uniform(0.1, 0.5, size=R)
     sched = StepsizeSchedule()
-    L = grad_noise_factor(d, 0.04)
-    out = sqp_step(SqpState(t=5, x=X, lam=Lam, B=B), prob, 0.04, sched, Z,
-                   alpha, _lu, L)
+    out = _sqp_step(NewtonState(t=5, x=X, B=B, lam=Lam), prob, 0.04, sched,
+                    Z, alpha, _lu)
     for r in range(R):
-        row = sqp_step(SqpState(t=5, x=X[r], lam=Lam[r], B=B[r]), prob, 0.04,
-                       sched, Z[r], alpha[r], _lu, L)
+        row = _sqp_step(NewtonState(t=5, x=X[r], B=B[r], lam=Lam[r]), prob,
+                        0.04, sched, Z[r], alpha[r], _lu)
         assert np.allclose(out.x[r], row.x, rtol=1e-13, atol=1e-15)
         assert np.allclose(out.lam[r], row.lam, rtol=1e-13, atol=1e-15)
         assert np.allclose(out.B[r], row.B, rtol=1e-13, atol=1e-15)
@@ -205,6 +209,13 @@ def test_run_sqp_same_seed_is_bitwise_identical():
     assert np.array_equal(a.B, b.B)
 
 
+def test_run_sqp_rejects_a_nonpositive_iteration_count():
+    # the loop run_sqp shares with run checks the count before any step
+    with pytest.raises(ValueError, match="n_iters"):
+        run_sqp(equality_qp(), 1e-2, SketchSolveConfig(), StepsizeSchedule(),
+                0, 0)
+
+
 def test_run_sqp_divergence_guard(monkeypatch):
     prob = equality_qp()
     # an infinite gradient makes the first KKT step NaN, which the guard
@@ -216,8 +227,8 @@ def test_run_sqp_divergence_guard(monkeypatch):
                 0)
     assert exc.value.t == 1
     assert not np.isfinite(exc.value.norm)
-    # run_sqp reads the guard when it steps
-    monkeypatch.setattr(sqp, "_DIVERGENCE_NORM", 1e-6)
+    # run_sqp reads the guard of optimizer's loop when it steps
+    monkeypatch.setattr(optimizer, "_DIVERGENCE_NORM", 1e-6)
     with pytest.raises(DivergenceError) as exc:
         run_sqp(prob, 1e-2, SketchSolveConfig(), StepsizeSchedule(), 100, 0)
     assert exc.value.t == 1
@@ -242,9 +253,8 @@ def test_run_sqp_exact_falls_back_to_lstsq_on_a_singular_kkt_matrix():
             np.linalg.solve(K, -rhs)
         return np.linalg.lstsq(K, -rhs, rcond=None)[0]
 
-    first = sqp_step(SqpState(0, prob.x0, np.zeros(1), np.eye(2)), prob,
-                     1e-2, sched, z, records[0][1], lstsq,
-                     grad_noise_factor(2, 1e-2))
+    first = _sqp_step(NewtonState(0, prob.x0, np.eye(2), np.zeros(1)), prob,
+                      1e-2, sched, z, records[0][1], lstsq)
     assert np.array_equal(records[0][0], first.x)
     assert first.x[0] != 0.0 and first.x[1] != 0.0
 
