@@ -5,9 +5,9 @@ Library layout:
 - problems: streaming regression models, defined on stacks of
   replications, and the Gaussian noise of the constrained problems'
   gradient and Hessian observations
-- sketch: the Newton-system solves (exact, KKT, coordinate and Gaussian
-  sketch-and-project sweeps), each written once on stacks of systems;
-  run, run_sqp and the batched harness all call them
+- sketch: the Newton- and KKT-system solves (one direct LU solve, and
+  coordinate and Gaussian sketch-and-project sweeps), each written once
+  on stacks of systems; run, run_sqp and the batched harness all call them
 - optimizer: the averaged-Hessian stochastic Newton iteration; one step
   for both families and for stacks of replications, which run, run_sqp
   and the batched harness share (run and run_sqp through one loop)

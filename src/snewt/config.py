@@ -393,9 +393,9 @@ def _validate(cfg: ExperimentConfig) -> None:
     if p.is_constrained and "plugin" in exp.estimators:
         raise ConfigError("[experiment] plugin is not defined for "
                           "constrained problems")
-    if ("plugin" in exp.estimators and cfg.schedule.beta == 1.0
-            and cfg.schedule.c_beta <= 0.5):
-        raise ConfigError("[schedule] the plugin scaling needs "
+    if (solver == "newton" and not p.is_constrained
+            and cfg.schedule.beta == 1.0 and cfg.schedule.c_beta <= 0.5):
+        raise ConfigError("[schedule] the oracle and plugin scalings need "
                           "c_beta > 1/2 when beta = 1")
     # the band must shrink (chi >= beta when c_chi > 0); the schedule
     # itself enforces that

@@ -13,7 +13,7 @@ library's one step, optimizer.newton_step, applied to the whole stack (or
 the averaged-SGD update): regression studies form their samples once per
 32-step sub-block, and constrained ones turn their noise normals into
 samples per step with sqp.observe.  So are the solves, the sketch
-module's stacked exact, LU and sweep solves, and the estimators: the
+module's stacked direct and sweep solves, and the estimators: the
 covariance module's accumulators take the (n_reps, d) stack as they take
 one iterate.  A replication whose ||x|| + ||lam|| leaves the divergence
 guard (or turns non-finite) is held at x0, lam = 0, B = I from then on,
@@ -46,9 +46,8 @@ from .optimizer import (_DIVERGENCE_NORM, NewtonState, RngStreams,
 from .oracle import (omega_star, oracle_covariance, rel_cov_error,
                      rel_var_error)
 from .problems import RegressionModel, Sample, grad_noise_factor
-from .sketch import (SketchSolveConfig, _exact_solve_batched,
-                     _gaussian_solve_batched, _lu_solve_batched, _tol_abs,
-                     _uc_solve_batched)
+from .sketch import (SketchSolveConfig, _direct_solve_batched,
+                     _gaussian_solve_batched, _tol_abs, _uc_solve_batched)
 from .sqp import EqConstrainedProblem, observe
 
 __all__ = [
@@ -302,16 +301,16 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
                solve_cfg: SketchSolveConfig, w: np.ndarray,
                xi: Optional[np.ndarray], omega: Optional[np.ndarray],
                chunk: int, x0: np.ndarray, m: int, width: int, labels: bool,
-               exact_solve: Callable, step: Callable) -> ExperimentResult:
+               step: Callable) -> ExperimentResult:
     """Run every replication of a study and return its result.
 
     The family supplies its starting point x0 (m multipliers start at 0),
     the width of each step's data normals (then a label uniform each if
-    labels), the exact solver of its stacked systems, and its step:
-    step(blk, k, t, alpha, solve, X, Lam, B) reads step k of the chunk's
-    random blocks, solves with solve (exact_solve, or the sketch sweep
-    when tau is set) and returns the new X, Lam, B (None for SGD) and the
-    gradient sample the plug-in estimator folds (None for SQP).
+    labels), and its step: step(blk, k, t, alpha, solve, X, Lam, B) reads
+    step k of the chunk's random blocks, solves its stacked Newton or KKT
+    systems with solve (the direct solve, or the sketch sweep when tau is
+    set) and returns the new X, Lam, B (None for SGD) and the gradient
+    sample the plug-in estimator folds (None for SQP).
     """
     exp = cfg.experiment
     R, d = exp.n_reps, len(x0)
@@ -338,7 +337,7 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
     def solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # the sweep reads the sketch draws of the current step k
         if solve_cfg.tau is None:
-            return exact_solve(M, rhs)
+            return _direct_solve_batched(M, rhs)
         return _sweep_solve(M, rhs, blk.sketch[:, k], solve_cfg)
 
     def snapshot(t_now: int) -> Tuple[Dict[str, np.ndarray],
@@ -467,8 +466,7 @@ def _run_shard_regression(
     # logistic: d feature normals per step, then the label uniforms
     return _run_shard(cfg, model, schedule, solve_cfg, w, xi, omega, chunk,
                       x0=np.zeros(d), m=0, width=d + 1 if lin else d,
-                      labels=not lin, exact_solve=_exact_solve_batched,
-                      step=step)
+                      labels=not lin, step=step)
 
 
 def _run_shard_sqp(
@@ -495,8 +493,7 @@ def _run_shard_sqp(
 
     return _run_shard(cfg, problem, schedule, solve_cfg, w, xi, omega, chunk,
                       x0=problem.x0, m=problem.n_cons,
-                      width=d + d * (d + 1) // 2, labels=False,
-                      exact_solve=_lu_solve_batched, step=step)
+                      width=d + d * (d + 1) // 2, labels=False, step=step)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,10 @@ the same step solves the KKT system and moves the multipliers too.
 
 newton_step is the one step of both families, on one replication or a
 stack of them, with the solve passed in: run and sqp.run_sqp step one
-replication through one loop, and the batched harness
-(experiment.run_experiment) steps all of its replications at once.  All
-of them use the sketch module's stacked solves (run on one-row stacks),
-except run's coordinate sketches, which take sketch's scalar loop.
+replication through one loop, which solves with
+sketch.solve_newton_sketched, and the batched harness
+(experiment.run_experiment) steps all of its replications at once with
+the sketch module's stacked solves.
 """
 
 from __future__ import annotations
@@ -226,20 +226,25 @@ def newton_step(
     return NewtonState(t=t + 1, x=x, B=B_new, lam=lam)
 
 
-def _run_loop(state: NewtonState, schedule: StepsizeSchedule, n_iters: int,
-              rngs: RngStreams, observe: Callable, solve: Callable,
-              sinks: Iterable[TraceSink]) -> NewtonState:
+def _run_loop(state: NewtonState, cfg: SketchSolveConfig,
+              schedule: StepsizeSchedule, n_iters: int, rngs: RngStreams,
+              observe: Callable, sinks: Iterable[TraceSink]) -> NewtonState:
     """The loop of run and run_sqp: n_iters newton_steps from state.
 
     Per step, observe(state, rngs.data) gives the samples (g, H), or
-    (g, H, J, c), and the step stream one uniform in band mode only.
-    Sinks get (t, x_t, alpha_{t-1}).  Raises DivergenceError when ||x|| +
-    ||lam|| (lam only with constraints) passes the study harness's guard
-    or turns non-finite.
+    (g, H, J, c), the step stream one uniform in band mode only, and the
+    sketch stream the draws of solve_newton_sketched on the Newton or KKT
+    system.  Sinks get (t, x_t, alpha_{t-1}).  Raises DivergenceError when
+    ||x|| + ||lam|| (lam only with constraints) passes the study harness's
+    guard or turns non-finite.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     sinks = tuple(sinks)
+
+    def solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        return solve_newton_sketched(M, rhs, cfg, rngs.sketch)
+
     for _ in range(n_iters):
         obs = observe(state, rngs.data)
         alpha = schedule.draw(state.t, rngs.step)
@@ -272,17 +277,13 @@ def run(
     The int seed gives three independent generators (RngStreams.from_seed).
     Per step, the data stream gives one observation (problem.draw), the
     step stream one uniform in band mode only, and the sketch stream the
-    draws of solve_newton_sketched.  An exact solve whose system fails the
-    Cholesky gate falls back to the pseudo-inverse direction.
+    draws of solve_newton_sketched.  An exact solve of a singular system
+    gives its minimum-norm least-squares direction.
     """
-    rngs = RngStreams.from_seed(seed)
 
     def observe(state, data):
         s = problem.draw(data)
         return problem.grad(state.x, s), problem.hess(state.x, s)
 
-    def solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return solve_newton_sketched(B, g, cfg, rngs.sketch)
-
-    return _run_loop(NewtonState.initial(problem.dim), schedule, n_iters,
-                     rngs, observe, solve, sinks)
+    return _run_loop(NewtonState.initial(problem.dim), cfg, schedule,
+                     n_iters, RngStreams.from_seed(seed), observe, sinks)

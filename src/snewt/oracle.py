@@ -348,7 +348,8 @@ def oracle_covariance(
 ) -> OracleCovariance:
     """Assemble B*, Omega*, C*, Lambda and Xi* for a regression model.
 
-    Raises ConfigError when B*, Omega*, Lambda or Xi* is not finite.
+    Raises ConfigError when B*, Omega*, Lambda or Xi* is not finite, or
+    when I - C* of an ill-conditioned design has no eigenvalue margin.
     """
     rng = np.random.default_rng(seed)
     b, omega, stderr = _sandwich(model, max(n_mc, 200_000), rng)
@@ -363,7 +364,14 @@ def oracle_covariance(
         lam, se_lam = lambda_matrix(b, omega, dist, tau, n_mc=n_mc, rng=rng)
         if se_lam is not None:
             stderr["lambda"] = se_lam
-    xi = xi_star(C, lam, beta, c_beta)
+    try:
+        xi = xi_star(C, lam, beta, c_beta)
+    except ValueError as exc:
+        if 2.0 - _delta(beta, c_beta) <= 0.0:  # not the design's fault
+            raise
+        d = model.design
+        raise ConfigError(f"[problem] design = {d.kind}, r = {d.r!r}: {exc}; "
+                          "the design is too ill-conditioned") from exc
     _require_finite(model, {"B*": b, "Omega*": omega, "Lambda": lam,
                             "Xi*": xi})
     return OracleCovariance(

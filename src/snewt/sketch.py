@@ -9,14 +9,17 @@ Running tau such steps from dx = 0 gives an inexact Newton direction; the
 exact direction is recovered either as tau -> infinity or by a direct solve.
 
 Sketches are uniform coordinate columns or standard normal (d, q) blocks.
-The pseudo-inverses of S^T B^2 S in a sketch step and of B in
-pinv_newton_solve drop eigenvalues below PINV_TOL * ||B||_F^2 / d, with
-the fixed PINV_TOL = 1e-12; a q = 1 step below the cutoff is skipped.
+The pseudo-inverse of S^T B^2 S in a sketch step drops eigenvalues below
+PINV_TOL * ||B||_F^2 / d, with the fixed PINV_TOL = 1e-12; a q = 1 step
+below the cutoff is skipped.
 
-The exact (Cholesky-gated), KKT (LU) and sweep solves are written once, on
-stacks of systems: the study harness solves all replications at once, and
-run and run_sqp solve one-row stacks.  Only run's coordinate solve has a
-sequential copy, a scalar loop twice as fast as the one-row sweep.
+The direct and sweep solves are written once, on stacks of systems: the
+study harness solves all replications at once, and solve_newton_sketched,
+the single-system entry point of run and run_sqp, solves one-row stacks.
+The direct solve is LU for regression and KKT systems alike, and a
+singular system gets its minimum-norm least-squares solution.  Only the
+coordinate solve has a sequential copy, a scalar loop twice as fast as
+the one-row sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ __all__ = [
     "SketchDistribution",
     "SketchSolveConfig",
     "solve_newton_sketched",
-    "pinv_newton_solve",
 ]
 
 
@@ -59,7 +61,7 @@ class SketchDistribution:
 class SketchSolveConfig:
     """How to produce the Newton direction.
 
-    tau = None requests an exact solve (Cholesky); tau = n >= 1 runs n
+    tau = None requests an exact solve (LU); tau = n >= 1 runs n
     sketch-and-project steps.
     """
 
@@ -75,7 +77,7 @@ class SketchSolveConfig:
         return self.tau is None
 
 
-# relative eigenvalue cutoff of every pseudo-inverse in a solve
+# relative eigenvalue cutoff of the pseudo-inverse in a sketch step
 PINV_TOL = 1e-12
 
 
@@ -109,53 +111,16 @@ def _projector_factor(B: np.ndarray, S: np.ndarray,
     return BS @ np.where(keep, vecs, 0.0)
 
 
-def pinv_newton_solve(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares Newton directions -B^+ g.
-
-    B is one symmetric (d, d) matrix with g of shape (d,), or a stack
-    (..., d, d) with g (..., d), solved slice by slice.  Eigenvalues of a
-    slice below PINV_TOL * ||B||_F^2 / d are dropped.  This is the
-    well-posed extension of the exact solve to the singular Hessian
-    averages of the first few iterations (a mean of fewer than d rank-1
-    samples has rank < d by construction).
-    """
-    evals, evecs = np.linalg.eigh(B)
-    keep = evals > _tol_abs(B)[..., None]
-    inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
-    proj = np.einsum("...dk,...d->...k", evecs, g)
-    return -np.einsum("...dk,...k->...d", evecs, inv * proj)
-
-
 # ---------------------------------------------------------------------------
 # stacked solves: B is (R, n, n) and g (R, n)
 
 
-def _exact_solve_batched(B: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Stacked exact Newton directions: Cholesky-gated solve of B dx = -g.
+def _direct_solve_batched(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked exact solve of K delta = -rhs by LU, for any symmetric K.
 
-    The Cholesky factorization is the positive-definiteness gate.  A system
-    that fails it (the solve blend of the study harness never should) falls
-    back to the minimum-norm least-squares direction, system by system.
-    """
-    try:
-        np.linalg.cholesky(B)
-        return np.linalg.solve(B, -g[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(g)
-        for r in range(g.shape[0]):
-            try:
-                np.linalg.cholesky(B[r])
-                out[r] = np.linalg.solve(B[r], -g[r])
-            except np.linalg.LinAlgError:
-                out[r] = pinv_newton_solve(B[r], g[r])
-        return out
-
-
-def _lu_solve_batched(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Stacked solve of K delta = -rhs for symmetric indefinite K (LU).
-
-    A singular system falls back to its least-squares solution, system by
-    system.
+    Regression systems (positive definite) and KKT systems (indefinite)
+    take the same solve.  A singular system falls back to its minimum-norm
+    least-squares solution, system by system.
     """
     try:
         return np.linalg.solve(K, -rhs[..., None])[..., 0]
@@ -248,30 +213,32 @@ def solve_newton_sketched(
     cfg: SketchSolveConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """Newton direction for one system B dx = -g, exact or by tau sketch steps.
+    """Direction for one symmetric system B dx = -g, exact or by tau sketch
+    steps; B may be a Newton matrix or a KKT matrix.
 
-    Exact: the stacked Cholesky-gated solve on a one-row stack, falling
-    back to pinv_newton_solve.  Gaussian: one (tau, d, q) normal block,
-    then the stacked Gaussian sweep on a one-row stack.  Coordinate: tau
-    integers in one call, then a scalar loop that forms B*B once for the
-    row energies, and whose first non-degenerate step starts from
-    dx = -(g_i / den) B_i, the projection of dx = 0.
+    Exact: the stacked direct solve on a one-row stack (LU, or the
+    minimum-norm least-squares solution of a singular B).  Gaussian: one
+    (tau, d, q) normal block, then the stacked Gaussian sweep on a one-row
+    stack.  Coordinate: tau integers in one call, then a scalar loop that
+    forms B*B once for the row energies and the cutoff, and whose first
+    non-degenerate step starts from dx = -(g_i / den) B_i, the projection
+    of dx = 0.
     """
     if cfg.is_exact:
-        return _exact_solve_batched(B[None], g[None])[0]
+        return _direct_solve_batched(B[None], g[None])[0]
     if rng is None:
         raise ValueError("sketched solves need a generator")
     d, tau = B.shape[0], cfg.tau
-    tol = _tol_abs(B)
     if cfg.dist.kind == "gaussian":
         z = rng.standard_normal((tau, d, cfg.dist.q))
         return _gaussian_solve_batched(B[None], g[None], z[None],
-                                       tol[None])[0]
+                                       _tol_abs(B)[None])[0]
     # This loop stays beside _uc_solve_batched because optimizer.run calls
     # it every step: at d = 5, tau = 2 (draws included, OpenBLAS on one
-    # thread of a 2-core VM) it takes 14-21 us per solve against 28-40 us
+    # thread of a 2-core VM) it takes 12-18 us per solve against 28-40 us
     # for the sweep on a one-row stack, of a 70 us step.
     coldens = (B * B).sum(axis=0)
+    tol = PINV_TOL * coldens.sum() / d  # _tol_abs(B), from the row energies
     dx = None
     for i in rng.integers(0, d, size=tau).tolist():
         den = coldens[i]

@@ -10,9 +10,10 @@ Lagrangian-Hessian average B_t,
 
 solved exactly (LU, least squares if singular; the KKT matrix is
 symmetric indefinite) or with tau sketch-and-project steps on the full
-(d+m)-dimensional system, and the primal-dual pair moves by a banded
-stepsize.  The covariance machinery applies to the primal block
-unchanged: trace sinks receive (t, x_t, alpha).
+(d+m)-dimensional system, by the same solve as a regression step, and
+the primal-dual pair moves by a banded stepsize.  The covariance
+machinery applies to the primal block unchanged: trace sinks receive
+(t, x_t, alpha).
 
 The problems and observe, which turns a step's noise normals into the
 samples newton_step takes, work on stacks of replications as well as on
@@ -29,8 +30,7 @@ import numpy as np
 from .optimizer import (NewtonState, RngStreams, StepsizeSchedule,
                         TraceSink, _run_loop)
 from .problems import grad_noise_factor, symmetric_noise
-from .sketch import (SketchSolveConfig, _lu_solve_batched,
-                     solve_newton_sketched)
+from .sketch import SketchSolveConfig
 
 __all__ = [
     "EqConstrainedProblem",
@@ -120,25 +120,20 @@ def run_sqp(
     solve_newton_sketched on the assembled KKT system, and the step stream
     gives one uniform in band mode only.  The three are separate
     generators, so the order in which they are read does not matter.
-    Exact solves use the LU solve of the study harness on a one-row stack,
-    so a singular KKT matrix gives its least-squares direction.
+    An exact solve of a singular KKT matrix gives its minimum-norm
+    least-squares direction.
     """
-    rngs = RngStreams.from_seed(seed)
     d = problem.dim
     n_normals = d + d * (d + 1) // 2
     grad_chol = grad_noise_factor(d, sigma2)
-    # the KKT matrix is indefinite, so the exact path is the LU solve
-    solve = ((lambda K, rhs: _lu_solve_batched(K[None], rhs[None])[0])
-             if cfg.is_exact else
-             (lambda K, rhs: solve_newton_sketched(K, rhs, cfg, rngs.sketch)))
     state = NewtonState(t=0, x=problem.x0.copy(), B=np.eye(d),
                         lam=np.zeros(problem.n_cons))
     return _run_loop(
-        state, schedule, n_iters, rngs,
+        state, cfg, schedule, n_iters, RngStreams.from_seed(seed),
         lambda st, data: observe(problem, st.x, st.lam,
                                  data.standard_normal(n_normals), sigma2,
                                  grad_chol),
-        solve, sinks)
+        sinks)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,56 @@ def test_run_command_non_finite_ground_truth_is_config_error(tmp_path, capsys):
     assert "Lambda is not finite" in err
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_unit_rate_with_small_c_beta_is_config_error(tmp_path, capsys,
+                                                     command):
+    # the oracle of every Newton regression study needs c_beta > 1/2 at
+    # beta = 1, not only the plug-in estimator; without plugin this used to
+    # end in xi_star's ValueError
+    path = _write_config(tmp_path, """\
+        [problem]
+        family = linear
+        d = 3
+
+        [method]
+        tau = 2
+
+        [schedule]
+        beta = 1.0
+        c_beta = 0.5
+
+        [experiment]
+        n_iters = 50
+        estimators = wsc
+        """)
+    assert main([command, path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: [schedule]") and "c_beta > 1/2" in err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_ill_conditioned_design_is_config_error(tmp_path, capsys, command):
+    # I - C* loses its smallest eigenvalue to roundoff, which used to end
+    # in xi_star's ValueError
+    path = _write_config(tmp_path, """\
+        [problem]
+        d = 3
+        design = toeplitz
+        r = 0.999999999
+
+        [method]
+        tau = 2
+
+        [experiment]
+        n_iters = 50
+        """)
+    assert main([command, path]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert "xi_star" not in out
+    assert err.startswith("error: [problem] design = toeplitz, "
+                          "r = 0.999999999: ")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_command_all_diverged_prints_only_the_divergence_message(
         tmp_path, capsys):

@@ -371,7 +371,8 @@ def _finite(lo, hi, **kw):
 # valid raw text per key, given the drawn family and solver (None: drawn
 # first, in _valid_configs); keys are left out at random so that derived
 # defaults are exercised too.  Ranges keep clear of the cross-key rules:
-# c_beta > 1/2 for plugin at beta = 1, chi >= beta while c_chi > 0.
+# c_beta > 1/2 for Newton regression at beta = 1, chi >= beta while
+# c_chi > 0.
 _VALID = {
     "family": None,
     "d": lambda c: st.integers(1, 6).map(str),

@@ -29,7 +29,6 @@ from snewt.experiment import (
     write_summary_csv,
 )
 from snewt.optimizer import RngStreams, run
-from snewt.sketch import pinv_newton_solve
 from snewt.sqp import run_sqp
 from tests.oracles import (batch_means_two_pass, coordinate_sketches,
                            newton_replay, sketch_loop, sqp_replay,
@@ -201,22 +200,25 @@ def test_lu_solve_falls_back_to_lstsq_on_a_singular_slice():
     rhs = rng.standard_normal((3, 4))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(K[1], -rhs[1])
-    out = experiment._lu_solve_batched(K, rhs)
+    out = experiment._direct_solve_batched(K, rhs)
     assert np.array_equal(out[1], np.linalg.lstsq(K[1], -rhs[1], rcond=None)[0])
     for r in (0, 2):
         assert np.array_equal(out[r], np.linalg.solve(K[r], -rhs[r]))
 
 
-def test_exact_solve_falls_back_to_pseudo_inverse_per_replication():
+def test_exact_solve_falls_back_to_lstsq_per_replication():
+    # a singular positive semidefinite slice, as a Hessian average of fewer
+    # than d rank-1 samples is
     rng = np.random.default_rng(32)
     A = rng.standard_normal((3, 3, 3))
     B = A @ A.transpose(0, 2, 1) + 0.5 * np.eye(3)
     B[1] = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
     g = rng.standard_normal((3, 3))
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(B[1])
-    out = experiment._exact_solve_batched(B, g)
-    _close(out[1], pinv_newton_solve(B[1], g[1]), tol=1e-14)
+        np.linalg.solve(B[1], -g[1])
+    out = experiment._direct_solve_batched(B, g)
+    assert np.array_equal(out[1], np.linalg.lstsq(B[1], -g[1], rcond=None)[0])
+    assert out[1][2] == 0.0  # minimum norm: nothing along the null space
     for r in (0, 2):
         assert np.array_equal(out[r], np.linalg.solve(B[r], -g[r]))
 

@@ -14,7 +14,7 @@ from snewt.optimizer import (
 )
 from snewt.problems import DesignCovSpec, RegressionModel, default_x_star
 from snewt.sketch import (SketchDistribution, SketchSolveConfig,
-                          _exact_solve_batched)
+                          _direct_solve_batched)
 
 
 class Quadratic:
@@ -166,8 +166,8 @@ def test_quadratic_objective_decreases_monotonically():
     xs = [state.x]
     for t in range(50):
         state = newton_step(state, sched, sched.phi(t),
-                            lambda B, g: _exact_solve_batched(B[None],
-                                                              g[None])[0],
+                            lambda B, g: _direct_solve_batched(B[None],
+                                                               g[None])[0],
                             prob.grad(state.x, None),
                             prob.hess(state.x, None))
         xs.append(state.x)
@@ -179,7 +179,7 @@ def test_quadratic_objective_decreases_monotonically():
                         B=np.stack([A] * 3))
     stacked = StackedQuadratic(A, c)
     for t in range(50):
-        stack = newton_step(stack, sched, sched.phi(t), _exact_solve_batched,
+        stack = newton_step(stack, sched, sched.phi(t), _direct_solve_batched,
                             stacked.grad(stack.x, None),
                             stacked.hess(stack.x, None))
     assert np.allclose(stack.x[2], state.x, rtol=0.0, atol=1e-12)

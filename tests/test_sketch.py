@@ -6,12 +6,11 @@ import pytest
 from snewt.sketch import (
     SketchDistribution,
     SketchSolveConfig,
-    _exact_solve_batched,
+    _direct_solve_batched,
     _gaussian_solve_batched,
     _projector_factor,
     _tol_abs,
     _uc_solve_batched,
-    pinv_newton_solve,
     solve_newton_sketched,
 )
 from tests.oracles import _pinv_projector, coordinate_sketches, sketch_loop
@@ -238,21 +237,34 @@ def test_projector_factor_is_zero_where_b_s_is_zero():
 
 
 def test_exact_solve_diagonal_hand_example():
-    dx = _exact_solve_batched(np.diag([1.0, 2.0])[None], np.ones((1, 2)))
+    dx = _direct_solve_batched(np.diag([1.0, 2.0])[None], np.ones((1, 2)))
     assert np.array_equal(dx, [[-1.0, -0.5]])
     B = np.stack([np.diag([1.0, 2.0]), np.diag([4.0, 0.5])])
-    dx2 = _exact_solve_batched(B, np.array([[1.0, 1.0], [2.0, -1.0]]))
+    dx2 = _direct_solve_batched(B, np.array([[1.0, 1.0], [2.0, -1.0]]))
     assert np.array_equal(dx2, [[-1.0, -0.5], [-0.5, 2.0]])
 
 
-def test_exact_solve_falls_back_to_pinv_on_indefinite_matrix():
-    # the pseudo-inverse keeps only eigenvalues above the cutoff, so the
-    # negative one is dropped with the zero one
+def test_exact_solve_of_an_indefinite_system_is_the_lu_direction():
+    # no definiteness gate: the negative eigenvalue is inverted, not dropped
+    B = np.diag([2.0, -1.0, 3.0])
+    g = np.array([1.0, 1.0, 1.0])
+    expected = np.linalg.solve(B, -g)
+    assert np.allclose(expected, [-0.5, 1.0, -1.0 / 3.0], rtol=0, atol=1e-15)
+    assert np.array_equal(_direct_solve_batched(B[None], g[None])[0],
+                          expected)
+    assert np.array_equal(solve_newton_sketched(B, g, SketchSolveConfig()),
+                          expected)
+
+
+def test_exact_solve_of_a_singular_system_is_the_lstsq_direction():
     B = np.diag([2.0, -1.0, 0.0])
     g = np.array([1.0, 1.0, 1.0])
-    expected = pinv_newton_solve(B, g)
-    assert np.allclose(expected, [-0.5, 0.0, 0.0], atol=1e-15)
-    assert np.array_equal(_exact_solve_batched(B[None], g[None])[0], expected)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(B, -g)
+    expected = np.linalg.lstsq(B, -g, rcond=None)[0]
+    assert np.allclose(expected, [-0.5, 1.0, 0.0], rtol=0, atol=1e-15)
+    assert np.array_equal(_direct_solve_batched(B[None], g[None])[0],
+                          expected)
     assert np.array_equal(solve_newton_sketched(B, g, SketchSolveConfig()),
                           expected)
 
@@ -267,11 +279,12 @@ def test_exact_solve_of_one_system_has_the_stacked_bits():
             assert one.tobytes() == np.linalg.solve(B, -g).tobytes()
 
 
-def test_pinv_solve_handles_singular_and_zero_matrices():
-    dx = pinv_newton_solve(np.diag([2.0, 0.0]), np.array([1.0, 1.0]))
-    assert np.allclose(dx, [-0.5, 0.0], atol=1e-15)
-    assert np.array_equal(pinv_newton_solve(np.zeros((2, 2)), np.ones(2)),
-                          np.zeros(2))
+def test_direct_solve_handles_singular_and_zero_matrices():
+    dx = _direct_solve_batched(np.diag([2.0, 0.0])[None], np.ones((1, 2)))
+    assert np.allclose(dx, [[-0.5, 0.0]], rtol=0, atol=1e-15)
+    assert np.array_equal(
+        _direct_solve_batched(np.zeros((1, 2, 2)), np.ones((1, 2))),
+        np.zeros((1, 2)))
 
 
 def test_uc_solve_on_identity_reaches_exact_direction():
