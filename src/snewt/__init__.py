@@ -17,8 +17,8 @@ Library layout:
 - inference: self-contained normal/chi-square quantiles, confidence
   intervals and ellipsoidal confidence regions
 - oracle: ground-truth limiting covariances of regression studies (closed
-  forms where they exist, seeded Monte Carlo elsewhere) and the relative
-  error metrics the harness reports against them
+  forms or quadrature; Monte Carlo for q >= 2 Gaussian sketches) and the
+  relative error metrics the harness reports against them
 - sqp: equality-constrained extension (stochastic SQP on the KKT system):
   its problems and the observation that feeds the one step work on stacks
   of replications, so run_sqp and the batched harness share them

@@ -5,7 +5,7 @@ Three subcommands:
 ``snewt oracle <cfg>``
     Compute and print the ground-truth matrices for the configured
     problem/method (limiting covariance, sandwich covariance, residual
-    operator), with Monte-Carlo standard errors where sampling was needed.
+    operator, mixing rate), with quadrature or Monte-Carlo error estimates.
 ``snewt run <cfg>``
     Run the configured Monte-Carlo study and write the per-checkpoint
     aggregate CSV and the final summary CSV.
@@ -49,12 +49,12 @@ def _format_matrix(name: str, mat: np.ndarray) -> str:
 
 
 def _print_matrices(matrices: Dict[str, np.ndarray],
-                    stderrs: Dict[str, np.ndarray]) -> None:
+                    errors: Dict[str, np.ndarray], source: str = "") -> None:
     for name, mat in matrices.items():
         print(_format_matrix(name, mat))
-    if stderrs:
-        print("monte-carlo standard errors (max over entries):")
-        for key, err in stderrs.items():
+    if errors:
+        print(f"{source} (max over entries):")
+        for key, err in errors.items():
             print(f"  {key}: {format(float(np.max(np.abs(err))), '.3g')}")
     else:
         print("monte-carlo standard errors: none (closed form)")
@@ -80,7 +80,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                                schedule.beta, schedule.c_beta)
         matrices = {"xi_star": oc.xi, "omega_star": oc.omega,
                     "c_star": oc.c_star}
-        _print_matrices(matrices, oc.mc_stderr)
+        _print_matrices(matrices, oc.mc_stderr, (
+            "monte-carlo standard errors" if solve_cfg.dist.q > 1 else
+            "quadrature error estimates, full grid against every other node"))
+        sym = 0.5 * (oc.c_star + oc.c_star.T)
+        rate = np.linalg.eigvalsh(np.eye(len(sym)) - sym).min()
+        print(f"mixing rate lambda_min(I - sym C*): {format(rate, '.12g')}")
     prefix = cfg.output.oracle_prefix
     if prefix:
         for name, mat in matrices.items():

@@ -509,13 +509,13 @@ def run_experiment(
     """Run every replication of the configured study and aggregate metrics.
 
     Ground truth: for regression problems the limiting covariance and the
-    sandwich covariance are computed once up front (closed form where
-    available, seeded Monte Carlo otherwise), unless ``oracle_xi`` and
-    ``oracle_omega`` are passed in.  Constrained problems have no ground
-    truth yet, so their relative-error and oracle-CI columns stay empty
-    unless ``oracle_xi`` is passed.  Replication r draws its randomness
-    from streams seeded with base_seed XOR r; all replications advance
-    together in one engine call.
+    sandwich covariance are computed once up front (closed form or 1-D
+    quadrature; seeded Monte Carlo for gaussian_q >= 2), unless
+    ``oracle_xi`` and ``oracle_omega`` are passed in.  Constrained problems
+    have no ground truth yet, so their relative-error and oracle-CI columns
+    stay empty unless ``oracle_xi`` is passed.  Replication r draws its
+    randomness from streams seeded with base_seed XOR r; all replications
+    advance together in one engine call.
     """
     problem = cfg.build_problem()
     schedule = cfg.build_schedule()

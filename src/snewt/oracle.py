@@ -18,17 +18,17 @@ definite the solution is explicit: with I - C* = U diag(s) U^T,
 Exact inner solves are the degenerate case C* = 0, Lambda = Omega*, giving
 Xi* = Omega* / (2 - delta).
 
-B* and Omega* come from one helper for omega_star and oracle_covariance:
-closed forms for linear models, seeded Monte Carlo for logistic ones.
-Uniform-coordinate sketching admits closed forms for every expectation; the
-Gaussian sketch falls back to Monte Carlo with reported standard errors.
-That Monte Carlo is vectorised: samples are drawn in blocks, each block's
-sketches are read from the generator in the order one-at-a-time draws would
-read them, and the sum and the centred sum of squares of the per-sample
-statistics are accumulated per block.  No projector stack is formed: each projector enters
-as its rank-q factor W (Pi = W W^T), so E[Pi] sums W W^T and the tau-step
-product I - Ctilde is built by rank-q updates of one (d, d) matrix per
-sample.
+B* and Omega* come from one helper: closed forms for linear models, 1-D
+quadrature for logistic ones.  A sketch supplies (E[Pi], T) with
+T(M) = E[(I - Pi) M (I - Pi)^T], from which C* and Lambda follow: closed
+forms for uniform-coordinate sketches, 1-D quadrature for q = 1 Gaussian
+ones.  q >= 2 Gaussian sketches use Monte Carlo with standard errors,
+vectorised: samples are drawn in blocks, each block's sketches are read
+from the generator in the order one-at-a-time draws would read them, and
+the sum and the centred sum of squares of the per-sample statistics are
+accumulated per block.  Each projector enters as its rank-q factor W
+(Pi = W W^T): E[Pi] sums W W^T, and the tau-step product I - Ctilde is
+built by rank-q updates of one (d, d) matrix per sample.
 
 rel_cov_error and rel_var_error, the errors the study harness reports
 against this ground truth, take one estimate or a (..., d, d) stack.
@@ -123,71 +123,123 @@ def _gaussian_mc(B: np.ndarray, dist: SketchDistribution, steps: int,
     return 0.5 * (mean + mean.T), se
 
 
-def _mc_hessian_moments(model: RegressionModel, n_mc: int,
-                        rng: np.random.Generator, chunk: int = 100_000):
-    """MC means and stderr of the Hessian and gradient outer products."""
-    d = model.dim
-    sum_h = np.zeros((d, d))
-    sum_h2 = np.zeros((d, d))
-    sum_m = np.zeros((d, d))
-    sum_m2 = np.zeros((d, d))
-    done = 0
-    while done < n_mc:
-        n = min(chunk, n_mc - done)
-        z = rng.standard_normal((n, d))
-        xi = z @ model.chol_a.T
-        zz = xi @ model.x_star
-        p = sigmoid(zz)
-        w_h = p * (1.0 - p)
-        # Hessian samples are w_h xi xi^T regardless of the drawn label
-        h = np.einsum("n,ni,nj->ij", w_h, xi, xi)
-        h2 = np.einsum("n,ni,nj->ij", w_h**2, xi**2, xi**2)
-        # gradient samples need the label: g = -y sigmoid(-y z) xi
-        y = np.where(rng.random(n) < p, 1.0, -1.0)
-        w_m = sigmoid(-y * zz)**2
-        m = np.einsum("n,ni,nj->ij", w_m, xi, xi)
-        m2 = np.einsum("n,ni,nj->ij", w_m**2, xi**2, xi**2)
-        sum_h += h
-        sum_h2 += h2
-        sum_m += m
-        sum_m2 += m2
-        done += n
-    mean_h = sum_h / n_mc
-    mean_m = sum_m / n_mc
-    se_h = np.sqrt(np.maximum(sum_h2 / n_mc - mean_h**2, 0.0) / n_mc)
-    se_m = np.sqrt(np.maximum(sum_m2 / n_mc - mean_m**2, 0.0) / n_mc)
-    return mean_h, se_h, mean_m, se_m
+def _sandwich(model: RegressionModel):
+    """(B*, Omega*) at x*, Omega* = (B*)^{-1} E[g g^T] (B*)^{-1}.
 
-
-def _sandwich(model: RegressionModel, n_mc: int, rng: np.random.Generator):
-    """(B*, Omega*, MC stderr) at x*, Omega* = (B*)^{-1} E[g g^T] (B*)^{-1}.
-
-    Linear models have the closed forms B* = Sigma_a and E[g g^T] =
-    sigma^2 Sigma_a, so Omega* = sigma^2 Sigma_a^{-1} with no stderr.
-    Logistic ones average n_mc samples of both moments, report their
-    stderr under "b_star" and "grad_outer" (for E[g g^T]), and solve with
-    the symmetrised B*.
+    Linear models: B* = Sigma_a, E[g g^T] = sigma^2 Sigma_a.  Logistic ones
+    are well specified, so E[g g^T] = B* (information matrix equality).
+    With w = sigma(z) sigma(-z), v = Sigma_a x*, s^2 = x*^T v, the margin
+    z = a^T x* ~ N(0, s^2) is independent of a - z v / s^2, so
+    B* = E[w] (Sigma_a - v v^T / s^2) + E[w z^2] v v^T / s^4, both means
+    trapezoid sums of step min(0.05, s/8) over |z| <= min(10 s, 50) (all
+    but 1e-17 of the mass); w is analytic in |Im z| < pi, so the rule's
+    error is below roundoff.
     """
+    sig = model.sigma_a
     if model.family == "linear":
-        return (model.sigma_a.copy(),
-                model.sigma**2 * np.linalg.inv(model.sigma_a), {})
-    mean_h, se_h, mean_m, se_m = _mc_hessian_moments(model, n_mc, rng)
-    b = 0.5 * (mean_h + mean_h.T)
-    omega = np.linalg.solve(b, np.linalg.solve(b, mean_m).T)
-    return (b, 0.5 * (omega + omega.T),
-            {"b_star": se_h, "grad_outer": se_m})
+        return sig.copy(), model.sigma**2 * np.linalg.inv(sig)
+    v = sig @ model.x_star
+    s2 = float(model.x_star @ v)
+    if s2 == 0.0:
+        b = 0.25 * sig
+    else:
+        s = np.sqrt(s2)
+        h = min(0.05, s / 8.0)
+        n = int(min(10.0 * s, 50.0) / h)
+        z = h * np.arange(-n, n + 1)
+        w = (sigmoid(z) * sigmoid(-z) * np.exp(-0.5 * (z / s) ** 2)
+             * (h / (s * np.sqrt(2.0 * np.pi))))
+        vv = np.outer(v, v) / s2
+        b = w.sum() * (sig - vv) + (w @ (z * z) / s2) * vv
+    omega = np.linalg.inv(b)
+    return b, 0.5 * (omega + omega.T)
 
 
-def omega_star(
-    model: RegressionModel,
-    n_mc: int = 1_000_000,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
+def omega_star(model: RegressionModel) -> np.ndarray:
     """Sandwich covariance (B*)^{-1} E[g g^T] (B*)^{-1} at x*."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    omega = _sandwich(model, n_mc, rng)[1]
+    omega = _sandwich(model)[1]
     _require_finite(model, {"Omega*": omega})
     return omega
+
+
+def _col_energies(B: np.ndarray) -> np.ndarray:
+    coldens = (B * B).sum(axis=0)
+    if np.any(coldens <= 0.0):
+        raise ValueError("B has a zero column; projection undefined")
+    return coldens
+
+
+def spread_operator_uc(B: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """T(M) = E[(I - Pi) M (I - Pi)^T] for uniform-coordinate sketches."""
+    d = B.shape[0]
+    coldens = _col_energies(B)
+    eye = np.eye(d)
+    out = np.zeros((d, d))
+    for i in range(d):
+        r = eye - np.outer(B[:, i], B[:, i]) / coldens[i]
+        out += r @ M @ r
+    return out / d
+
+
+# Trapezoid step in t = log s for the q = 1 Gaussian integrals: they are
+# analytic in |Im t| < pi, so the error falls like exp(-2 pi^2 / h), with a
+# constant that grows with d.  The every-other-node grid (h = 1/4) that
+# estimates it agrees with the full grid to 1e-13 relative up to d = 200.
+_QUAD_STEP = 0.125
+
+
+def _gaussian_q1_step(B: np.ndarray, coarse: bool = False):
+    """(E[Pi], T) of one Gaussian sketch with q = 1, by 1-D quadrature.
+
+    Pi = u u^T / |u|^2 with u = B z.  In B's eigenbasis, with a_i = b_i^2,
+    c_i(s) = 1 / (1 + 2 a_i s) and D(s) = prod_k c_k^{1/2}, the identities
+    1/Q = int e^{-sQ} ds and 1/Q^2 = int s e^{-sQ} ds give (Magnus 1986)
+
+        E[Pi] = diag(a_i int c_i D ds),
+        E[Pi X Pi]_ij = delta_ij a_i int s D c_i sum_k a_k c_k X_kk ds
+                        + 2 a_i a_j X_ij int s D c_i c_j ds
+
+    for symmetric X: trapezoid sums in t = log s over [-40, 80 - log a_min]
+    (a scaled to a_max = 1; Pi is scale-free), outside which the integrands
+    hold below 1e-17 of their mass.  coarse keeps every other node.
+    """
+    b, V = np.linalg.eigh(B)
+    a = b * b / (b * b).max()
+    if a.min() <= 0.0:
+        raise ValueError("B is singular; projection undefined")
+    stride = 2 if coarse else 1
+    t = -40.0 + _QUAD_STEP * np.arange(
+        0, int((120.0 - np.log(a.min())) / _QUAD_STEP), stride)
+    s = np.exp(t)
+    x = 2.0 * np.outer(s, a)
+    c = 1.0 / (1.0 + x)
+    # ds = s dt, and D = exp(-sum_k log1p(2 a_k s) / 2)
+    wD = stride * _QUAD_STEP * s * np.exp(-0.5 * np.log1p(x).sum(axis=1))
+    p = a * (wD @ c)
+    aGa = a[:, None] * ((c * (wD * s)[:, None]).T @ c) * a
+    keep = 1.0 - p[:, None] - p + 2.0 * aGa
+
+    def spread(M: np.ndarray) -> np.ndarray:
+        Mv = V.T @ M @ V
+        out = keep * Mv
+        out[np.diag_indices_from(out)] += aGa @ np.diag(Mv)
+        return V @ out @ V.T
+
+    P = (V * p) @ V.T
+    return 0.5 * (P + P.T), spread
+
+
+def _without_sampling(stat, B: np.ndarray, dist: SketchDistribution):
+    """(stat(P, T), error) from one step's E[Pi] and spread operator T.
+
+    Closed forms for uniform-coordinate sketches (error None); quadrature
+    for q = 1 Gaussian ones (error |full grid - every-other-node grid|).
+    """
+    if dist.kind == "gaussian":
+        val = stat(*_gaussian_q1_step(B))
+        return val, np.abs(val - stat(*_gaussian_q1_step(B, coarse=True)))
+    P = (B / _col_energies(B)) @ B / B.shape[0]
+    return stat(0.5 * (P + P.T), lambda M: spread_operator_uc(B, M)), None
 
 
 def single_step_projection_expectation(
@@ -198,45 +250,19 @@ def single_step_projection_expectation(
     *,
     chunk: Optional[int] = None,
 ):
-    """(P, stderr) with P = E[Pi], Pi = B S (S^T B^2 S)^+ S^T B.
+    """(P, error) with P = E[Pi], Pi = B S (S^T B^2 S)^+ S^T B.
 
-    Uniform-coordinate sketches give the closed form
-    P = (1/d) sum_i B e_i e_i^T B / (B^2)_{ii}; the Gaussian sketch is
-    averaged by Monte Carlo over n_mc sketches, drawn in blocks of
-    ``chunk`` samples (default: 2^17 / d^2) as projector factors W, and
-    E[Pi] is the mean of W W^T.
+    Uniform-coordinate sketches give P = (1/d) sum_i B e_i e_i^T B / (B^2)_ii
+    and error None; q = 1 Gaussian ones a quadrature and its error estimate.
+    With q >= 2, P is the mean of W W^T over n_mc sketches, drawn in blocks
+    of ``chunk`` samples (default: 2^17 / d^2) as projector factors W, and
+    the error is its standard error.
     """
-    d = B.shape[0]
-    if dist.kind == "uniform_coordinate":
-        coldens = (B * B).sum(axis=0)
-        if np.any(coldens <= 0.0):
-            raise ValueError("B has a zero column; projection undefined")
-        P = (B / coldens) @ B / d
-        return 0.5 * (P + P.T), None
+    if dist.q == 1:  # no Monte Carlo
+        return _without_sampling(lambda P, T: P, B, dist)
     rng = np.random.default_rng(0) if rng is None else rng
     return _gaussian_mc(B, dist, 1, lambda w: w[:, 0] @ w[:, 0].swapaxes(1, 2),
                         n_mc, rng, chunk)
-
-
-def _uc_projectors(B: np.ndarray) -> np.ndarray:
-    d = B.shape[0]
-    coldens = (B * B).sum(axis=0)
-    if np.any(coldens <= 0.0):
-        raise ValueError("B has a zero column; projection undefined")
-    cols = B.T  # row i is B[:, i] for symmetric B
-    return cols[:, :, None] * cols[:, None, :] / coldens[:, None, None]
-
-
-def spread_operator_uc(B: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """T(M) = E[(I - Pi) M (I - Pi)^T] for uniform-coordinate sketches."""
-    d = B.shape[0]
-    projs = _uc_projectors(B)
-    eye = np.eye(d)
-    out = np.zeros((d, d))
-    for i in range(d):
-        r = eye - projs[i]
-        out += r @ M @ r
-    return out / d
 
 
 def c_star(P: np.ndarray, tau: Optional[int]) -> np.ndarray:
@@ -259,28 +285,30 @@ def lambda_matrix(
     *,
     chunk: Optional[int] = None,
 ):
-    """(Lambda, stderr) with Lambda = E[(I - Ctilde) Omega (I - Ctilde)^T].
+    """(Lambda, error) with Lambda = E[(I - Ctilde) Omega (I - Ctilde)^T].
 
     Expanding the product, Lambda = Omega - C* Omega - Omega C*^T + Q_tau
     with Q_tau the tau-fold spread operator applied to Omega; independence
-    of the per-step sketches makes Q_tau = T^tau(Omega).  This is evaluated
-    exactly for uniform-coordinate sketches and by sequence-level Monte
-    Carlo for Gaussian sketches: n_mc sequences of tau sketches, drawn in
-    blocks of ``chunk`` sequences (default: 2^17 / (tau d^2)) as projector
-    factors W_j.  Each sequence builds I - Ctilde by tau rank-q updates,
-    and the block multiplies its (I - Ctilde) stack by Omega in one gemm.
+    of the per-step sketches makes Q_tau = T^tau(Omega).  Uniform-coordinate
+    and q = 1 Gaussian sketches evaluate this from (P, T), with errors as in
+    single_step_projection_expectation.  With q >= 2 it is sequence-level
+    Monte Carlo: n_mc sequences of tau sketches, drawn in blocks of ``chunk``
+    sequences (default: 2^17 / (tau d^2)) as projector factors W_j.  Each
+    sequence builds I - Ctilde by tau rank-q updates, and the block
+    multiplies its (I - Ctilde) stack by Omega in one gemm.
     """
     d = B.shape[0]
     if tau is None:
         return omega.copy(), None
-    if dist.kind == "uniform_coordinate":
-        P, _ = single_step_projection_expectation(B, dist)
-        C = c_star(P, tau)
-        q = omega.copy()
-        for _ in range(tau):
-            q = spread_operator_uc(B, q)
-        lam = omega - C @ omega - omega @ C.T + q
-        return 0.5 * (lam + lam.T), None
+    if dist.q == 1:  # no Monte Carlo
+        def from_step(P: np.ndarray, spread) -> np.ndarray:
+            C = c_star(P, tau)
+            q = omega.copy()
+            for _ in range(tau):
+                q = spread(q)
+            lam = omega - C @ omega - omega @ C.T + q
+            return 0.5 * (lam + lam.T)
+        return _without_sampling(from_step, B, dist)
     rng = np.random.default_rng(0) if rng is None else rng
 
     def spread(w: np.ndarray) -> np.ndarray:
@@ -322,7 +350,11 @@ def xi_star(
 
 @dataclass
 class OracleCovariance:
-    """Ground-truth matrices for one problem/method configuration."""
+    """Ground-truth matrices for one problem/method configuration.
+
+    mc_stderr: a Gaussian sketch's entrywise errors of E[Pi] ("projection")
+    and Lambda ("lambda"), Monte-Carlo stderrs (q >= 2) or quadrature's.
+    """
 
     b_star: np.ndarray
     omega: np.ndarray
@@ -348,22 +380,22 @@ def oracle_covariance(
 ) -> OracleCovariance:
     """Assemble B*, Omega*, C*, Lambda and Xi* for a regression model.
 
-    Raises ConfigError when B*, Omega*, Lambda or Xi* is not finite, or
-    when I - C* of an ill-conditioned design has no eigenvalue margin.
+    n_mc and seed serve Gaussian sketches with q >= 2 only.  Raises
+    ConfigError when B*, Omega*, Lambda or Xi* is not finite, or when
+    I - C* of an ill-conditioned design has no eigenvalue margin.
     """
     rng = np.random.default_rng(seed)
-    b, omega, stderr = _sandwich(model, max(n_mc, 200_000), rng)
+    b, omega = _sandwich(model)
+    stderr = {}
     if tau is None:
-        C = np.zeros_like(b)
-        lam, se_lam = omega.copy(), None
+        C, lam = np.zeros_like(b), omega.copy()
     else:
-        P, se_p = single_step_projection_expectation(b, dist, n_mc=n_mc, rng=rng)
-        if se_p is not None:
-            stderr["projection"] = se_p
+        P, stderr["projection"] = single_step_projection_expectation(
+            b, dist, n_mc=n_mc, rng=rng)
         C = c_star(P, tau)
-        lam, se_lam = lambda_matrix(b, omega, dist, tau, n_mc=n_mc, rng=rng)
-        if se_lam is not None:
-            stderr["lambda"] = se_lam
+        lam, stderr["lambda"] = lambda_matrix(b, omega, dist, tau,
+                                              n_mc=n_mc, rng=rng)
+        stderr = {k: v for k, v in stderr.items() if v is not None}
     try:
         xi = xi_star(C, lam, beta, c_beta)
     except ValueError as exc:

@@ -381,6 +381,39 @@ def lambda_replay(B: np.ndarray, omega: np.ndarray, q: int, tau: int,
 
 
 # ---------------------------------------------------------------------------
+# logistic population moments by Monte Carlo
+
+
+def logistic_moments_mc(model, n: int, rng: np.random.Generator,
+                        chunk: int = 100_000):
+    """MC means and stderrs of the Hessian and the gradient outer product.
+
+    Returns (E[H], se, E[g g^T], se) at x*, drawing features a and labels
+    y straight from the model: H = sigma(z) sigma(-z) a a^T and
+    g = -y sigma(-y z) a with z = a^T x*.
+    """
+    d = model.dim
+    sums = [np.zeros((d, d)) for _ in range(4)]
+    done = 0
+    while done < n:
+        k = min(chunk, n - done)
+        a = rng.standard_normal((k, d)) @ model.chol_a.T
+        z = a @ model.x_star
+        p = 1.0 / (1.0 + np.exp(-z))
+        y = np.where(rng.random(k) < p, 1.0, -1.0)
+        w_grad = 1.0 / (1.0 + np.exp(y * z))**2
+        for i, wt in enumerate((p * (1.0 - p), w_grad)):
+            sums[2 * i] += np.einsum("n,ni,nj->ij", wt, a, a)
+            sums[2 * i + 1] += np.einsum("n,ni,nj->ij", wt**2, a**2, a**2)
+        done += k
+    out = []
+    for total, total2 in zip(sums[::2], sums[1::2]):
+        mean = total / n
+        out += [mean, np.sqrt(np.maximum(total2 / n - mean**2, 0.0) / n)]
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # the KKT conditions of an equality-constrained problem, at one point
 
 

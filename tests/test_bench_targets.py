@@ -91,7 +91,8 @@ def test_oracle_hooks_bind_dist_n_mc_and_tau_by_name():
                       (oracle.lambda_matrix, {"dist", "n_mc", "tau"})):
         assert names <= set(inspect.signature(fn).parameters), fn.__name__
     model = RegressionModel(family="linear", x_star=default_x_star(3))
-    dist = SketchDistribution(kind="gaussian", q=1)
+    # q = 2: the one sketch family whose oracle draws Monte-Carlo samples
+    dist = SketchDistribution(kind="gaussian", q=2)
     counts = _traced_counts(studies.SETUP_SPANS, oracle.oracle_covariance,
                             model, dist, 2, 0.505, 1.0, n_mc=500)
     # one sketch per E[Pi] sample, tau per Lambda sequence

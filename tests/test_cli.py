@@ -14,6 +14,7 @@ from snewt.cli import (EXIT_CONFIG, EXIT_DIVERGED, EXIT_IO, EXIT_OK, main,
                        tail_slope)
 from snewt.config import ConfigError, parse_config, parse_config_string
 from snewt.experiment import AGGREGATE_COLUMNS, SUMMARY_COLUMNS, run_experiment
+from snewt.oracle import oracle_covariance
 
 
 def _write_config(tmp_path, body, name="study.ini"):
@@ -486,6 +487,29 @@ def test_oracle_command_sgd_prints_sandwich_only(tmp_path, capsys):
 
 
 def test_oracle_command_gaussian_prints_monte_carlo_stderrs(tmp_path, capsys):
+    # only sketches of q >= 2 columns are averaged by Monte Carlo; d = 3,
+    # since two columns in d = 2 make every projector the identity
+    path = _write_config(tmp_path, """\
+        [problem]
+        d = 3
+
+        [method]
+        tau = 2
+        sketch = gaussian
+        gaussian_q = 2
+        """)
+    assert main(["oracle", path]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "xi_star" in lines and "c_star" in lines
+    start = lines.index("monte-carlo standard errors (max over entries):")
+    stderrs = dict(line.split(":") for line in lines[start + 1:start + 3])
+    assert set(stderrs) == {"  projection", "  lambda"}
+    for value in stderrs.values():
+        assert 0.0 < float(value) < 0.01
+
+
+def test_oracle_command_gaussian_q1_prints_quadrature_errors(tmp_path,
+                                                             capsys):
     path = _write_config(tmp_path, """\
         [problem]
         d = 2
@@ -496,12 +520,84 @@ def test_oracle_command_gaussian_prints_monte_carlo_stderrs(tmp_path, capsys):
         """)
     assert main(["oracle", path]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
-    assert "xi_star" in lines and "c_star" in lines
-    start = lines.index("monte-carlo standard errors (max over entries):")
-    stderrs = dict(line.split(":") for line in lines[start + 1:])
-    assert set(stderrs) == {"  projection", "  lambda"}
-    for value in stderrs.values():
-        assert 0.0 < float(value) < 0.01
+    assert not any("monte-carlo" in line for line in lines)
+    start = lines.index("quadrature error estimates, full grid against "
+                        "every other node (max over entries):")
+    errors = dict(line.split(":") for line in lines[start + 1:start + 3])
+    assert set(errors) == {"  projection", "  lambda"}
+    for value in errors.values():
+        assert float(value) < 1e-14
+
+
+def test_oracle_command_logistic_prints_closed_form(tmp_path, capsys):
+    path = _write_config(tmp_path, """\
+        [problem]
+        family = logistic
+        d = 3
+
+        [method]
+        tau = 2
+        """)
+    assert main(["oracle", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "monte-carlo standard errors: none (closed form)" in out
+
+
+@pytest.mark.parametrize("method", ["tau = 2", "tau = 2\nsketch = gaussian",
+                                    "tau = exact"],
+                         ids=["coordinate", "gaussian", "exact"])
+def test_oracle_command_prints_the_mixing_rate(tmp_path, capsys, method):
+    # the headline problem: equicorr r = 0.3 at d = 5
+    text = ("[problem]\nd = 5\ndesign = equicorr\nr = 0.3\n"
+            f"[method]\n{method}\n")
+    assert main(["oracle", _write_config(tmp_path, text)]) == EXIT_OK
+    line = capsys.readouterr().out.splitlines()[-1]
+    head, value = line.split(": ")
+    assert head == "mixing rate lambda_min(I - sym C*)"
+    cfg = parse_config_string(text)
+    solve_cfg = cfg.build_solve_config()
+    schedule = cfg.build_schedule()
+    oc = oracle_covariance(cfg.build_problem(), solve_cfg.dist,
+                           solve_cfg.tau, schedule.beta, schedule.c_beta)
+    sym = 0.5 * (oc.c_star + oc.c_star.T)
+    rate = np.linalg.eigvalsh(np.eye(5) - sym).min()
+    assert value == format(rate, ".12g")
+    if method == "tau = exact":
+        assert value == "1"
+    elif method == "tau = 2":
+        assert abs(rate - 0.139) < 5e-4
+
+
+@pytest.mark.parametrize("command", ["oracle", "run"])
+def test_large_logistic_target_has_finite_truth(tmp_path, capsys, command):
+    # x_star = 300 * 1: the margin's sd is near 1e3, far past the range of
+    # w(z) = sigma(z) sigma(-z); the truth stays finite and the run ends
+    path = _write_config(tmp_path, f"""\
+        [problem]
+        family = logistic
+        d = 5
+        x_star = 300,300,300,300,300
+
+        [method]
+        tau = 2
+
+        [experiment]
+        n_iters = 200
+        n_reps = 4
+        record_every = 100
+
+        [output]
+        aggregate = {tmp_path / 'agg.csv'}
+        summary = {tmp_path / 'sum.csv'}
+        """)
+    assert main([command, path]) == EXIT_OK
+    out = capsys.readouterr().out
+    if command == "oracle":
+        assert "nan" not in out and "inf" not in out
+    else:
+        with open(tmp_path / "agg.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(np.isfinite(float(r["rel_cov_err_wsc"])) for r in rows)
 
 
 def test_oracle_command_constrained_is_config_error(tmp_path, capsys):

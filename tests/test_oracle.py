@@ -1,4 +1,4 @@
-"""Tests for the closed-form / Monte-Carlo ground-truth covariance oracles."""
+"""Tests for the closed-form, quadrature and Monte-Carlo ground truth."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from snewt.sketch import SketchDistribution, _projector_factor
 from tests.oracles import (
     lambda_by_enumeration,
     lambda_replay,
+    logistic_moments_mc,
     lyapunov_residual,
     projection_expectation_replay,
 )
@@ -59,22 +60,58 @@ def test_linear_identity_design_gives_identity_moments():
 
 
 def test_logistic_moments_at_zero_target_match_exact_values():
-    # x_star = 0 makes p = 1/2 surely: Hessian weight and squared-gradient
-    # weight are both exactly 1/4, so B* = G* = I/4 and Omega* = 4 I.
-    model = RegressionModel(family="logistic", x_star=np.zeros(3))
-    B, se_b, G, se_g = oracle._mc_hessian_moments(
-        model, 200_000, np.random.default_rng(0))
-    assert np.abs(B - 0.25 * np.eye(3)).max() < 0.01
-    assert np.abs(B - 0.25 * np.eye(3)).max() < 4.0 * se_b.max() + 1e-3
-    assert np.abs(G - 0.25 * np.eye(3)).max() < 0.01
-    assert se_g.max() < 0.002
-    omega = omega_star(model, n_mc=200_000, rng=np.random.default_rng(2))
-    assert np.abs(omega - 4.0 * np.eye(3)).max() < 0.08
-    # the oracle reports the same moments, with B* symmetrised
-    oc = oracle_covariance(model, UC, None, 0.7, 1.0, n_mc=200_000, seed=0)
-    assert np.array_equal(oc.b_star, 0.5 * (B + B.T))
-    assert np.array_equal(oc.mc_stderr["b_star"], se_b)
-    assert np.array_equal(oc.mc_stderr["grad_outer"], se_g)
+    # x_star = 0 makes p = 1/2 surely: the Hessian weight is exactly 1/4, so
+    # B* = Sigma_a / 4 and, by the information matrix equality,
+    # Omega* = (B*)^{-1} = 4 Sigma_a^{-1}
+    model = RegressionModel(family="logistic", x_star=np.zeros(3),
+                            design=DesignCovSpec(kind="equicorr", r=0.3))
+    oc = oracle_covariance(model, UC, None, 0.7, 1.0)
+    assert np.array_equal(oc.b_star, 0.25 * model.sigma_a)
+    want = 4.0 * np.linalg.inv(model.sigma_a)
+    assert np.abs(oc.omega - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.array_equal(omega_star(model), oc.omega)
+    assert oc.mc_stderr == {}
+
+
+# x_star and design per case: s^2 = x*^T Sigma_a x* runs from 1.9e-4 to 115
+_LOGISTIC_CASES = [
+    (np.full(4, 0.005), 0.3),
+    (np.full(5, 0.2), 0.3),
+    (np.array([1.0, -2.0, 0.5]), 0.0),
+    (np.full(5, 2.0), 0.5),
+    (np.full(4, 5.0), 0.05),
+]
+
+
+@pytest.mark.parametrize("x_star, r", _LOGISTIC_CASES,
+                         ids=["s2=2e-4", "s2=0.44", "s2=5.3", "s2=60",
+                              "s2=115"])
+def test_logistic_b_star_matches_monte_carlo_reference(x_star, r):
+    model = RegressionModel(family="logistic", x_star=x_star,
+                            design=DesignCovSpec(kind="equicorr", r=r))
+    s2 = x_star @ model.sigma_a @ x_star
+    assert 1e-4 <= s2 <= 120.0
+    oc = oracle_covariance(model, UC, None, 0.7, 1.0)
+    h, se_h, m, se_m = logistic_moments_mc(model, 200_000,
+                                           np.random.default_rng(5))
+    # B* is the mean Hessian, and so is E[g g^T]: Omega* = (B*)^{-1}
+    assert np.all(np.abs(oc.b_star - h) <= 5.0 * se_h)
+    assert np.all(np.abs(oc.b_star - m) <= 5.0 * se_m)
+    eye = np.eye(len(x_star))
+    assert np.abs(oc.omega @ oc.b_star - eye).max() <= 1e-12
+
+
+def test_large_logistic_target_gives_finite_truth():
+    # x_star = 300 * 1 puts the logistic margin's sd near 1e3: the weight
+    # w(z) is negligible outside |z| < 50, where the quadrature stops
+    model = RegressionModel(family="logistic", x_star=np.full(5, 300.0),
+                            design=DesignCovSpec(kind="equicorr", r=0.3))
+    for dist, tau in ((UC, None), (UC, 2),
+                      (SketchDistribution(kind="gaussian", q=1), 2)):
+        oc = oracle_covariance(model, dist, tau, 0.505, 1.0)
+        for mat in (oc.b_star, oc.omega, oc.lam, oc.xi):
+            assert np.isfinite(mat).all()
+        assert np.linalg.eigvalsh(oc.b_star).min() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +137,76 @@ def test_uc_projection_rejects_zero_column():
 
 
 def test_gaussian_projection_expectation_monte_carlo():
+    # q = 1 is a quadrature, not an average, whatever n_mc says
     dist = SketchDistribution(kind="gaussian", q=1)
     P, se = single_step_projection_expectation(
         np.eye(3), dist, n_mc=3000, rng=np.random.default_rng(3))
-    assert se is not None
-    assert np.abs(P - np.eye(3) / 3.0).max() < 0.04
+    assert se is not None and se.max() < 1e-14
+    assert np.abs(P - np.eye(3) / 3.0).max() < 1e-15
+
+
+def _conditioned(d, cond, seed):
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return (Q * np.geomspace(1.0, cond, d)) @ Q.T
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e3])
+@pytest.mark.parametrize("d", [1, 2, 5, 20, 50])
+def test_gaussian_q1_projection_has_unit_trace(d, cond):
+    # Pi is a rank-one projector, so tr E[Pi] = 1; at d = 1 the integrand
+    # decays only like s^{-3/2}, the slowest tail the grid must reach
+    dist = SketchDistribution(kind="gaussian", q=1)
+    B = 7.0 * _conditioned(d, cond, d)
+    P, se = single_step_projection_expectation(B, dist)
+    assert abs(np.trace(P) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(P).min() > 0.0
+    # every other node of the grid agrees with the whole grid
+    assert se.max() <= 1e-12
+    lam, se_lam = lambda_matrix(B, np.eye(d), dist, tau=2)
+    assert se_lam.max() <= 1e-12 * np.abs(lam).max()
+
+
+def test_gaussian_q1_projection_rejects_singular_matrix():
+    with pytest.raises(ValueError):
+        single_step_projection_expectation(
+            np.diag([1.0, 0.0]), SketchDistribution(kind="gaussian", q=1))
+
+
+@pytest.mark.parametrize("d", [1, 3, 7])
+def test_gaussian_q1_identity_hand_case(d):
+    # B = c I: E[Pi] = I / d and
+    # T(X) = (1 - 2/d) X + (2 X + tr(X) I) / (d (d + 2))
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d))
+    X = A + A.T
+    dist = SketchDistribution(kind="gaussian", q=1)
+    P, T = oracle._gaussian_q1_step(3.7 * np.eye(d))
+    assert np.abs(P - np.eye(d) / d).max() <= 1e-15
+    want = ((1.0 - 2.0 / d) * X
+            + (2.0 * X + np.trace(X) * np.eye(d)) / (d * (d + 2)))
+    assert np.abs(T(X) - want).max() <= 1e-14 * np.abs(X).max()
+    # tau = 1, B = Omega = I: Lambda = E[Pi] = I / d
+    lam, _ = lambda_matrix(np.eye(d), np.eye(d), dist, tau=1)
+    assert np.abs(lam - np.eye(d) / d).max() <= 1e-15
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3])
+@pytest.mark.parametrize("d", [5, 20])
+def test_gaussian_q1_quadrature_within_five_stderr_of_replay(d, tau):
+    rng = np.random.default_rng(100 + d)
+    A = rng.standard_normal((d, d))
+    B = A @ A.T + 0.5 * np.eye(d)
+    W = rng.standard_normal((d, d))
+    omega = W @ W.T + np.eye(d)
+    dist = SketchDistribution(kind="gaussian", q=1)
+    P, _ = single_step_projection_expectation(B, dist)
+    P_ref, se_ref = projection_expectation_replay(
+        B, 1, 4000, np.random.default_rng(tau))
+    assert np.all(np.abs(P - P_ref) <= 5.0 * se_ref)
+    lam, _ = lambda_matrix(B, omega, dist, tau)
+    lam_ref, se_ref = lambda_replay(B, omega, 1, tau, 2000,
+                                    np.random.default_rng(10 + tau))
+    assert np.all(np.abs(lam - lam_ref) <= 5.0 * se_ref)
 
 
 def _gaussian_case(rng, q):
@@ -133,6 +235,10 @@ def test_gaussian_projection_expectation_matches_per_sample_replay(
         chunk=1001 if one_block else 300)
     P_ref, se_ref = projection_expectation_replay(
         B, q, 1001, np.random.default_rng(12))
+    if q == 1:  # quadrature: within 5 stderr of the replay's average
+        assert np.all(np.abs(P - P_ref) <= 5.0 * se_ref)
+        assert se.max() <= 1e-14
+        return
     assert _rel(P, P_ref) < 1e-12
     assert _rel(se, se_ref) < 1e-12
 
@@ -153,6 +259,10 @@ def test_gaussian_lambda_matches_per_sample_replay(q, tau, one_block):
                             rng=np.random.default_rng(14), chunk=chunk)
     lam_ref, se_ref = lambda_replay(B, omega, q, tau, 701,
                                     np.random.default_rng(14))
+    if q == 1:  # quadrature: within 5 stderr of the replay's average
+        assert np.all(np.abs(lam - lam_ref) <= 5.0 * se_ref)
+        assert se.max() <= 1e-12 * np.abs(lam).max()
+        return
     assert _rel(lam, lam_ref) < 1e-12
     assert _rel(se, se_ref) < 1e-12
 
@@ -236,7 +346,8 @@ def test_lambda_two_steps_matches_enumeration():
 
 
 def test_lambda_gaussian_monte_carlo_identity_case():
-    # with B = Omega = I and one projection step, Lambda = E[Pi] = I / d
+    # with B = Omega = I and one projection step, Lambda = E[Pi] = I / d;
+    # q = 1 is a quadrature, so the bound is far looser than it needs
     dist = SketchDistribution(kind="gaussian", q=1)
     lam, se = lambda_matrix(np.eye(2), np.eye(2), dist, tau=1, n_mc=2000,
                             rng=np.random.default_rng(4))
@@ -315,15 +426,22 @@ def test_oracle_covariance_linear_uc_pipeline():
 
 
 def test_oracle_covariance_reports_monte_carlo_stderr_keys():
+    # logistic B* and Omega* are closed forms: no error estimate
     model = RegressionModel(family="logistic", x_star=np.zeros(2))
     oc = oracle_covariance(model, UC, tau=1, beta=0.505, c_beta=1.0,
                            n_mc=50_000)
-    assert set(oc.mc_stderr) == {"b_star", "grad_outer"}
-    gauss = SketchDistribution(kind="gaussian", q=1)
-    oc2 = oracle_covariance(
-        RegressionModel(family="linear", x_star=default_x_star(2)),
-        gauss, tau=1, beta=0.505, c_beta=1.0, n_mc=2000)
+    assert oc.mc_stderr == {}
+    linear = RegressionModel(family="linear", x_star=default_x_star(3))
+    # q = 1: the quadrature's estimate, at roundoff
+    oc1 = oracle_covariance(linear, SketchDistribution(kind="gaussian", q=1),
+                            tau=1, beta=0.505, c_beta=1.0, n_mc=2000)
+    assert set(oc1.mc_stderr) == {"projection", "lambda"}
+    assert max(v.max() for v in oc1.mc_stderr.values()) <= 1e-14
+    # q = 2: Monte-Carlo standard errors
+    oc2 = oracle_covariance(linear, SketchDistribution(kind="gaussian", q=2),
+                            tau=1, beta=0.505, c_beta=1.0, n_mc=2000)
     assert set(oc2.mc_stderr) == {"projection", "lambda"}
+    assert min(v.max() for v in oc2.mc_stderr.values()) > 1e-4
 
 
 def test_error_metrics_hand_cases():
