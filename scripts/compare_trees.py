@@ -16,8 +16,9 @@ final_lam, each final estimate, the per-replication final metrics, every
 checkpoint row and n_diverged.  The list covers both model families with
 exact, coordinate-sketch and Gaussian-sketch solves, the averaged-SGD
 baseline with batch means, the three constrained problems with exact and
-sketched KKT solves, and a lowered divergence guard under which some
-replications freeze and others do not.
+sketched KKT solves, a Newton study at ci_level = 0.9 and an SGD study
+with ci_direction = coord:1, and a lowered divergence guard under which
+some replications freeze and others do not.
 
 The sequential runs call optimizer.run (both model families, exact,
 coordinate and Gaussian solves) and sqp.run_sqp (eqqp with exact,
@@ -59,9 +60,9 @@ _SKETCHES = (
 )
 
 
-def _config(problem: str, method: str, seed: int) -> str:
+def _config(problem: str, method: str, seed: int, experiment: str = "") -> str:
     return (f"[problem]\n{problem}\n[method]\n{method}\n"
-            + _EXPERIMENT.format(seed=seed))
+            + _EXPERIMENT.format(seed=seed) + experiment)
 
 
 def _configs():
@@ -88,6 +89,15 @@ def _configs():
                         _config(f"family = {family}\nsigma2 = 0.01",
                                 "solver = newton\n" + method, 30 + i),
                         None))
+    # a non-default interval level and direction
+    out.append(("linear-d4-tau2-level0.9",
+                _config("family = linear\nd = 4", "solver = newton\ntau = 2",
+                        21, "ci_level = 0.9\n"),
+                None))
+    out.append(("linear-d4-sgd-coord1",
+                _config("family = linear\nd = 4", "solver = sgd", 22,
+                        "ci_direction = coord:1\n"),
+                None))
     # guards under which the early iterates of some replications (2 of 6
     # and 4 of 6) trip the guard and freeze, while the rest stay alive
     out.append(("linear-d4-tau2-lowered-guard",

@@ -13,10 +13,12 @@ Each key is defined once, as a field of its section's dataclass
 (ProblemConfig, MethodConfig, ScheduleConfig, ExperimentSection,
 OutputConfig).  The field holds the key's default; its metadata holds the
 cast that reads and range-checks raw text and renders a value back, and,
-where the default depends on other keys, the rule that derives it.
-parse_config_string and serialize_config walk those fields and round-trip
-exactly; _validate holds the rules that tie keys together.  Every error
-names its section and key.
+where the default depends on other keys, the rule that derives it, and,
+where the family or solver does not always read the key, the rule that
+says when it does: a key it does not read is an error when given and is
+not written.  parse_config_string and serialize_config walk those fields
+and round-trip exactly; _validate holds the other rules that tie keys
+together.  Every error names its section and key.
 """
 
 from __future__ import annotations
@@ -154,11 +156,21 @@ class _Unless(_Cast):
         return self.word if value is None else self.cast.render(value)
 
 
-def _key(default, cast, derive: Optional[Callable] = None):
+def _key(default, cast, derive: Optional[Callable] = None,
+         read: Optional[Tuple[str, Tuple[str, ...]]] = None):
     """A key's field.  derive(values, key) gives a default that depends on
     other keys; values maps every key (unique across sections) to its
-    given value or field default."""
-    return field(default=default, metadata={"cast": cast, "derive": derive})
+    given value or field default.  read = (by, options): the key is read
+    only while the key `by` takes one of `options` (None: always)."""
+    return field(default=default,
+                 metadata={"cast": cast, "derive": derive, "read": read})
+
+
+def _read(f, values) -> bool:
+    """Whether a config with these values reads key f.  A key it does not
+    read is an error when given, and serialize_config does not write it."""
+    rule = f.metadata["read"]
+    return rule is None or values[rule[0]] in rule[1]
 
 
 def _sgd(value):
@@ -171,6 +183,7 @@ def _sgd(value):
 
 
 _SQRT_MAX = math.sqrt(np.finfo(float).max)
+_REGRESSION = ("family", REGRESSION_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -178,15 +191,19 @@ class ProblemConfig:
     family: str = _key("linear", _Choice(REGRESSION_FAMILIES + SQP_FAMILIES))
     # without d, the dimension follows x_star
     d: int = _key(5, _Number(int, 1), lambda v, key: (
-        v[key] if v["x_star"] is None else len(v["x_star"])))
+        v[key] if v["x_star"] is None else len(v["x_star"])),
+        read=_REGRESSION)
     design: str = _key("identity",
-                       _Choice(("identity", "toeplitz", "equicorr")))
-    r: float = _key(0.0, _Number(float))
+                       _Choice(("identity", "toeplitz", "equicorr")),
+                       read=_REGRESSION)
+    r: float = _key(0.0, _Number(float), read=_REGRESSION)
     # the oracle squares sigma, so its square must be a finite float
-    sigma: float = _key(1.0, _Number(float, -_SQRT_MAX, _SQRT_MAX))
-    sigma2: float = _key(0.01, _Number(float, 0.0))
+    sigma: float = _key(1.0, _Number(float, -_SQRT_MAX, _SQRT_MAX),
+                        read=("family", ("linear",)))
+    sigma2: float = _key(0.01, _Number(float, 0.0),
+                         read=("family", SQP_FAMILIES))
     x_star: Optional[Tuple[float, ...]] = _key(
-        None, _Unless("one_over_d", _List(_Number(float))))
+        None, _Unless("one_over_d", _List(_Number(float))), read=_REGRESSION)
 
     @property
     def is_constrained(self) -> bool:
@@ -196,7 +213,9 @@ class ProblemConfig:
 @dataclass(frozen=True)
 class MethodConfig:
     solver: str = _key("newton", _Choice(("newton", "sgd")))
-    tau: Optional[int] = _key(None, _Unless("exact", _Number(int, 1)))
+    # sgd always solves exactly (B frozen at identity)
+    tau: Optional[int] = _key(None, _Unless("exact", _Number(int, 1)),
+                              read=("solver", ("newton",)))
     sketch: str = _key("kaczmarz", _Choice(("kaczmarz", "gaussian")))
     gaussian_q: int = _key(1, _Number(int, 1))
 
@@ -351,6 +370,12 @@ def parse_config_string(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(
                 f"[{section}] {f.name} {exc}, got {raw!r}") from exc
+    # read rules test family and solver, which no rule derives
+    for section, f in _KEYS:
+        if parser.has_option(section, f.name) and not _read(f, values):
+            by = f.metadata["read"][0]
+            raise ConfigError(f"[{section}] {f.name} is not read when "
+                              f"{by} = {values[by]}; drop it")
     # derived defaults read only keys without a derive rule, so the order
     # in which they are filled in does not matter
     values.update({f.name: f.metadata["derive"](values, f.name)
@@ -383,9 +408,6 @@ def _validate(cfg: ExperimentConfig) -> None:
                 f"[experiment] estimator {name} targets the Newton iterates; "
                 "it requires solver = newton")
     if solver == "sgd":
-        if cfg.method.tau is not None:
-            raise ConfigError("[method] solver = sgd always solves exactly "
-                              "(B frozen at identity); drop tau")
         if p.is_constrained:
             raise ConfigError("[method] constrained problems need solver = newton")
         if not 0.5 < cfg.schedule.beta < 1.0:
@@ -413,16 +435,12 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config with every resolved value explicit (round-trips)."""
+    values = {f.name: getattr(getattr(cfg, s), f.name) for s, f in _KEYS}
     parser = configparser.ConfigParser(interpolation=None)
     for section in _SECTIONS:
-        values = getattr(cfg, section)
         parser[section] = {
-            f.name: text for f in fields(values)
-            if (text := f.metadata["cast"].render(getattr(values, f.name)))
-            is not None}
-    if cfg.method.solver == "sgd":
-        # sgd always solves exactly, so it has no tau line
-        parser.remove_option("method", "tau")
+            f.name: text for s, f in _KEYS if s == section and _read(f, values)
+            and (text := f.metadata["cast"].render(values[f.name])) is not None}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -22,16 +22,16 @@ excluded from every aggregate, and counted.
 At every record_every-th iteration the harness compares the running
 covariance estimators against the ground-truth limiting covariance, with
 the oracle module's rel_cov_error and rel_var_error applied to the whole
-(n_reps, d, d) stack, and records confidence-interval hits; aggregates go
-to a per-checkpoint CSV plus a final summary CSV (schemas documented in
-the README).  `snewt run` is the entry point: every study is a config
-file run by it.
+(n_reps, d, d) stack, and records the hits of the inference module's
+directional_ci, called on the same stacks; aggregates go to a
+per-checkpoint CSV plus a final summary CSV (schemas documented in the
+README).  `snewt run` is the entry point: every study is a config file
+run by it.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -40,7 +40,7 @@ import numpy as np
 from .config import ExperimentConfig
 from .covariance import (_SUB, BatchMeansAccumulator, PlugInAccumulator,
                          WscAccumulator, plugin_estimate)
-from .inference import normal_quantile
+from .inference import directional_ci
 from .optimizer import (_DIVERGENCE_NORM, NewtonState, RngStreams,
                         StepsizeSchedule, newton_step)
 from .oracle import (omega_star, oracle_covariance, rel_cov_error,
@@ -183,7 +183,7 @@ def _checkpoint_metrics(
     schedule: StepsizeSchedule,
     w: np.ndarray,
     target: float,
-    z_level: float,
+    level: float,
     alive: np.ndarray,
     X: np.ndarray,
     mean: Optional[np.ndarray],
@@ -194,45 +194,36 @@ def _checkpoint_metrics(
 ) -> Dict[str, np.ndarray]:
     """Per-replication metric arrays at one checkpoint.
 
-    Newton-style estimators are compared with xi and the batch-means
-    baseline with omega (either may be None: no ground truth).  For
-    intervals, Newton-style estimators pair the current iterate with the
-    stepsize scale phi_{t-1} (the band center used by the estimator
-    weights); the batch-means baseline pairs the running iterate average
-    with scale 1/t.
+    Newton-style estimators (wsc, plugin) are compared with xi, and the
+    SGD baseline's batch means with omega (either may be None: no ground
+    truth).  Every interval, the oracle's included (the truth in place of
+    an estimate), is one inference.directional_ci call on the stacks at
+    level: Newton pairs the current iterates with the stepsize scale
+    phi_{t-1} (the band center used by the estimator weights), SGD the
+    running iterate averages with scale 1/t.  A replication's hit is
+    |center - target| <= half_width, and NaN when its estimate is NaN.
     """
     raw: Dict[str, np.ndarray] = {"alive": alive.copy()}
-    phi_prev = schedule.phi(t_now - 1)
-    cx = X @ w
-    cmean = mean @ w if mean is not None else None
+    x, scale, truth = ((mean, 1.0 / t_now, omega) if sgd
+                       else (X, schedule.phi(t_now - 1), xi))
+
+    def hits(cov: np.ndarray) -> np.ndarray:
+        ci = directional_ci(x, scale, cov, w, level)
+        # a NaN estimate gives no interval: neither a hit nor a miss
+        return np.where(np.isnan(ci.half_width), np.nan,
+                        np.abs(ci.center - target) <= ci.half_width)
+
     for name, est in ests.items():
         if est is None:
             continue
         suffix = _SUFFIX[name]
-        bm = name == "batchmeans"
-        truth = omega if bm else xi
         if truth is not None:
             raw["rel_cov_err_" + suffix] = rel_cov_error(est, truth)
-            if not bm:
+            if not sgd:
                 raw["rel_var_err_" + suffix] = rel_var_error(est, truth, w)
-        quad = np.einsum("rij,i,j->r", est, w, w)
-        if bm:
-            center: np.ndarray = cmean
-            scale = 1.0 / t_now
-        else:
-            center = cx
-            scale = phi_prev
-        hw = z_level * np.sqrt(scale * np.maximum(quad, 0.0))
-        # a NaN estimate gives no interval: neither a hit nor a miss
-        raw["cov_" + suffix] = np.where(np.isnan(hw), np.nan,
-                                        np.abs(center - target) <= hw)
-    if sgd:
-        if omega is not None and cmean is not None:
-            hw_o = z_level * math.sqrt(max(float(w @ omega @ w), 0.0) / t_now)
-            raw["cov_oracle"] = (np.abs(cmean - target) <= hw_o).astype(float)
-    elif xi is not None:
-        hw_o = z_level * math.sqrt(phi_prev * max(float(w @ xi @ w), 0.0))
-        raw["cov_oracle"] = (np.abs(cx - target) <= hw_o).astype(float)
+        raw["cov_" + suffix] = hits(est)
+    if truth is not None:
+        raw["cov_oracle"] = hits(truth)
     return raw
 
 
@@ -316,7 +307,6 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
     R, d = exp.n_reps, len(x0)
     sgd = cfg.method.solver == "sgd"
     n_iters, rec = exp.n_iters, exp.record_every
-    z_level = normal_quantile(0.5 + 0.5 * exp.ci_level)
     target = float(w @ problem.x_star)
     uniform = schedule.mode == "uniform_band"
 
@@ -355,8 +345,8 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
                 ests["batchmeans"] = (bm.estimate() if bm.n_completed >= 2
                                       else None)
         mean = bm.mean if bm is not None else None
-        raw = _checkpoint_metrics(t_now, schedule, w, target, z_level, alive,
-                                  X, mean, ests, xi, omega, sgd)
+        raw = _checkpoint_metrics(t_now, schedule, w, target, exp.ci_level,
+                                  alive, X, mean, ests, xi, omega, sgd)
         return raw, ests
 
     rows: List[Dict[str, object]] = []

@@ -1,11 +1,12 @@
 """Confidence intervals and regions from online covariance estimates.
 
-The normal and chi-square quantiles are computed from scratch: both CDFs
-reduce to the regularized lower incomplete gamma function P(a, x), which is
-evaluated by its power series for x < a+1 and by a modified-Lentz continued
-fraction otherwise; quantiles are then found by monotone bisection.  No
-statistics library is involved, so the inference layer has zero
-dependencies beyond numpy scalars.
+The normal and chi-square quantiles are computed from scratch.  The normal
+CDF is math.erfc; every degree of freedom the program uses is an integer,
+for which the chi-square upper tail is a finite sum (plus one erfc term
+for odd d), and quantiles are found by monotone bisection.  No statistics
+library is involved: the inference layer needs nothing beyond math and
+numpy.  Intervals take stacks of iterates and covariance estimates, so the
+study harness builds every replication's interval in one call.
 """
 
 from __future__ import annotations
@@ -27,67 +28,29 @@ __all__ = [
     "confidence_region",
 ]
 
-_EPS = 1e-16
-_MAX_ITER = 500
-
-
-def _gamma_p(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("shape a must be positive")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        # power series around 0
-        ap = a
-        total = 1.0 / a
-        delt = total
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            delt *= x / ap
-            total += delt
-            if abs(delt) < abs(total) * _EPS:
-                break
-        return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    # continued fraction for Q(a, x), modified Lentz
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        dele = d * c
-        h *= dele
-        if abs(dele - 1.0) < _EPS:
-            break
-    q = math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
-    return 1.0 - q
-
 
 def normal_cdf(z: float) -> float:
-    """Standard normal CDF via P(1/2, z^2/2)."""
-    p_half = _gamma_p(0.5, 0.5 * z * z) if z != 0.0 else 0.0
-    return 0.5 + 0.5 * p_half if z >= 0.0 else 0.5 - 0.5 * p_half
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def chi2_cdf(x: float, d: int) -> float:
-    """Chi-square CDF with d degrees of freedom."""
-    if d < 1:
-        raise ValueError("degrees of freedom must be >= 1")
+    """Chi-square CDF with an integer d >= 1 degrees of freedom.
+
+    With h = x/2 and s = (d mod 2)/2, the upper tail Q(d/2, h) is
+    [d odd] erfc(sqrt h) + sum_{j < floor(d/2)} h^(j+s) e^-h / Gamma(j+s+1).
+    """
+    if d < 1 or d != int(d):
+        raise ValueError("degrees of freedom must be an integer >= 1")
     if x <= 0.0:
         return 0.0
-    return _gamma_p(0.5 * d, 0.5 * x)
+    h, s = 0.5 * x, 0.5 * (d % 2)
+    log_h = math.log(h)
+    upper = math.fsum(math.exp((j + s) * log_h - h - math.lgamma(j + s + 1.0))
+                      for j in range(d // 2))
+    if d % 2:
+        upper += math.erfc(math.sqrt(h))
+    return 1.0 - upper
 
 
 def _check_prob(p: float) -> None:
@@ -95,41 +58,39 @@ def _check_prob(p: float) -> None:
         raise ValueError("probability must lie strictly inside (0, 1)")
 
 
-@lru_cache(maxsize=256)
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile by monotone bisection (|error| < 1e-12)."""
-    _check_prob(p)
-    lo, hi = -40.0, 40.0
-    for _ in range(100):
+def _bisect(cdf, p: float, lo: float, hi: float) -> float:
+    """The point where the monotone cdf crosses p in [lo, hi]."""
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
+        if cdf(mid) < p:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@lru_cache(maxsize=256)
+def normal_quantile(p: float) -> float:
+    """Standard normal quantile by monotone bisection (|error| < 1e-12)."""
+    _check_prob(p)
+    return _bisect(normal_cdf, p, -40.0, 40.0)
 
 
 @lru_cache(maxsize=256)
 def chi2_quantile(p: float, d: int) -> float:
     """Chi-square quantile by monotone bisection."""
     _check_prob(p)
-    if d < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    hi = d + 10.0 * math.sqrt(2.0 * d) + 10.0
+    hi = 2.0 * d + 20.0  # chi2_cdf checks d
     while chi2_cdf(hi, d) < p:
         hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi2_cdf(mid, d) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda x: chi2_cdf(x, d), p, 0.0, hi)
 
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
+    """center +- half_width; on a stack, each field is an array over its
+    leading axes."""
+
     center: float
     half_width: float
     level: float
@@ -144,7 +105,7 @@ class ConfidenceInterval:
         return self.center + self.half_width
 
     def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
+        return (self.lo <= value) & (value <= self.hi)
 
 
 @dataclass(frozen=True)
@@ -171,23 +132,25 @@ def directional_ci(
 ) -> ConfidenceInterval:
     """Two-sided CI for w^T x_star:  w^T x +- z sqrt(alpha w^T Xi w).
 
+    x is (..., d) and xi_hat (..., d, d); one (d, d) estimate serves a
+    whole stack of iterates, and the leading axes broadcast.  On a stack
+    the fields are arrays over the leading axes; one iterate with one
+    estimate gives a float center and half width and a bool ``clamped``.
     A numerically negative quadratic form is clamped to zero, and the
-    interval says so in its ``clamped`` field.
+    interval says so in ``clamped``; a NaN estimate gives a NaN half width
+    (no interval), which is not clamped.
     """
     _check_prob(level)
     if not 0.0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    quad = float(w @ xi_hat @ w)
-    clamped = quad < 0.0
-    if clamped:
-        quad = 0.0
+    quad = np.einsum("...ij,i,j->...", xi_hat, w, w)
     z = normal_quantile(0.5 + 0.5 * level)
-    return ConfidenceInterval(
-        center=float(w @ x),
-        half_width=z * math.sqrt(alpha * quad),
-        level=level,
-        clamped=clamped,
-    )
+    center, half, clamped = np.broadcast_arrays(
+        x @ w, z * np.sqrt(alpha * np.maximum(quad, 0.0)), quad < 0.0)
+    if center.ndim == 0:
+        center, half, clamped = float(center), float(half), bool(clamped)
+    return ConfidenceInterval(center=center, half_width=half, level=level,
+                              clamped=clamped)
 
 
 def confidence_region(

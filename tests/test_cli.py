@@ -241,6 +241,28 @@ def test_run_command_non_finite_value_is_config_error(tmp_path, capsys):
     assert err.startswith("error: [schedule] chi")
 
 
+@pytest.mark.parametrize("family, key", [
+    ("eqqp", "d = 7"),  # used to run the 3-dimensional eqqp
+    ("logistic", "sigma = 9"),
+    ("linear", "sigma2 = 0.5"),
+])
+def test_run_command_key_the_family_does_not_read_is_config_error(
+        tmp_path, capsys, family, key):
+    path = _write_config(tmp_path, f"""\
+        [problem]
+        family = {family}
+        {key}
+
+        [experiment]
+        n_iters = 50
+        n_reps = 2
+        """)
+    assert main(["run", path]) == EXIT_CONFIG
+    name = key.split(" =")[0]
+    assert capsys.readouterr().err.startswith(
+        f"error: [problem] {name} is not read when family = {family}")
+
+
 def test_run_command_steep_band_decay_runs(tmp_path, capsys):
     # (t + 1)^chi overflows a float from t = 1 on: the band width is 0.0,
     # the value the quotient rounds to, not an OverflowError

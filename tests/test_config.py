@@ -1,5 +1,6 @@
 """Tests for the INI experiment-configuration layer."""
 
+import configparser
 import dataclasses
 import math
 import pathlib
@@ -126,8 +127,10 @@ def test_sgd_solver_defaults_and_restrictions():
     assert cfg.schedule.c_chi == 0.0
     assert cfg.schedule.mode == "deterministic"
     assert cfg.experiment.estimators == ("batchmeans",)
-    with pytest.raises(ConfigError, match="tau"):
-        parse_config_string("[method]\nsolver = sgd\ntau = 2\n")
+    for tau in ("2", "exact"):
+        with pytest.raises(ConfigError, match=r"\[method\] tau is not read "
+                           "when solver = sgd"):
+            parse_config_string(f"[method]\nsolver = sgd\ntau = {tau}\n")
     with pytest.raises(ConfigError, match="beta"):
         parse_config_string(
             "[method]\nsolver = sgd\n[schedule]\nbeta = 1.0\nc_beta = 1.0\n")
@@ -160,8 +163,36 @@ def test_chi_defaults_to_twice_beta():
 def test_linear_studies_need_positive_noise():
     with pytest.raises(ConfigError, match="sigma"):
         parse_config_string("[problem]\nsigma = 0.0\n")
-    # the logistic family has no response-noise scale to validate
-    parse_config_string("[problem]\nfamily = logistic\nsigma = 0.0\n")
+
+
+@pytest.mark.parametrize("family, key, raw", [
+    *[(f, k, raw) for f in config.SQP_FAMILIES
+      for k, raw in (("d", "7"), ("design", "toeplitz"), ("r", "0.3"),
+                     ("sigma", "9"), ("x_star", "1,2,3"))],
+    ("logistic", "sigma", "9"),
+    ("linear", "sigma2", "0.5"),
+    ("logistic", "sigma2", "0.5"),
+])
+def test_keys_the_family_does_not_read_are_errors(family, key, raw):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"[problem] {key} is not read when family = {family}")):
+        parse_config_string(f"[problem]\nfamily = {family}\n{key} = {raw}\n")
+
+
+def test_serialize_writes_only_the_keys_the_config_reads():
+    def written(text):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(serialize_config(parse_config_string(text)))
+        return set(parser["problem"])
+
+    regression = {"family", "d", "design", "r", "x_star"}
+    assert written("") == regression | {"sigma"}
+    assert written("[problem]\nfamily = logistic\n") == regression
+    for family in config.SQP_FAMILIES:
+        text = f"[problem]\nfamily = {family}\n"
+        assert written(text) == {"family", "sigma2"}
+        cfg = parse_config_string(text)
+        assert parse_config_string(serialize_config(cfg)) == cfg
 
 
 def test_round_trip_is_exact():
@@ -421,8 +452,9 @@ def _valid_configs(draw):
     solver = ("newton" if family in config.SQP_FAMILIES
               else draw(st.sampled_from(["newton", "sgd"])))
     context = {"family": family, "solver": solver}
-    # sgd takes no tau; d and x_star are not both given, since d follows x_star
-    skip = {"tau"} if solver == "sgd" else set()
+    # keys this family and solver do not read are left out (given, they
+    # are errors); d and x_star are not both given, since d follows x_star
+    skip = {f.name for _, f in KEYS if not config._read(f, context)}
     text = []
     for section, cls in SECTIONS:
         text.append(f"[{section}]")

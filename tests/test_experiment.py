@@ -1,5 +1,6 @@
 """Tests for the replicated study engine against the sequential reference."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from snewt.experiment import (
     write_aggregate_csv,
     write_summary_csv,
 )
+from snewt.inference import directional_ci
 from snewt.optimizer import RngStreams, run
 from snewt.sqp import run_sqp
 from tests.oracles import (batch_means_two_pass, coordinate_sketches,
@@ -599,3 +601,58 @@ def test_a_singular_hessian_average_blanks_only_its_own_plugin_row(
         assert np.isnan(result.final_per_rep[key][1]), key
     # the final plug-in estimate averages the replications that have one
     assert np.isfinite(result.final_estimates["plugin"]).all()
+
+
+@pytest.mark.parametrize("solver", ["newton", "sgd"])
+def test_the_harness_intervals_are_directional_cis_row_by_row(
+        monkeypatch, solver):
+    # each replication's final hit, recomputed from its final estimate by a
+    # one-replication directional_ci call; in the Newton study replication
+    # 1's Hessian average is exactly zero from t = 60 on, so its plug-in
+    # estimate, and with it its interval, is NaN
+    sgd = solver == "sgd"
+    cfg = _cfg(method=MethodConfig(solver=solver, tau=None if sgd else 2),
+               schedule=ScheduleConfig(c_beta=0.5, c_chi=0.0,
+                                       mode="deterministic") if sgd else None,
+               n_iters=100, n_reps=4, record_every=25,
+               estimators=("batchmeans",) if sgd else ("wsc", "plugin"))
+    cfg = dataclasses.replace(cfg, experiment=dataclasses.replace(
+        cfg.experiment, ci_level=0.9))
+    calls = []
+    metrics, step = experiment._checkpoint_metrics, experiment.newton_step
+
+    def recording(*args):
+        calls.append(args)
+        return metrics(*args)
+
+    def poisoned(state, *args):
+        out = step(state, *args)
+        if out.t >= 60:
+            out.B[1] = 0.0
+        return out
+
+    monkeypatch.setattr(experiment, "_checkpoint_metrics", recording)
+    monkeypatch.setattr(experiment, "newton_step", poisoned)
+    xi = np.diag([1.0, 2.0, 0.5])
+    result = run_experiment(cfg, oracle_xi=None if sgd else xi,
+                            oracle_omega=xi)
+    t, mean, ests = calls[-1][0], calls[-1][7], calls[-1][8]
+    assert t == 100
+    x, scale = ((mean, 1.0 / t) if sgd
+                else (result.final_x, cfg.build_schedule().phi(t - 1)))
+    covs = {"cov_" + experiment._SUFFIX[name]: est
+            for name, est in ests.items()}
+    covs["cov_oracle"] = np.broadcast_to(xi, (4, 3, 3))
+    assert set(covs) == ({"cov_bm", "cov_oracle"} if sgd
+                         else {"cov_wsc", "cov_plugin", "cov_oracle"})
+    per_rep = result.final_per_rep
+    for key, cov in covs.items():
+        for r in range(4):
+            ci = directional_ci(x[r], scale, cov[r], result.w, level=0.9)
+            hit = (np.nan if np.isnan(ci.half_width)
+                   else float(abs(ci.center - result.target) <= ci.half_width))
+            assert _same_bits(per_rep[key][r:r + 1], np.array([hit])), (
+                key, r)
+    if not sgd:
+        assert np.isnan(per_rep["cov_plugin"][1])
+        assert np.isfinite(per_rep["cov_wsc"]).all()

@@ -38,6 +38,55 @@ def test_chi2_one_dof_is_squared_normal():
         assert abs(chi2_quantile(p, 1) - z * z) < 1e-8
 
 
+# Reference values from mpmath 1.3.0 at 50 significant digits, rounded to
+# 17: the quantile is mpmath.findroot on the regularized lower incomplete
+# gamma, gammainc(d/2, 0, x/2, regularized=True) - p, and the CDF is that
+# gammainc itself.  Odd and even d, up to a few hundred.
+_CHI2_QUANTILES = {
+    (1, 0.5): 0.45493642311957275,
+    (1, 0.95): 3.8414588206941245,
+    (1, 0.99): 6.6348966010212136,
+    (2, 0.5): 1.3862943611198906,
+    (2, 0.95): 5.9914645471079802,
+    (2, 0.99): 9.210340371976181,
+    (5, 0.5): 4.3514601910955273,
+    (5, 0.95): 11.070497693516352,
+    (5, 0.99): 15.086272469388988,
+    (51, 0.5): 50.334904848322712,
+    (51, 0.95): 68.669293912285791,
+    (51, 0.99): 77.385962016137255,
+    (400, 0.5): 399.33353122493135,
+    (400, 0.95): 447.63246783080842,
+    (400, 0.99): 468.7244983740365,
+}
+_CHI2_CDFS = {
+    (1, 3.0): 0.9167354833364496,
+    (2, 3.0): 0.77686983985157017,
+    (5, 0.5): 0.0078767067673704078,
+    (5, 10.0): 0.92476475385348782,
+    (51, 10.0): 7.0178091329724399e-11,
+    (51, 60.0): 0.81824007075265888,
+    (400, 60.0): 3.7039223430631681e-93,
+    (400, 420.0): 0.76396967450115385,
+}
+
+
+@pytest.mark.parametrize("d, p", list(_CHI2_QUANTILES))
+def test_chi2_quantile_reference_values(d, p):
+    assert abs(chi2_quantile(p, d) - _CHI2_QUANTILES[d, p]) < 1e-9
+
+
+@pytest.mark.parametrize("d, x", list(_CHI2_CDFS))
+def test_chi2_cdf_reference_values(d, x):
+    assert abs(chi2_cdf(x, d) - _CHI2_CDFS[d, x]) < 1e-9
+
+
+def test_chi2_degrees_of_freedom_are_integers():
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            chi2_cdf(1.0, bad)
+
+
 def test_cdf_quantile_round_trips():
     for p in (0.05, 0.3, 0.5, 0.7, 0.95, 0.999):
         assert abs(normal_cdf(normal_quantile(p)) - p) < 1e-10
@@ -99,6 +148,43 @@ def test_negative_quadratic_form_is_clamped_and_counted():
     ok = directional_ci(np.array([1.0]), 0.5, np.array([[1.0]]),
                         np.array([1.0]))
     assert ok.clamped is False and ok.half_width > 0.0
+
+
+def test_stacked_interval_equals_its_rows():
+    rng = np.random.default_rng(3)
+    R, d = 5, 3
+    A = rng.standard_normal((R, d, d))
+    xi = A @ A.swapaxes(-1, -2)
+    xi[1] = -np.eye(d)  # a negative quadratic form: clamped
+    xi[3] = np.nan  # no estimate: no interval, not clamped
+    x = rng.standard_normal((R, d))
+    w = rng.standard_normal(d)
+    ci = directional_ci(x, 0.02, xi, w, level=0.9)
+    for field in (ci.center, ci.half_width, ci.clamped):
+        assert isinstance(field, np.ndarray) and field.shape == (R,)
+    assert ci.clamped.tolist() == [False, True, False, False, False]
+    assert ci.half_width[1] == 0.0 and np.isnan(ci.half_width[3])
+    assert ci.contains(ci.center).tolist() == [True, True, True, False, True]
+    for r in range(R):
+        row = directional_ci(x[r], 0.02, xi[r], w, level=0.9)
+        assert type(row.center) is float and type(row.half_width) is float
+        assert type(row.clamped) is bool and row.level == 0.9
+        assert row.clamped == ci.clamped[r]
+        np.testing.assert_allclose([row.center, row.half_width],
+                                   [ci.center[r], ci.half_width[r]],
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_one_estimate_serves_a_stack_of_iterates():
+    x = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    xi = np.array([[2.0, 0.1], [0.1, 1.0]])
+    w = np.array([0.6, 0.8])
+    ci = directional_ci(x, 0.05, xi, w)
+    one = directional_ci(x[0], 0.05, xi, w)
+    assert ci.half_width.shape == ci.clamped.shape == (3,)
+    assert (ci.half_width == one.half_width).all()
+    assert not ci.clamped.any()
+    np.testing.assert_allclose(ci.center, x @ w, rtol=1e-15)
 
 
 def test_directional_ci_validation():
