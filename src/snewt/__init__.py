@@ -20,8 +20,9 @@ Library layout:
   forms or quadrature; Monte Carlo for q >= 2 Gaussian sketches) and the
   relative error metrics the harness reports against them
 - sqp: equality-constrained extension (stochastic SQP on the KKT system):
-  its problems and the observation that feeds the one step work on stacks
-  of replications, so run_sqp and the batched harness share them
+  its problems (quadratic ones are data of one builder) and the
+  observation that feeds the one step work on stacks of replications, so
+  run_sqp and the batched harness share them
 - config / experiment / cli: study configs, the replication-batched
   Monte-Carlo harness, and the ``snewt`` command-line entry point; every
   study is a config file that ``snewt run`` runs

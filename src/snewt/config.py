@@ -14,7 +14,7 @@ Each key is defined once, as a field of its section's dataclass
 OutputConfig).  The field holds the key's default; its metadata holds the
 cast that reads and range-checks raw text and renders a value back, and,
 where the default depends on other keys, the rule that derives it, and,
-where the family or solver does not always read the key, the rule that
+where the family or method does not always read the key, the rule that
 says when it does: a key it does not read is an error when given and is
 not written.  parse_config_string and serialize_config walk those fields
 and round-trip exactly; _validate holds the other rules that tie keys
@@ -156,21 +156,26 @@ class _Unless(_Cast):
         return self.word if value is None else self.cast.render(value)
 
 
-def _key(default, cast, derive: Optional[Callable] = None,
-         read: Optional[Tuple[str, Tuple[str, ...]]] = None):
+def _key(default, cast, derive: Optional[Callable] = None, read=()):
     """A key's field.  derive(values, key) gives a default that depends on
     other keys; values maps every key (unique across sections) to its
-    given value or field default.  read = (by, options): the key is read
-    only while the key `by` takes one of `options` (None: always)."""
+    given value or field default.  read holds conditions (by, ok): the key
+    is read only while ok(value of key `by`) holds for each."""
     return field(default=default,
                  metadata={"cast": cast, "derive": derive, "read": read})
 
 
-def _read(f, values) -> bool:
-    """Whether a config with these values reads key f.  A key it does not
-    read is an error when given, and serialize_config does not write it."""
-    rule = f.metadata["read"]
-    return rule is None or values[rule[0]] in rule[1]
+def _is(by: str, *options):
+    """Read condition: key `by` takes one of `options`."""
+    return by, lambda value: value in options
+
+
+def _unread(f, values) -> Optional[str]:
+    """The key whose value stops a config with these values from reading
+    key f (None: it reads f).  A key it does not read is an error when
+    given, and serialize_config does not write it."""
+    return next((by for by, ok in f.metadata["read"] if not ok(values[by])),
+                None)
 
 
 def _sgd(value):
@@ -183,7 +188,10 @@ def _sgd(value):
 
 
 _SQRT_MAX = math.sqrt(np.finfo(float).max)
-_REGRESSION = ("family", REGRESSION_FAMILIES)
+_REGRESSION = (_is("family", *REGRESSION_FAMILIES),)
+_NEWTON = (_is("solver", "newton"),)
+# sketch and gaussian_q shape sketched solves only
+_SKETCHED = _NEWTON + (("tau", lambda tau: tau is not None),)
 
 
 @dataclass(frozen=True)
@@ -199,9 +207,9 @@ class ProblemConfig:
     r: float = _key(0.0, _Number(float), read=_REGRESSION)
     # the oracle squares sigma, so its square must be a finite float
     sigma: float = _key(1.0, _Number(float, -_SQRT_MAX, _SQRT_MAX),
-                        read=("family", ("linear",)))
+                        read=(_is("family", "linear"),))
     sigma2: float = _key(0.01, _Number(float, 0.0),
-                         read=("family", SQP_FAMILIES))
+                         read=(_is("family", *SQP_FAMILIES),))
     x_star: Optional[Tuple[float, ...]] = _key(
         None, _Unless("one_over_d", _List(_Number(float))), read=_REGRESSION)
 
@@ -215,9 +223,11 @@ class MethodConfig:
     solver: str = _key("newton", _Choice(("newton", "sgd")))
     # sgd always solves exactly (B frozen at identity)
     tau: Optional[int] = _key(None, _Unless("exact", _Number(int, 1)),
-                              read=("solver", ("newton",)))
-    sketch: str = _key("kaczmarz", _Choice(("kaczmarz", "gaussian")))
-    gaussian_q: int = _key(1, _Number(int, 1))
+                              read=_NEWTON)
+    sketch: str = _key("kaczmarz", _Choice(("kaczmarz", "gaussian")),
+                       read=_SKETCHED)
+    gaussian_q: int = _key(1, _Number(int, 1),
+                           read=_SKETCHED + (_is("sketch", "gaussian"),))
 
 
 # The first-order baseline defaults to the deterministic half-rate rule;
@@ -333,6 +343,7 @@ class ExperimentConfig:
 _SECTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 _KEYS = [(section, f) for section, cls in _SECTIONS.items()
          for f in fields(cls)]
+_FIELDS = {f.name: f for _, f in _KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +381,13 @@ def parse_config_string(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(
                 f"[{section}] {f.name} {exc}, got {raw!r}") from exc
-    # read rules test family and solver, which no rule derives
+    # read rules test family, solver, tau and sketch, which no rule derives
     for section, f in _KEYS:
-        if parser.has_option(section, f.name) and not _read(f, values):
-            by = f.metadata["read"][0]
+        if parser.has_option(section, f.name) and (
+                by := _unread(f, values)) is not None:
+            shown = _FIELDS[by].metadata["cast"].render(values[by])
             raise ConfigError(f"[{section}] {f.name} is not read when "
-                              f"{by} = {values[by]}; drop it")
+                              f"{by} = {shown}; drop it")
     # derived defaults read only keys without a derive rule, so the order
     # in which they are filled in does not matter
     values.update({f.name: f.metadata["derive"](values, f.name)
@@ -439,7 +451,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     parser = configparser.ConfigParser(interpolation=None)
     for section in _SECTIONS:
         parser[section] = {
-            f.name: text for s, f in _KEYS if s == section and _read(f, values)
+            f.name: text for s, f in _KEYS
+            if s == section and _unread(f, values) is None
             and (text := f.metadata["cast"].render(values[f.name])) is not None}
     buf = io.StringIO()
     parser.write(buf)

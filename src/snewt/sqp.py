@@ -17,13 +17,15 @@ machinery applies to the primal block unchanged: trace sinks receive
 
 The problems and observe, which turns a step's noise normals into the
 samples newton_step takes, work on stacks of replications as well as on
-single points, so run_sqp and the batched harness share them.
+single points, so run_sqp and the batched harness share them.  Problems
+with a quadratic objective and quadratic constraints are data of one
+builder, quadratic_problem (eqqp and maratos); hs7 is written by hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Tuple
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "EqConstrainedProblem",
     "observe",
     "run_sqp",
+    "quadratic_problem",
     "equality_qp",
     "maratos",
     "hs7",
@@ -53,11 +56,6 @@ class EqConstrainedProblem:
     (..., d) and (..., d, d), cons and jac give (..., m) and (..., m, d),
     and cons_hess gives (..., m, d, d).  The values may be read-only
     broadcast views.
-
-    ``inactive`` lists the coordinates whose optimal value is not pinned by
-    the constraints to first order (the tangent space at x* has a nonzero
-    component there); only those coordinates carry asymptotic randomness,
-    so inference targets their average.
     """
 
     name: str
@@ -71,8 +69,18 @@ class EqConstrainedProblem:
     cons_hess: Callable[[np.ndarray], np.ndarray]
     x_star: np.ndarray
     lam_star: np.ndarray
-    inactive: Tuple[int, ...]
     x0: np.ndarray
+
+    @property
+    def inactive(self) -> Tuple[int, ...]:
+        """The coordinates whose optimal value the constraints do not pin
+        to first order: those whose diagonal entry of the tangent projector
+        I - J'(JJ')^-1 J at x* (J the constraint Jacobian) is above
+        roundoff; the entries lie in [0, 1].  Only they carry asymptotic
+        randomness, so inference targets their average."""
+        J = self.jac(self.x_star)
+        pinned = np.einsum("ij,ij->j", J, np.linalg.solve(J @ J.T, J))
+        return tuple(int(i) for i in np.flatnonzero(1.0 - pinned > 1e-12))
 
     def weighted_cons_hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """sum_i lam[..., i] hess c_i(x), shape (..., d, d)."""
@@ -145,6 +153,38 @@ def _stacked(value: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.broadcast_to(value, X.shape[:-1] + value.shape)
 
 
+def quadratic_problem(name: str, A: np.ndarray, b: np.ndarray,
+                      G: np.ndarray, h: np.ndarray, x_star: np.ndarray,
+                      lam_star: np.ndarray, x0: np.ndarray, f0: float = 0.0,
+                      Q: Optional[np.ndarray] = None) -> EqConstrainedProblem:
+    """min .5 x'Ax + b'x + f0  s.t.  .5 x'Q_i x + G_i x + h_i = 0, i < m.
+
+    A is symmetric (d, d), G is (m, d) and h is (m,); Q is a stack
+    (m, d, d) of symmetric matrices, zero (linear constraints) when not
+    given.  The solution (x_star, lam_star) is data; the builder does not
+    solve for it.
+    """
+    if Q is None:
+        Q = np.zeros((len(h),) + A.shape)
+    return EqConstrainedProblem(
+        name=name,
+        dim=len(b),
+        n_cons=len(h),
+        # A is symmetric, so x A = A x
+        objective=lambda X: (
+            np.einsum("...i,...i->...", 0.5 * X @ A + b, X) + f0),
+        grad=lambda X: X @ A + b,
+        hess=lambda X: _stacked(A, X),
+        cons=lambda X: (0.5 * np.einsum("...i,mij,...j->...m", X, Q, X)
+                        + (X @ G.T + h)),
+        jac=lambda X: np.einsum("mij,...j->...mi", Q, X) + G,
+        cons_hess=lambda X: _stacked(Q, X),
+        x_star=x_star,
+        lam_star=lam_star,
+        x0=x0,
+    )
+
+
 def equality_qp() -> EqConstrainedProblem:
     """Convex QP with the first coordinate pinned: min .5 x'Ax + b'x, x_0 = 1.
 
@@ -161,22 +201,12 @@ def equality_qp() -> EqConstrainedProblem:
     y = np.linalg.solve(A[np.ix_(free, free)], -(b[free] + A[free, 0] * 1.0))
     x_star = np.concatenate([[1.0], y])
     lam_star = np.array([-(A @ x_star + b)[0]])
-    jac = np.array([[1.0, 0.0, 0.0]])
-    zeros_ch = np.zeros((1, 3, 3))
-    return EqConstrainedProblem(
-        name="eqqp",
-        dim=3,
-        n_cons=1,
-        # A is symmetric, so x A = A x
-        objective=lambda X: np.einsum("...i,...i->...", 0.5 * X @ A + b, X),
-        grad=lambda X: X @ A + b,
-        hess=lambda X: _stacked(A, X),
-        cons=lambda X: X[..., :1] - 1.0,
-        jac=lambda X: _stacked(jac, X),
-        cons_hess=lambda X: _stacked(zeros_ch, X),
+    return quadratic_problem(
+        "eqqp", A, b,
+        G=np.array([[1.0, 0.0, 0.0]]),
+        h=np.array([-1.0]),
         x_star=x_star,
         lam_star=lam_star,
-        inactive=(1, 2),
         x0=np.zeros(3),
     )
 
@@ -187,23 +217,15 @@ def maratos() -> EqConstrainedProblem:
     Solution (1, 0) with multiplier -3/2; the tangent direction at the
     solution is e_1, so only x_1 is asymptotically random.
     """
-    e0 = np.array([1.0, 0.0])
-    hess = 4.0 * np.eye(2)
-    ch = 2.0 * np.eye(2)[None, :, :]
-    return EqConstrainedProblem(
-        name="maratos",
-        dim=2,
-        n_cons=1,
-        objective=lambda X: 2.0 * ((X ** 2).sum(axis=-1) - 1.0) - X[..., 0],
-        grad=lambda X: 4.0 * X - e0,
-        hess=lambda X: _stacked(hess, X),
-        cons=lambda X: (X ** 2).sum(axis=-1, keepdims=True) - 1.0,
-        jac=lambda X: 2.0 * X[..., None, :],
-        cons_hess=lambda X: _stacked(ch, X),
+    return quadratic_problem(
+        "maratos", 4.0 * np.eye(2), np.array([-1.0, 0.0]),
+        G=np.zeros((1, 2)),
+        h=np.array([-1.0]),
         x_star=np.array([1.0, 0.0]),
         lam_star=np.array([-1.5]),
-        inactive=(1,),
         x0=np.array([0.8, 0.3]),
+        f0=-2.0,
+        Q=2.0 * np.eye(2)[None, :, :],
     )
 
 
@@ -251,7 +273,6 @@ def hs7() -> EqConstrainedProblem:
         cons_hess=cons_hess,
         x_star=np.array([0.0, np.sqrt(3.0)]),
         lam_star=np.array([1.0 / (2.0 * np.sqrt(3.0))]),
-        inactive=(0,),
         x0=np.array([0.5, 1.5]),
     )
 

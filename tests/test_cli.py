@@ -241,26 +241,35 @@ def test_run_command_non_finite_value_is_config_error(tmp_path, capsys):
     assert err.startswith("error: [schedule] chi")
 
 
-@pytest.mark.parametrize("family, key", [
-    ("eqqp", "d = 7"),  # used to run the 3-dimensional eqqp
-    ("logistic", "sigma = 9"),
-    ("linear", "sigma2 = 0.5"),
+@pytest.mark.parametrize("section, given, key, by", [
+    # used to run the 3-dimensional eqqp
+    pytest.param("problem", "family = eqqp\n        d = 7", "d",
+                 "family = eqqp", id="eqqp-d = 7"),
+    pytest.param("problem", "family = logistic\n        sigma = 9", "sigma",
+                 "family = logistic", id="logistic-sigma = 9"),
+    pytest.param("problem", "family = linear\n        sigma2 = 0.5",
+                 "sigma2", "family = linear", id="linear-sigma2 = 0.5"),
+    pytest.param("method", "solver = sgd\n        sketch = gaussian",
+                 "sketch", "solver = sgd", id="sgd-sketch"),
+    pytest.param("method", "tau = exact\n        gaussian_q = 2",
+                 "gaussian_q", "tau = exact", id="exact-gaussian_q"),
+    pytest.param("method", "tau = 2\n        gaussian_q = 2", "gaussian_q",
+                 "sketch = kaczmarz", id="kaczmarz-gaussian_q"),
 ])
 def test_run_command_key_the_family_does_not_read_is_config_error(
-        tmp_path, capsys, family, key):
+        tmp_path, capsys, section, given, key, by):
+    # [method] keys that the solve does not read are refused the same way
     path = _write_config(tmp_path, f"""\
-        [problem]
-        family = {family}
-        {key}
+        [{section}]
+        {given}
 
         [experiment]
         n_iters = 50
         n_reps = 2
         """)
     assert main(["run", path]) == EXIT_CONFIG
-    name = key.split(" =")[0]
     assert capsys.readouterr().err.startswith(
-        f"error: [problem] {name} is not read when family = {family}")
+        f"error: [{section}] {key} is not read when {by}")
 
 
 def test_run_command_steep_band_decay_runs(tmp_path, capsys):

@@ -165,25 +165,45 @@ def test_linear_studies_need_positive_noise():
         parse_config_string("[problem]\nsigma = 0.0\n")
 
 
-@pytest.mark.parametrize("family, key, raw", [
-    *[(f, k, raw) for f in config.SQP_FAMILIES
+def _problem_case(family, key, raw):
+    return pytest.param("problem", f"family = {family}\n{key} = {raw}", key,
+                        f"family = {family}", id=f"{family}-{key}-{raw}")
+
+
+@pytest.mark.parametrize("section, given, key, by", [
+    *[_problem_case(f, k, raw) for f in config.SQP_FAMILIES
       for k, raw in (("d", "7"), ("design", "toeplitz"), ("r", "0.3"),
                      ("sigma", "9"), ("x_star", "1,2,3"))],
-    ("logistic", "sigma", "9"),
-    ("linear", "sigma2", "0.5"),
-    ("logistic", "sigma2", "0.5"),
+    _problem_case("logistic", "sigma", "9"),
+    _problem_case("linear", "sigma2", "0.5"),
+    _problem_case("logistic", "sigma2", "0.5"),
+    # [method] keys that the solve does not read
+    pytest.param("method", "solver = sgd\nsketch = gaussian", "sketch",
+                 "solver = sgd", id="sgd-sketch"),
+    pytest.param("method", "solver = sgd\ngaussian_q = 3", "gaussian_q",
+                 "solver = sgd", id="sgd-gaussian_q"),
+    pytest.param("method", "tau = exact\nsketch = kaczmarz", "sketch",
+                 "tau = exact", id="exact-sketch"),
+    pytest.param("method", "sketch = gaussian", "sketch", "tau = exact",
+                 id="default-tau-sketch"),
+    pytest.param("method", "tau = exact\ngaussian_q = 2", "gaussian_q",
+                 "tau = exact", id="exact-gaussian_q"),
+    pytest.param("method", "tau = 2\ngaussian_q = 2", "gaussian_q",
+                 "sketch = kaczmarz", id="default-sketch-gaussian_q"),
+    pytest.param("method", "tau = 2\nsketch = kaczmarz\ngaussian_q = 1",
+                 "gaussian_q", "sketch = kaczmarz", id="kaczmarz-gaussian_q"),
 ])
-def test_keys_the_family_does_not_read_are_errors(family, key, raw):
+def test_keys_the_family_does_not_read_are_errors(section, given, key, by):
     with pytest.raises(ConfigError, match=re.escape(
-            f"[problem] {key} is not read when family = {family}")):
-        parse_config_string(f"[problem]\nfamily = {family}\n{key} = {raw}\n")
+            f"[{section}] {key} is not read when {by}; drop it")):
+        parse_config_string(f"[{section}]\n{given}\n")
 
 
 def test_serialize_writes_only_the_keys_the_config_reads():
-    def written(text):
+    def written(text, section="problem"):
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(serialize_config(parse_config_string(text)))
-        return set(parser["problem"])
+        return set(parser[section])
 
     regression = {"family", "d", "design", "r", "x_star"}
     assert written("") == regression | {"sigma"}
@@ -191,6 +211,16 @@ def test_serialize_writes_only_the_keys_the_config_reads():
     for family in config.SQP_FAMILIES:
         text = f"[problem]\nfamily = {family}\n"
         assert written(text) == {"family", "sigma2"}
+        cfg = parse_config_string(text)
+        assert parse_config_string(serialize_config(cfg)) == cfg
+    # sketch and gaussian_q shape sketched solves only
+    methods = {"solver = sgd": {"solver"}, "tau = exact": {"solver", "tau"},
+               "tau = 2": {"solver", "tau", "sketch"},
+               "tau = 2\nsketch = gaussian": {"solver", "tau", "sketch",
+                                               "gaussian_q"}}
+    for method, keys in methods.items():
+        text = f"[method]\n{method}\n"
+        assert written(text, "method") == keys
         cfg = parse_config_string(text)
         assert parse_config_string(serialize_config(cfg)) == cfg
 
@@ -452,17 +482,23 @@ def _valid_configs(draw):
     solver = ("newton" if family in config.SQP_FAMILIES
               else draw(st.sampled_from(["newton", "sgd"])))
     context = {"family": family, "solver": solver}
-    # keys this family and solver do not read are left out (given, they
-    # are errors); d and x_star are not both given, since d follows x_star
-    skip = {f.name for _, f in KEYS if not config._read(f, context)}
+    # keys this config does not read are left out (given, they are
+    # errors).  Read rules test keys drawn earlier in file order, so
+    # values holds each key's parsed value or field default as the draw
+    # goes.  d and x_star are not both given, since d follows x_star.
+    values = {f.name: f.default for _, f in KEYS} | context
+    skip = set()
     text = []
     for section, cls in SECTIONS:
         text.append(f"[{section}]")
         for f in dataclasses.fields(cls):
             if f.name in context:
                 text.append(f"{f.name} = {context[f.name]}")
-            elif f.name not in skip and draw(st.booleans()):
-                text.append(f"{f.name} = {draw(_VALID[f.name](context))}")
+            elif (f.name not in skip and config._unread(f, values) is None
+                  and draw(st.booleans())):
+                raw = draw(_VALID[f.name](context))
+                text.append(f"{f.name} = {raw}")
+                values[f.name] = f.metadata["cast"](raw)
                 if f.name == "d":
                     skip.add("x_star")
     return "\n".join(text) + "\n"

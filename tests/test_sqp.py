@@ -12,17 +12,47 @@ from snewt.optimizer import (DivergenceError, NewtonState, RngStreams,
 from snewt.problems import grad_noise_factor
 from snewt.sketch import SketchDistribution, SketchSolveConfig
 from snewt.sqp import (
+    EqConstrainedProblem,
     builtin_problem,
     equality_qp,
     hs7,
     maratos,
     observe,
+    quadratic_problem,
     run_sqp,
 )
 from tests.oracles import (fd_grad, fd_jac, kkt_residual, newton_kkt_solve,
                            wsc_two_pass)
 
-ALL_PROBLEMS = [equality_qp, maratos, hs7]
+_A = np.array([[2.0, 0.4, 0.2], [0.4, 1.5, 0.3], [0.2, 0.3, 1.0]])
+
+
+def skew_plane():
+    """eqqp's objective on the plane x_0 + x_1 = 1, which is not
+    coordinate-aligned, so every coordinate is inactive."""
+    b, G, h = (np.array([0.5, -0.3, 0.2]), np.array([[1.0, 1.0, 0.0]]),
+               np.array([-1.0]))
+    kkt = np.block([[_A, G.T], [G, np.zeros((1, 1))]])
+    sol = np.linalg.solve(kkt, -np.concatenate([b, h]))
+    return quadratic_problem("skew_plane", _A, b, G, h, x_star=sol[:3],
+                             lam_star=sol[3:], x0=np.zeros(3))
+
+
+def two_quadrics():
+    """Two curved constraints (m = 2) in d = 3, with b and h chosen so that
+    a stated (x*, lam*) satisfies the first-order conditions."""
+    Q = np.array([np.diag([2.0, 1.0, 0.0]),
+                  [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]])
+    G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
+    x_star, lam_star = np.array([0.6, -0.4, 0.8]), np.array([0.3, -0.2])
+    jac = Q @ x_star + G
+    h = -(0.5 * np.einsum("i,mij,j->m", x_star, Q, x_star) + G @ x_star)
+    b = -(_A @ x_star + lam_star @ jac)
+    return quadratic_problem("two_quadrics", _A, b, G, h, x_star=x_star,
+                             lam_star=lam_star, x0=x_star + 0.1, f0=0.5, Q=Q)
+
+
+ALL_PROBLEMS = [equality_qp, maratos, hs7, skew_plane, two_quadrics]
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +130,32 @@ def test_lagrangian_hessian_combines_objective_and_constraints():
 def test_builtin_problem_lookup():
     assert builtin_problem("eqqp").name == "eqqp"
     assert builtin_problem("maratos").dim == 2
-    assert builtin_problem("hs7").inactive == (0,)
     with pytest.raises(ValueError):
         builtin_problem("rosenbrock")
+
+
+@pytest.mark.parametrize("factory, inactive", [
+    (equality_qp, (1, 2)), (maratos, (1,)), (hs7, (0,)),
+    (skew_plane, (0, 1, 2)), (two_quadrics, (0, 1, 2)),
+], ids=lambda v: v.__name__ if callable(v) else str(v).replace(" ", ""))
+def test_inactive_coordinates_are_derived_from_the_jacobian(factory,
+                                                            inactive):
+    # no problem states them: they follow from null(J*)
+    assert "inactive" not in {
+        f.name for f in dataclasses.fields(EqConstrainedProblem)}
+    assert factory().inactive == inactive
+
+
+def test_quadratic_builder_reproduces_the_hand_written_maratos():
+    prob = maratos()
+    X = np.random.default_rng(4).standard_normal((5, 2))
+    assert np.array_equal(prob.grad(X), 4.0 * X - [1.0, 0.0])
+    assert np.array_equal(prob.cons(X),
+                          (X ** 2).sum(axis=-1, keepdims=True) - 1.0)
+    assert np.array_equal(prob.jac(X), 2.0 * X[:, None, :])
+    assert np.allclose(prob.objective(X),
+                       2.0 * ((X ** 2).sum(axis=-1) - 1.0) - X[:, 0],
+                       rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("factory", ALL_PROBLEMS)
