@@ -29,6 +29,8 @@ from typing import Optional
 
 import numpy as np
 
+from .oracle import xi_star
+
 __all__ = [
     "InsufficientData",
     "WscAccumulator",
@@ -254,19 +256,17 @@ def plugin_estimate(
 ) -> np.ndarray:
     """Sandwich estimator  scale * B^{-1} G B^{-1}, over the leading axes.
 
-    scale = 1 / (2 - 1/c_beta) when beta == 1 and 1/2 otherwise; beta == 1
-    with c_beta <= 1/2 makes the scale nonpositive and is rejected.  The
-    sketch-induced inflation of the limiting covariance is deliberately
-    ignored here, which is exactly what makes this a biased baseline under
-    inexact (sketched) Newton directions.
+    That is oracle.xi_star at C = 0 on Omega = B^{-1} G B^{-1}: scale = 1 /
+    (2 - 1/c_beta) when beta == 1, else 1/2; beta == 1 with c_beta <= 1/2 is
+    rejected.  The sketch-induced inflation of the limiting covariance is
+    deliberately ignored here, which is exactly what makes this a biased
+    baseline under inexact (sketched) Newton directions.
     """
     if acc.t == 0:
         raise InsufficientData("no gradient samples folded in yet")
-    denom = 2.0 - (1.0 / c_beta if beta == 1.0 else 0.0)
-    if denom <= 0.0:
-        raise ValueError("beta = 1 requires c_beta > 1/2")
     X = np.linalg.solve(B, acc.G)
-    est = np.linalg.solve(B, X.swapaxes(-1, -2)) / denom
+    omega = np.linalg.solve(B, X.swapaxes(-1, -2))
+    est = xi_star(np.zeros(()), omega, beta, c_beta)
     return 0.5 * (est + est.swapaxes(-1, -2))
 
 

@@ -7,17 +7,17 @@ stepsize, seeded base_seed XOR replication index) consumed in fixed-size
 blocks.  Per-replication randomness therefore depends only on the base
 seed and the replication index, and a fixed seed reproduces every output
 byte for byte.  One loop (_run_shard) runs both families: it draws the
-blocks, sets the stepsizes, updates the estimators, guards, freezes and
-records checkpoints, and only the observations differ.  Each step is the
-library's one step, optimizer.newton_step, applied to the whole stack (or
-the averaged-SGD update): regression studies form their samples once per
-32-step sub-block, and constrained ones turn their noise normals into
-samples per step with sqp.observe.  So are the solves, the sketch
-module's stacked direct and sweep solves, and the estimators: the
-covariance module's accumulators take the (n_reps, d) stack as they take
-one iterate.  A replication whose ||x|| + ||lam|| leaves the divergence
-guard (or turns non-finite) is held at x0, lam = 0, B = I from then on,
-excluded from every aggregate, and counted.
+blocks, sets the stepsizes, takes each step, updates the estimators,
+guards, freezes and records checkpoints.  Only the observations differ:
+each family's observe turns a step's blocks into samples, regression
+ones once per 32-step sub-block and constrained ones per step with
+sqp.observe.  The step is the library's one step, optimizer.newton_step,
+applied to the whole stack (or the averaged-SGD update), and so are the
+solves, the sketch module's stacked direct and sweep solves, and the
+estimators: the covariance module's accumulators take the (n_reps, d)
+stack as they take one iterate.  A replication whose ||x|| + ||lam||
+leaves the divergence guard (or turns non-finite) is held at x0, lam = 0,
+B = I from then on, excluded from every aggregate, and counted.
 
 At every record_every-th iteration the harness compares the running
 covariance estimators against the ground-truth limiting covariance, with
@@ -100,11 +100,12 @@ _SUFFIX = {"wsc": "wsc", "plugin": "plugin", "batchmeans": "bm"}
 
 # ---------------------------------------------------------------------------
 # Names perfbench/ wraps, until its instruments move into the program: the
-# sketch module's two sweeps, imported above and looked up here by
-# _sweep_solve, and the covariance module's estimators below, which it
-# times and at whose wsc update it stamps each step.  Aliases, not
-# subclasses: it patches the class's own attribute, and the harness calls
-# plugin_estimate by its alias so that the patch sees it.
+# sketch module's two sweeps, imported above and looked up as module
+# globals by _run_shard's solve at each call, and the covariance module's
+# estimators below, which it times and at whose wsc update it stamps each
+# step.  Aliases, not subclasses: it patches the class's own attribute,
+# and the harness calls plugin_estimate by its alias so that the patch
+# sees it.
 
 _BatchedWsc = WscAccumulator
 _BatchedPlugin = PlugInAccumulator
@@ -163,15 +164,6 @@ class _ChunkBlocks:
             g.data.standard_normal(out=self.data[j, :K])
             if self.labels is not None:
                 g.data.random(out=self.labels[j, :K])
-
-
-def _sweep_solve(M: np.ndarray, rhs: np.ndarray, draws: np.ndarray,
-                 solve_cfg: SketchSolveConfig) -> np.ndarray:
-    """One tau-step sketch sweep on the stacked systems M delta = -rhs."""
-    tol = _tol_abs(M)
-    if solve_cfg.dist.kind == "uniform_coordinate":
-        return _uc_solve_batched(M, rhs, draws, tol)
-    return _gaussian_solve_batched(M, rhs, draws, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -285,30 +277,33 @@ def _plugin_per_rep(plug: PlugInAccumulator, B: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# the study loop, and each family's step
+# the study loop, and each family's observations
 
 
-def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
-               solve_cfg: SketchSolveConfig, w: np.ndarray,
-               xi: Optional[np.ndarray], omega: Optional[np.ndarray],
-               chunk: int, x0: np.ndarray, m: int, width: int, labels: bool,
-               step: Callable) -> ExperimentResult:
+def _run_shard(cfg: ExperimentConfig, problem, xi: Optional[np.ndarray],
+               omega: Optional[np.ndarray], chunk: int, x0: np.ndarray,
+               m: int, width: int, labels: bool,
+               observe: Callable) -> ExperimentResult:
     """Run every replication of a study and return its result.
 
     The family supplies its starting point x0 (m multipliers start at 0),
     the width of each step's data normals (then a label uniform each if
-    labels), and its step: step(blk, k, t, alpha, solve, X, Lam, B) reads
-    step k of the chunk's random blocks, solves its stacked Newton or KKT
-    systems with solve (the direct solve, or the sketch sweep when tau is
-    set) and returns the new X, Lam, B (None for SGD) and the gradient
-    sample the plug-in estimator folds (None for SQP).
+    labels), and observe(blk, k, X, Lam), which reads step k of the chunk's
+    random blocks and returns the samples at (X, Lam): (g, H) for a Newton
+    step, (g, H, J, c) for an SQP step, or (g,) for an averaged-SGD one.
+    The loop takes the step itself, newton_step with the direct solve or
+    the sketch sweep, and the plug-in folds g.
     """
     exp = cfg.experiment
+    schedule = cfg.build_schedule()
+    solve_cfg = cfg.build_solve_config()
+    w = cfg.direction_vector(problem)
     R, d = exp.n_reps, len(x0)
     sgd = cfg.method.solver == "sgd"
     n_iters, rec = exp.n_iters, exp.record_every
     target = float(w @ problem.x_star)
     uniform = schedule.mode == "uniform_band"
+    coordinate = solve_cfg.dist.kind == "uniform_coordinate"
 
     streams = [RngStreams.from_seed(exp.base_seed ^ r) for r in range(R)]
     blk = _ChunkBlocks(streams, min(chunk, n_iters), d + m, solve_cfg,
@@ -328,7 +323,8 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
         # the sweep reads the sketch draws of the current step k
         if solve_cfg.tau is None:
             return _direct_solve_batched(M, rhs)
-        return _sweep_solve(M, rhs, blk.sketch[:, k], solve_cfg)
+        sweep = _uc_solve_batched if coordinate else _gaussian_solve_batched
+        return sweep(M, rhs, blk.sketch[:, k], _tol_abs(M))
 
     def snapshot(t_now: int) -> Tuple[Dict[str, np.ndarray],
                                       Dict[str, Optional[np.ndarray]]]:
@@ -358,7 +354,13 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
             t = t_done + k
             alpha = (schedule.alpha_from_uniform(t, blk.band[:, k]) if uniform
                      else schedule.phi(t))
-            X, Lam, B, G = step(blk, k, t, alpha, solve, X, Lam, B)
+            obs = observe(blk, k, X, Lam)
+            if sgd:
+                X = X - np.asarray(alpha)[..., None] * obs[0]
+            else:
+                state = newton_step(NewtonState(t, X, B, Lam), schedule,
+                                    alpha, solve, *obs)
+                X, Lam, B = state.x, state.lam, state.B
             t_now = t + 1
             # wsc first: the folds of both estimators and the next
             # sub-block's samples then fall between the same two wsc
@@ -367,7 +369,7 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
             if wsc is not None:
                 wsc.update(X, schedule.phi(t))
             if plug is not None:
-                plug.update(G)
+                plug.update(obs[0])
             if bm is not None:
                 bm.update(X)
             # ||x|| + ||lam||, the lam term skipped without multipliers (it
@@ -420,9 +422,6 @@ def _run_shard(cfg: ExperimentConfig, problem, schedule: StepsizeSchedule,
 def _run_shard_regression(
     cfg: ExperimentConfig,
     model: RegressionModel,
-    schedule: StepsizeSchedule,
-    solve_cfg: SketchSolveConfig,
-    w: np.ndarray,
     xi: Optional[np.ndarray],
     omega: Optional[np.ndarray],
     chunk: int,
@@ -433,7 +432,7 @@ def _run_shard_regression(
     lin = model.family == "linear"
     sub = None
 
-    def step(blk, k, t, alpha, solve, X, Lam, B):
+    def observe(blk, k, X, Lam):
         nonlocal sub
         j = k % _SUB
         if j == 0:
@@ -445,26 +444,19 @@ def _run_shard_regression(
             sub = model.sample(np.ascontiguousarray(z), None if lin
                                else blk.labels[:, k:k + _SUB].T.copy())
         s = Sample(sub.xi_a[j], sub.xi_b[j])
-        G = model.grad(X, s)
-        if sgd:
-            return X - np.asarray(alpha)[..., None] * G, Lam, B, G
-        state = newton_step(NewtonState(t, X, B), schedule, alpha, solve, G,
-                            model.hess(X, s))
-        return state.x, Lam, state.B, G
+        g = model.grad(X, s)
+        return (g,) if sgd else (g, model.hess(X, s))
 
     # linear: d feature normals plus the response noise per step;
     # logistic: d feature normals per step, then the label uniforms
-    return _run_shard(cfg, model, schedule, solve_cfg, w, xi, omega, chunk,
-                      x0=np.zeros(d), m=0, width=d + 1 if lin else d,
-                      labels=not lin, step=step)
+    return _run_shard(cfg, model, xi, omega, chunk, x0=np.zeros(d), m=0,
+                      width=d + 1 if lin else d, labels=not lin,
+                      observe=observe)
 
 
 def _run_shard_sqp(
     cfg: ExperimentConfig,
     problem: EqConstrainedProblem,
-    schedule: StepsizeSchedule,
-    solve_cfg: SketchSolveConfig,
-    w: np.ndarray,
     xi: Optional[np.ndarray],
     omega: Optional[np.ndarray],
     chunk: int,
@@ -474,16 +466,13 @@ def _run_shard_sqp(
     sigma2 = cfg.problem.sigma2
     L = grad_noise_factor(d, sigma2)
 
-    def step(blk, k, t, alpha, solve, X, Lam, B):
+    def sqp_observe(blk, k, X, Lam):
         # d gradient plus d(d+1)/2 Hessian noise normals, read per step
-        obs = observe(problem, X, Lam, blk.data[:, k], sigma2, L)
-        state = newton_step(NewtonState(t, X, B, Lam), schedule, alpha,
-                            solve, *obs)
-        return state.x, state.lam, state.B, None
+        return observe(problem, X, Lam, blk.data[:, k], sigma2, L)
 
-    return _run_shard(cfg, problem, schedule, solve_cfg, w, xi, omega, chunk,
-                      x0=problem.x0, m=problem.n_cons,
-                      width=d + d * (d + 1) // 2, labels=False, step=step)
+    return _run_shard(cfg, problem, xi, omega, chunk, x0=problem.x0,
+                      m=problem.n_cons, width=d + d * (d + 1) // 2,
+                      labels=False, observe=sqp_observe)
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +497,18 @@ def run_experiment(
     advance together in one engine call.
     """
     problem = cfg.build_problem()
-    schedule = cfg.build_schedule()
-    solve_cfg = cfg.build_solve_config()
-    w = cfg.direction_vector(problem)
-    constrained = isinstance(problem, EqConstrainedProblem)
-    if not constrained:
-        if cfg.method.solver == "newton" and oracle_xi is None:
-            oc = oracle_covariance(problem, solve_cfg.dist, solve_cfg.tau,
-                                   schedule.beta, schedule.c_beta)
-            oracle_xi = oc.xi
-            if oracle_omega is None:
-                oracle_omega = oc.omega
-        elif oracle_omega is None:
-            oracle_omega = omega_star(problem)
-    runner = _run_shard_sqp if constrained else _run_shard_regression
-    return runner(cfg, problem, schedule, solve_cfg, w, oracle_xi,
-                  oracle_omega, chunk)
+    if isinstance(problem, EqConstrainedProblem):
+        return _run_shard_sqp(cfg, problem, oracle_xi, oracle_omega, chunk)
+    if cfg.method.solver == "newton" and oracle_xi is None:
+        solve_cfg, schedule = cfg.build_solve_config(), cfg.build_schedule()
+        oc = oracle_covariance(problem, solve_cfg.dist, solve_cfg.tau,
+                               schedule.beta, schedule.c_beta)
+        oracle_xi = oc.xi
+        if oracle_omega is None:
+            oracle_omega = oc.omega
+    elif oracle_omega is None:
+        oracle_omega = omega_star(problem)
+    return _run_shard_regression(cfg, problem, oracle_xi, oracle_omega, chunk)
 
 
 # ---------------------------------------------------------------------------

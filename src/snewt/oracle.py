@@ -376,15 +376,14 @@ def oracle_covariance(
     beta: float,
     c_beta: float,
     n_mc: int = 200_000,
-    seed: int = 0,
 ) -> OracleCovariance:
     """Assemble B*, Omega*, C*, Lambda and Xi* for a regression model.
 
-    n_mc and seed serve Gaussian sketches with q >= 2 only.  Raises
+    n_mc serves Gaussian sketches with q >= 2 only (drawn from seed 0).  Raises
     ConfigError when B*, Omega*, Lambda or Xi* is not finite, or when
     I - C* of an ill-conditioned design has no eigenvalue margin.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     b, omega = _sandwich(model)
     stderr = {}
     if tau is None:

@@ -88,25 +88,19 @@ def _tol_abs(B: np.ndarray) -> np.ndarray:
     return PINV_TOL * np.einsum("...i,...i->...", flat, flat) / B.shape[-1]
 
 
-def _projector_factor(B: np.ndarray, S: np.ndarray,
-                      tol: float = 0.0) -> np.ndarray:
+def _projector_factor(B: np.ndarray, S: np.ndarray) -> np.ndarray:
     """A factor W, shaped like S, with W W^T = B S (S^T B^2 S)^+ S^T B.
 
-    S is (..., d, q).  B S is formed for the whole stack by one matmul, the
-    sketches' rows times B^T.  For q = 1 a slice whose denominator S^T B^2 S
-    is <= tol gives W = 0; for q > 1 eigenvalues of S^T B^2 S that are
-    <= max(tol, 0) are dropped, so W = B S V diag(evals)^{-1/2} over the
-    kept eigenvectors V.
+    S is (..., d, q); the Monte-Carlo oracle passes its q >= 2 sketches.
+    B S is formed for the whole stack by one matmul, the sketches' rows
+    times B^T.  Eigenvalues of S^T B^2 S that are <= 0 are dropped, so
+    W = B S V diag(evals)^{-1/2} over the kept eigenvectors V.
     """
-    d, q = S.shape[-2:]
+    d = S.shape[-2]
     rows = S.swapaxes(-1, -2)
     BS = (rows.reshape(-1, d) @ B.T).reshape(rows.shape).swapaxes(-1, -2)
-    if q == 1:
-        den = np.einsum("...iq,...iq->...", BS, BS)[..., None, None]
-        ok = den > tol
-        return np.where(ok, BS / np.sqrt(np.where(ok, den, 1.0)), 0.0)
     evals, evecs = np.linalg.eigh(BS.swapaxes(-1, -2) @ BS)
-    keep = (evals > max(tol, 0.0))[..., None, :]
+    keep = (evals > 0.0)[..., None, :]
     vecs = evecs / np.sqrt(np.where(keep, evals[..., None, :], 1.0))
     return BS @ np.where(keep, vecs, 0.0)
 

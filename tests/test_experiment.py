@@ -244,7 +244,7 @@ def _shrink(B, r, i, scale):
 
 
 def _sweep_tol(B):
-    flat = B.reshape(B.shape[0], -1)  # as _sweep_solve
+    flat = B.reshape(B.shape[0], -1)  # as sketch._tol_abs, in _run_shard
     return 1e-12 * np.einsum("ri,ri->r", flat, flat) / B.shape[-1]
 
 

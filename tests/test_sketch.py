@@ -21,9 +21,9 @@ def _random_spd(rng, d, ridge=0.5):
     return A @ A.T + ridge * np.eye(d)
 
 
-def _projector(B, S, tol=0.0):
+def _projector(B, S):
     """Pi = W W^T from the rank-q factor W, slice by slice over S's stack."""
-    W = _projector_factor(B, S, tol)
+    W = _projector_factor(B, S)
     return W @ W.swapaxes(-1, -2)
 
 
@@ -152,13 +152,14 @@ def test_degenerate_sketch_leaves_iterate_unchanged():
     g2 = np.ones((2, 2))
     out = _uc_solve_batched(B2, g2, np.array([[0, 1], [0, 1]]), _tol_abs(B2))
     assert np.array_equal(out, [[-1.0, 0.0], [-1.0, -1.0]])
-    assert np.array_equal(_projector(np.diag([1.0, 0.0]), e2, tol=1e-12),
+    S2 = np.column_stack([e2[:, 0], -3.0 * e2[:, 0]])
+    assert np.array_equal(_projector(np.diag([1.0, 0.0]), S2),
                           np.zeros((2, 2)))
 
 
 def test_projection_matrix_is_symmetric_idempotent():
     rng = np.random.default_rng(9)
-    for q in (1, 2):
+    for q in (2, 3):
         B = _random_spd(rng, 4)
         S = rng.standard_normal((4, q))
         P = _projector(B, S)
@@ -169,7 +170,7 @@ def test_projection_matrix_is_symmetric_idempotent():
 
 def test_stacked_projection_matrix_matches_single_calls():
     rng = np.random.default_rng(10)
-    for q in (1, 2):
+    for q in (2, 3):
         B = _random_spd(rng, 4)
         S = rng.standard_normal((6, 4, q))
         P = _projector(B, S)
@@ -186,17 +187,9 @@ def test_stacked_projection_matrix_zeroes_exactly_the_degenerate_slices():
     # B has a null direction e3: sketches inside it project onto nothing
     B = np.diag([2.0, 1.0, 0.0])
     e1, e2, e3 = np.eye(3)
-    ones = np.ones(3)
-    S1 = np.stack([e1, e3, ones, 2.0 * e3])[:, :, None]
-    P1 = _projector(B, S1, tol=1e-12)
-    for k in (1, 3):
-        assert np.array_equal(P1[k], np.zeros((3, 3)))
-    for k in (0, 2):
-        assert np.allclose(P1[k], _projector(B, S1[k]), atol=1e-14)
-        assert abs(np.trace(P1[k]) - 1.0) < 1e-12
     S2 = np.stack([np.column_stack(pair) for pair in
                    [(e1, e2), (e3, 2.0 * e3), (e1, e3)]])
-    P2 = _projector(B, S2, tol=1e-12)
+    P2 = _projector(B, S2)
     assert np.array_equal(P2[1], np.zeros((3, 3)))
     assert np.allclose(P2[0], np.diag([1.0, 1.0, 0.0]), atol=1e-12)
     # a rank-deficient slice keeps only its non-degenerate direction
@@ -220,14 +213,16 @@ def test_projector_factor_squares_to_the_pinv_projector(q):
 
 
 def test_projector_factor_is_zero_where_b_s_is_zero():
-    # e3 spans the null space of B, so B S = 0 on the q = 1 slices 1 and 3
+    # e3 spans the null space of B, so B S = 0 on the q = 2 slices 1 and 3
     B = np.diag([2.0, 1.0, 0.0])
-    e1, _, e3 = np.eye(3)
-    S = np.stack([e1, e3, np.ones(3), -3.0 * e3])[:, :, None]
-    W = _projector_factor(B, S, tol=1e-12)
-    assert W.shape == (4, 3, 1)
+    e1, e2, e3 = np.eye(3)
+    S = np.stack([np.column_stack(pair) for pair in
+                  [(e1, e2), (e3, 2.0 * e3), (np.ones(3), e1),
+                   (-3.0 * e3, e3)]])
+    W = _projector_factor(B, S)
+    assert W.shape == (4, 3, 2)
     for k in (1, 3):
-        assert np.array_equal(W[k], np.zeros((3, 1)))
+        assert np.array_equal(W[k], np.zeros((3, 2)))
     for k in (0, 2):
         assert np.allclose(W[k] @ W[k].T, _pinv_projector(B, S[k]), atol=1e-14)
 
