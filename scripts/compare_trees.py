@@ -20,16 +20,19 @@ sketched KKT solves, a Newton study at ci_level = 0.9 and an SGD study
 with ci_direction = coord:1, and a lowered divergence guard under which
 some replications freeze and others do not.
 
-The sequential runs call optimizer.run (both model families, exact,
-coordinate and Gaussian solves) and sqp.run_sqp (eqqp with exact,
-coordinate and Gaussian solves, and hs7, whose nonzero constraint Hessian
-enters the multiplier-weighted Lagrangian Hessian, with coordinate
-sketches and exact solves; the sketched ones at tau = 2) with the arguments
-every tree takes: the problem, solve config and schedule a config builds,
-n_iters, an int seed and a sink that records each (t, x_t, alpha).  Their
-outputs are the final x, B and lam, every sink record, and the step at
-which the run diverged (0 when it did not).  All of it takes about eight
-seconds per tree on a 2-core x86 VM.
+The sequential runs call optimizer.run on both model families (exact,
+coordinate and Gaussian solves) and on constrained problems (eqqp with
+exact, coordinate and Gaussian solves, and hs7, whose nonzero constraint
+Hessian enters the multiplier-weighted Lagrangian Hessian, with coordinate
+sketches and exact solves; the sketched ones at tau = 2), with the
+problem, solve config and schedule a config builds, n_iters, an int seed
+and a sink that records each (t, x_t, alpha).  A tree that still has
+sqp.run_sqp, whose problems did not hold their noise, runs the
+constrained ones through run_sqp(problem, sigma2, ...) with the config's
+sigma2 instead, so older trees compare too.  The outputs are the final x,
+B and lam, every sink record, and the step at which the run diverged (0
+when it did not).  All of it takes about eight seconds per tree on a
+2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -113,29 +116,25 @@ CONFIGS = _configs()
 
 
 def _sequential():
-    """(name, INI text, driver): single runs of the library drivers."""
+    """(name, INI text): single runs of optimizer.run."""
     out = []
     for family in ("linear", "logistic"):
         for i, (tag, method) in enumerate(_SKETCHES):
             out.append((f"run:{family}-d4-{tag}",
                         _config(f"family = {family}\nd = 4\n"
                                 "design = equicorr\nr = 0.3",
-                                "solver = newton\n" + method, 50 + i),
-                        "run"))
+                                "solver = newton\n" + method, 50 + i)))
     for i, (tag, method) in enumerate(_SKETCHES):
-        out.append((f"run_sqp:eqqp-{tag}",
+        out.append((f"run:eqqp-{tag}",
                     _config("family = eqqp\nsigma2 = 0.01",
-                            "solver = newton\n" + method, 60 + i),
-                    "run_sqp"))
+                            "solver = newton\n" + method, 60 + i)))
     # eqqp's constraint Hessian is zero; hs7's is not, so these runs move
     # the multiplier-weighted Lagrangian Hessian, sketched and exactly
-    out.append(("run_sqp:hs7-tau2-coordinate",
+    out.append(("run:hs7-tau2-coordinate",
                 _config("family = hs7\nsigma2 = 0.01",
-                        "solver = newton\ntau = 2", 63),
-                "run_sqp"))
-    out.append(("run_sqp:hs7-exact",
-                _config("family = hs7\nsigma2 = 0.01", "solver = newton", 64),
-                "run_sqp"))
+                        "solver = newton\ntau = 2", 63)))
+    out.append(("run:hs7-exact",
+                _config("family = hs7\nsigma2 = 0.01", "solver = newton", 64)))
     return out
 
 
@@ -160,9 +159,9 @@ def _outputs(result, columns) -> dict:
     return out
 
 
-def _sequential_outputs(cfg, driver: str) -> dict:
+def _sequential_outputs(cfg) -> dict:
+    import snewt.sqp as sqp
     from snewt.optimizer import DivergenceError, run
-    from snewt.sqp import run_sqp
 
     problem = cfg.build_problem()
     solve_cfg = cfg.build_solve_config()
@@ -175,12 +174,12 @@ def _sequential_outputs(cfg, driver: str) -> dict:
 
     final, diverged_at = None, 0
     try:
-        if driver == "run":
+        if cfg.problem.is_constrained and hasattr(sqp, "run_sqp"):
+            final = sqp.run_sqp(problem, cfg.problem.sigma2, solve_cfg,
+                                schedule, n_iters, seed, sinks=[sink])
+        else:
             final = run(problem, solve_cfg, schedule, n_iters, seed,
                         sinks=[sink])
-        else:
-            final = run_sqp(problem, cfg.problem.sigma2, solve_cfg, schedule,
-                            n_iters, seed, sinks=[sink])
     except DivergenceError as exc:
         diverged_at = exc.t
     return {
@@ -206,8 +205,8 @@ def _worker(path: str) -> None:
         experiment._DIVERGENCE_NORM = default_guard if guard is None else guard
         result = experiment.run_experiment(parse_config_string(text))
         results[name] = _outputs(result, experiment.AGGREGATE_COLUMNS)
-    for name, text, driver in SEQUENTIAL:
-        results[name] = _sequential_outputs(parse_config_string(text), driver)
+    for name, text in SEQUENTIAL:
+        results[name] = _sequential_outputs(parse_config_string(text))
     with open(path, "wb") as fh:
         pickle.dump({"snewt": experiment.__file__, "results": results}, fh)
 
@@ -261,7 +260,7 @@ def main(argv) -> int:
         old = _run_tree(argv[1], os.path.join(tmp, "old.pkl"))
         new = _run_tree(argv[2], os.path.join(tmp, "new.pkl"))
     all_same = True
-    for name, _, _ in CONFIGS + SEQUENTIAL:
+    for name in [c[0] for c in CONFIGS + SEQUENTIAL]:
         keys = sorted(set(old[name]) | set(new[name]))
         diffs = []
         for key in keys:

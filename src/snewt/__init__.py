@@ -7,10 +7,10 @@ Library layout:
   gradient and Hessian observations
 - sketch: the Newton- and KKT-system solves (one direct LU solve, and
   coordinate and Gaussian sketch-and-project sweeps), each written once
-  on stacks of systems; run, run_sqp and the batched harness all call them
+  on stacks of systems; run and the batched harness both call them
 - optimizer: the averaged-Hessian stochastic Newton iteration; one step
-  for both families and for stacks of replications, which run, run_sqp
-  and the batched harness share (run and run_sqp through one loop)
+  for both families and for stacks of replications, and one sequential
+  entry point, run, that steps a regression model or a constrained problem
 - covariance: running covariance estimators (weighted sample covariance
   with O(d^2) state and a rank-3 inverse recursion, plus plug-in and
   batch-means baselines)
@@ -20,9 +20,9 @@ Library layout:
   forms or quadrature; Monte Carlo for q >= 2 Gaussian sketches) and the
   relative error metrics the harness reports against them
 - sqp: equality-constrained extension (stochastic SQP on the KKT system):
-  its problems (quadratic ones are data of one builder) and the
-  observation that feeds the one step work on stacks of replications, so
-  run_sqp and the batched harness share them
+  its problems, which hold their noise level sigma2 (quadratic ones are
+  data of one builder), and the observation that feeds the one step work
+  on stacks of replications, so run and the batched harness share them
 - config / experiment / cli: study configs, the replication-batched
   Monte-Carlo harness, and the ``snewt`` command-line entry point; every
   study is a config file that ``snewt run`` runs
@@ -44,7 +44,7 @@ from .optimizer import (DivergenceError, NewtonState, RngStreams,
 from .oracle import OracleCovariance, omega_star, oracle_covariance, xi_star
 from .problems import RegressionModel, default_x_star
 from .sketch import SketchDistribution, SketchSolveConfig
-from .sqp import EqConstrainedProblem, builtin_problem, run_sqp
+from .sqp import EqConstrainedProblem, builtin_problem
 
 __version__ = "0.1.0"
 
@@ -81,7 +81,6 @@ __all__ = [
     "plugin_estimate",
     "run",
     "run_experiment",
-    "run_sqp",
     "write_aggregate_csv",
     "write_summary_csv",
     "xi_star",

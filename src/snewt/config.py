@@ -282,7 +282,7 @@ class ExperimentConfig:
     def build_problem(self):
         p = self.problem
         if p.is_constrained:
-            return builtin_problem(p.family)
+            return builtin_problem(p.family, p.sigma2)
         x_star = (np.asarray(p.x_star, dtype=float) if p.x_star is not None
                   else default_x_star(p.d))
         try:
@@ -410,7 +410,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         # zero response noise makes the limiting covariance identically
         # zero, so every relative metric in the harness would divide by it
         raise ConfigError("[problem] sigma must be > 0 for linear studies")
-    for name in exp.estimators:
+    for i, name in enumerate(exp.estimators):
+        if name in exp.estimators[:i]:
+            raise ConfigError(f"[experiment] estimators lists {name} twice")
         if name == "batchmeans" and solver != "sgd":
             raise ConfigError(
                 "[experiment] estimator batchmeans targets the averaged "

@@ -8,10 +8,12 @@ blocks.  Per-replication randomness therefore depends only on the base
 seed and the replication index, and a fixed seed reproduces every output
 byte for byte.  One loop (_run_shard) runs both families: it draws the
 blocks, sets the stepsizes, takes each step, updates the estimators,
-guards, freezes and records checkpoints.  Only the observations differ:
-each family's observe turns a step's blocks into samples, regression
-ones once per 32-step sub-block and constrained ones per step with
-sqp.observe.  The step is the library's one step, optimizer.newton_step,
+guards, freezes and records checkpoints.  Only the observations differ,
+and they read the problem, never the config: a regression model and a
+constrained problem each hold their noise and draw n_normals normals per
+step.  Each family's observe turns a step's blocks into samples,
+regression ones once per 32-step sub-block and constrained ones per step
+with sqp.observe.  The step is the library's one step, optimizer.newton_step,
 applied to the whole stack (or the averaged-SGD update), and so are the
 solves, the sketch module's stacked direct and sweep solves, and the
 estimators: the covariance module's accumulators take the (n_reps, d)
@@ -45,7 +47,7 @@ from .optimizer import (_DIVERGENCE_NORM, NewtonState, RngStreams,
                         StepsizeSchedule, newton_step)
 from .oracle import (omega_star, oracle_covariance, rel_cov_error,
                      rel_var_error)
-from .problems import RegressionModel, Sample, grad_noise_factor
+from .problems import RegressionModel, Sample
 from .sketch import (SketchSolveConfig, _direct_solve_batched,
                      _gaussian_solve_batched, _tol_abs, _uc_solve_batched)
 from .sqp import EqConstrainedProblem, observe
@@ -282,13 +284,12 @@ def _plugin_per_rep(plug: PlugInAccumulator, B: np.ndarray,
 
 def _run_shard(cfg: ExperimentConfig, problem, xi: Optional[np.ndarray],
                omega: Optional[np.ndarray], chunk: int, x0: np.ndarray,
-               m: int, width: int, labels: bool,
-               observe: Callable) -> ExperimentResult:
+               m: int, labels: bool, observe: Callable) -> ExperimentResult:
     """Run every replication of a study and return its result.
 
     The family supplies its starting point x0 (m multipliers start at 0),
-    the width of each step's data normals (then a label uniform each if
-    labels), and observe(blk, k, X, Lam), which reads step k of the chunk's
+    whether a step draws a label uniform after its problem.n_normals
+    normals, and observe(blk, k, X, Lam), which reads step k of the chunk's
     random blocks and returns the samples at (X, Lam): (g, H) for a Newton
     step, (g, H, J, c) for an SQP step, or (g,) for an averaged-SGD one.
     The loop takes the step itself, newton_step with the direct solve or
@@ -307,7 +308,7 @@ def _run_shard(cfg: ExperimentConfig, problem, xi: Optional[np.ndarray],
 
     streams = [RngStreams.from_seed(exp.base_seed ^ r) for r in range(R)]
     blk = _ChunkBlocks(streams, min(chunk, n_iters), d + m, solve_cfg,
-                       uniform, width, labels)
+                       uniform, problem.n_normals, labels)
     X = np.tile(x0, (R, 1))
     Lam = np.zeros((R, m))
     B = None if sgd else np.tile(np.eye(d), (R, 1, 1))
@@ -447,11 +448,8 @@ def _run_shard_regression(
         g = model.grad(X, s)
         return (g,) if sgd else (g, model.hess(X, s))
 
-    # linear: d feature normals plus the response noise per step;
-    # logistic: d feature normals per step, then the label uniforms
     return _run_shard(cfg, model, xi, omega, chunk, x0=np.zeros(d), m=0,
-                      width=d + 1 if lin else d, labels=not lin,
-                      observe=observe)
+                      labels=not lin, observe=observe)
 
 
 def _run_shard_sqp(
@@ -462,17 +460,13 @@ def _run_shard_sqp(
     chunk: int,
 ) -> ExperimentResult:
     """The study loop with stochastic SQP steps from the problem's x0."""
-    d = problem.dim
-    sigma2 = cfg.problem.sigma2
-    L = grad_noise_factor(d, sigma2)
 
     def sqp_observe(blk, k, X, Lam):
-        # d gradient plus d(d+1)/2 Hessian noise normals, read per step
-        return observe(problem, X, Lam, blk.data[:, k], sigma2, L)
+        # the gradient and Hessian noise normals, read per step
+        return observe(problem, X, Lam, blk.data[:, k])
 
     return _run_shard(cfg, problem, xi, omega, chunk, x0=problem.x0,
-                      m=problem.n_cons, width=d + d * (d + 1) // 2,
-                      labels=False, observe=sqp_observe)
+                      m=problem.n_cons, labels=False, observe=sqp_observe)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ deterministic given the trajectory up to t.  With equality constraints
 the same step solves the KKT system and moves the multipliers too.
 
 newton_step is the one step of both families, on one replication or a
-stack of them, with the solve passed in: run and sqp.run_sqp step one
-replication through one loop, which solves with
-sketch.solve_newton_sketched, and the batched harness
+stack of them, with the solve passed in: run steps one replication of
+either family, a regression model or a constrained problem, and solves
+with sketch.solve_newton_sketched, and the batched harness
 (experiment.run_experiment) steps all of its replications at once with
 the sketch module's stacked solves.
 """
@@ -25,6 +25,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Union
 import numpy as np
 
 from .sketch import SketchSolveConfig, solve_newton_sketched
+from .sqp import EqConstrainedProblem, observe
 
 __all__ = [
     "StepsizeSchedule",
@@ -38,7 +39,7 @@ __all__ = [
 
 TraceSink = Callable[[int, np.ndarray, float], None]
 
-# Iterate-norm bound of run, run_sqp and the study harness: an iterate
+# Iterate-norm bound of run and the study harness: an iterate
 # past it (or non-finite) has diverged.
 _DIVERGENCE_NORM = 1e8
 
@@ -226,27 +227,57 @@ def newton_step(
     return NewtonState(t=t + 1, x=x, B=B_new, lam=lam)
 
 
-def _run_loop(state: NewtonState, cfg: SketchSolveConfig,
-              schedule: StepsizeSchedule, n_iters: int, rngs: RngStreams,
-              observe: Callable, sinks: Iterable[TraceSink]) -> NewtonState:
-    """The loop of run and run_sqp: n_iters newton_steps from state.
+def run(
+    problem,
+    cfg: SketchSolveConfig,
+    schedule: StepsizeSchedule,
+    n_iters: int,
+    seed: int,
+    sinks: Iterable[TraceSink] = (),
+) -> NewtonState:
+    """Run n_iters Newton steps on one replication, streaming to sinks.
 
-    Per step, observe(state, rngs.data) gives the samples (g, H), or
-    (g, H, J, c), the step stream one uniform in band mode only, and the
-    sketch stream the draws of solve_newton_sketched on the Newton or KKT
-    system.  Sinks get (t, x_t, alpha_{t-1}).  Raises DivergenceError when
-    ||x|| + ||lam|| (lam only with constraints) passes the study harness's
-    guard or turns non-finite.
+    A regression model starts at x = 0 with B = I; a constrained problem
+    (sqp.EqConstrainedProblem) at (problem.x0, lam = 0, B = I), and steps
+    on its KKT system.  Sinks are plain callables sink(t, x_t,
+    alpha_{t-1}), invoked once per step in order with t = 1..n_iters.
+    Raises ValueError when n_iters < 1, and DivergenceError when ||x|| +
+    ||lam|| (lam only with constraints) exceeds 1e8 (the study harness's
+    guard) or turns non-finite.
+
+    The int seed gives three independent generators (RngStreams.from_seed).
+    Per step, the data stream gives one observation (problem.draw, or the
+    problem.n_normals noise normals of sqp.observe), the step stream one
+    uniform in band mode only, and the sketch stream the draws of
+    solve_newton_sketched on the Newton or KKT system.  The three are
+    separate generators, so the order in which they are read does not
+    matter.  An exact solve of a singular system gives its minimum-norm
+    least-squares direction.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     sinks = tuple(sinks)
+    rngs = RngStreams.from_seed(seed)
+    d = problem.dim
+    if isinstance(problem, EqConstrainedProblem):
+        state = NewtonState(t=0, x=problem.x0.copy(), B=np.eye(d),
+                            lam=np.zeros(problem.n_cons))
+
+        def sample(st: NewtonState) -> tuple:
+            z = rngs.data.standard_normal(problem.n_normals)
+            return observe(problem, st.x, st.lam, z)
+    else:
+        state = NewtonState.initial(d)
+
+        def sample(st: NewtonState) -> tuple:
+            s = problem.draw(rngs.data)
+            return problem.grad(st.x, s), problem.hess(st.x, s)
 
     def solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return solve_newton_sketched(M, rhs, cfg, rngs.sketch)
 
     for _ in range(n_iters):
-        obs = observe(state, rngs.data)
+        obs = sample(state)
         alpha = schedule.draw(state.t, rngs.step)
         state = newton_step(state, schedule, alpha, solve, *obs)
         norm = math.sqrt(state.x @ state.x)
@@ -257,33 +288,3 @@ def _run_loop(state: NewtonState, cfg: SketchSolveConfig,
         for sink in sinks:
             sink(state.t, state.x, alpha)
     return state
-
-
-def run(
-    problem,
-    cfg: SketchSolveConfig,
-    schedule: StepsizeSchedule,
-    n_iters: int,
-    seed: int,
-    sinks: Iterable[TraceSink] = (),
-) -> NewtonState:
-    """Run n_iters Newton steps from x = 0, B = I, streaming to sinks.
-
-    Sinks are plain callables sink(t, x_t, alpha_{t-1}), invoked once per
-    step in order with t = 1..n_iters.  Raises DivergenceError when the
-    iterate norm exceeds 1e8 (the study harness's guard) or turns
-    non-finite.
-
-    The int seed gives three independent generators (RngStreams.from_seed).
-    Per step, the data stream gives one observation (problem.draw), the
-    step stream one uniform in band mode only, and the sketch stream the
-    draws of solve_newton_sketched.  An exact solve of a singular system
-    gives its minimum-norm least-squares direction.
-    """
-
-    def observe(state, data):
-        s = problem.draw(data)
-        return problem.grad(state.x, s), problem.hess(state.x, s)
-
-    return _run_loop(NewtonState.initial(problem.dim), cfg, schedule,
-                     n_iters, RngStreams.from_seed(seed), observe, sinks)

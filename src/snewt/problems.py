@@ -124,6 +124,12 @@ class RegressionModel:
     def dim(self) -> int:
         return self.x_star.shape[0]
 
+    @property
+    def n_normals(self) -> int:
+        """Standard normals per observation: d features, plus the response
+        noise for a linear model (a logistic label takes a uniform)."""
+        return self.dim + 1 if self.family == "linear" else self.dim
+
     def sample(self, z: np.ndarray, u: Optional[np.ndarray] = None) -> Sample:
         """Observations from given standard normals z (and uniforms u).
 
@@ -143,13 +149,12 @@ class RegressionModel:
     def draw(self, rng: np.random.Generator) -> Sample:
         """Draw one observation.
 
-        Consumes the generator in a fixed order: d standard normals for the
-        features, then one standard normal (linear) or one uniform
-        (logistic) for the response.
+        Consumes the generator in a fixed order: n_normals standard
+        normals, then one uniform for a logistic label.
         """
+        z = rng.standard_normal(self.n_normals)
         if self.family == "linear":
-            return self.sample(rng.standard_normal(self.dim + 1))
-        z = rng.standard_normal(self.dim)
+            return self.sample(z)
         return self.sample(z, rng.random())
 
     def grad(self, x: np.ndarray, s: Sample) -> np.ndarray:

@@ -15,7 +15,7 @@ below the cutoff is skipped.
 
 The direct and sweep solves are written once, on stacks of systems: the
 study harness solves all replications at once, and solve_newton_sketched,
-the single-system entry point of run and run_sqp, solves one-row stacks.
+the single-system entry point of optimizer.run, solves one-row stacks.
 The direct solve is LU for regression and KKT systems alike, and a
 singular system gets its minimum-norm least-squares solution.  Only the
 coordinate solve has a sequential copy, a scalar loop twice as fast as

@@ -15,29 +15,26 @@ the primal-dual pair moves by a banded stepsize.  The covariance
 machinery applies to the primal block unchanged: trace sinks receive
 (t, x_t, alpha).
 
+A problem is data, as a regression model is: it holds its noise sigma2.
 The problems and observe, which turns a step's noise normals into the
 samples newton_step takes, work on stacks of replications as well as on
-single points, so run_sqp and the batched harness share them.  Problems
+single points, so run and the batched harness share them.  Problems
 with a quadratic objective and quadratic constraints are data of one
 builder, quadratic_problem (eqqp and maratos); hs7 is written by hand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .optimizer import (NewtonState, RngStreams, StepsizeSchedule,
-                        TraceSink, _run_loop)
 from .problems import grad_noise_factor, symmetric_noise
-from .sketch import SketchSolveConfig
 
 __all__ = [
     "EqConstrainedProblem",
     "observe",
-    "run_sqp",
     "quadratic_problem",
     "equality_qp",
     "maratos",
@@ -56,6 +53,9 @@ class EqConstrainedProblem:
     (..., d) and (..., d, d), cons and jac give (..., m) and (..., m, d),
     and cons_hess gives (..., m, d, d).  The values may be read-only
     broadcast views.
+
+    The gradient and Hessian are observed with noise of scale sigma2 (see
+    observe); grad_chol, the gradient noise's factor, follows from it.
     """
 
     name: str
@@ -70,6 +70,16 @@ class EqConstrainedProblem:
     x_star: np.ndarray
     lam_star: np.ndarray
     x0: np.ndarray
+    sigma2: float
+    grad_chol: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.grad_chol = grad_noise_factor(self.dim, self.sigma2)
+
+    @property
+    def n_normals(self) -> int:
+        """d gradient plus d(d+1)/2 Hessian noise normals per observation."""
+        return self.dim + self.dim * (self.dim + 1) // 2
 
     @property
     def inactive(self) -> Tuple[int, ...]:
@@ -88,60 +98,23 @@ class EqConstrainedProblem:
 
 
 def observe(problem: EqConstrainedProblem, X: np.ndarray, Lam: np.ndarray,
-            z: np.ndarray, sigma2: float, grad_chol: np.ndarray) -> tuple:
+            z: np.ndarray) -> tuple:
     """One step's samples (g, H, J, c) at (X, Lam) for newton_step.
 
-    ``z`` holds each replication's d + d(d+1)/2 standard normals: the
+    ``z`` holds each replication's problem.n_normals standard normals: the
     first d give gradient noise of covariance sigma2 (I + 1 1^T) through
-    ``grad_chol`` = grad_noise_factor(d, sigma2), the rest the symmetric
-    Hessian noise (see problems.symmetric_noise).  Constraints are exact.
-    The Lagrangian Hessian sample weights the constraint Hessians by the
-    current multipliers:
+    problem.grad_chol, the rest the symmetric Hessian noise (see
+    problems.symmetric_noise).  Constraints are exact.  The Lagrangian
+    Hessian sample weights the constraint Hessians by the current
+    multipliers:
 
         H_t = (hess f(x_t) + noise) + sum_i lam_t[i] hess c_i(x_t).
     """
     d = problem.dim
-    g = problem.grad(X) + z[..., :d] @ grad_chol.T
-    H = (problem.hess(X) + symmetric_noise(z[..., d:], d, sigma2)
+    g = problem.grad(X) + z[..., :d] @ problem.grad_chol.T
+    H = (problem.hess(X) + symmetric_noise(z[..., d:], d, problem.sigma2)
          + problem.weighted_cons_hess(X, Lam))
     return g, H, problem.jac(X), problem.cons(X)
-
-
-def run_sqp(
-    problem: EqConstrainedProblem,
-    sigma2: float,
-    cfg: SketchSolveConfig,
-    schedule: StepsizeSchedule,
-    n_iters: int,
-    seed: int,
-    sinks: Iterable[TraceSink] = (),
-) -> NewtonState:
-    """Run n_iters SQP steps from (problem.x0, lam = 0, B = I).
-
-    Sinks receive (t, x_t, alpha_{t-1}).  Raises ValueError when n_iters
-    < 1, and DivergenceError when ||x|| + ||lam|| exceeds 1e8 (the study
-    harness's guard) or turns non-finite.
-
-    The int seed gives three independent generators
-    (RngStreams.from_seed).  Per step, the data stream gives d + d(d+1)/2
-    normals (see observe), the sketch stream gives the draws of
-    solve_newton_sketched on the assembled KKT system, and the step stream
-    gives one uniform in band mode only.  The three are separate
-    generators, so the order in which they are read does not matter.
-    An exact solve of a singular KKT matrix gives its minimum-norm
-    least-squares direction.
-    """
-    d = problem.dim
-    n_normals = d + d * (d + 1) // 2
-    grad_chol = grad_noise_factor(d, sigma2)
-    state = NewtonState(t=0, x=problem.x0.copy(), B=np.eye(d),
-                        lam=np.zeros(problem.n_cons))
-    return _run_loop(
-        state, cfg, schedule, n_iters, RngStreams.from_seed(seed),
-        lambda st, data: observe(problem, st.x, st.lam,
-                                 data.standard_normal(n_normals), sigma2,
-                                 grad_chol),
-        sinks)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +128,11 @@ def _stacked(value: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def quadratic_problem(name: str, A: np.ndarray, b: np.ndarray,
                       G: np.ndarray, h: np.ndarray, x_star: np.ndarray,
-                      lam_star: np.ndarray, x0: np.ndarray, f0: float = 0.0,
+                      lam_star: np.ndarray, x0: np.ndarray, sigma2: float,
+                      f0: float = 0.0,
                       Q: Optional[np.ndarray] = None) -> EqConstrainedProblem:
-    """min .5 x'Ax + b'x + f0  s.t.  .5 x'Q_i x + G_i x + h_i = 0, i < m.
+    """min .5 x'Ax + b'x + f0  s.t.  .5 x'Q_i x + G_i x + h_i = 0, i < m,
+    observed with noise of scale sigma2.
 
     A is symmetric (d, d), G is (m, d) and h is (m,); Q is a stack
     (m, d, d) of symmetric matrices, zero (linear constraints) when not
@@ -182,10 +157,11 @@ def quadratic_problem(name: str, A: np.ndarray, b: np.ndarray,
         x_star=x_star,
         lam_star=lam_star,
         x0=x0,
+        sigma2=sigma2,
     )
 
 
-def equality_qp() -> EqConstrainedProblem:
+def equality_qp(sigma2: float) -> EqConstrainedProblem:
     """Convex QP with the first coordinate pinned: min .5 x'Ax + b'x, x_0 = 1.
 
     The reduced problem over the free coordinates is an unconstrained
@@ -208,10 +184,11 @@ def equality_qp() -> EqConstrainedProblem:
         x_star=x_star,
         lam_star=lam_star,
         x0=np.zeros(3),
+        sigma2=sigma2,
     )
 
 
-def maratos() -> EqConstrainedProblem:
+def maratos(sigma2: float) -> EqConstrainedProblem:
     """min 2(x_0^2 + x_1^2 - 1) - x_0  s.t.  x_0^2 + x_1^2 = 1.
 
     Solution (1, 0) with multiplier -3/2; the tangent direction at the
@@ -224,12 +201,13 @@ def maratos() -> EqConstrainedProblem:
         x_star=np.array([1.0, 0.0]),
         lam_star=np.array([-1.5]),
         x0=np.array([0.8, 0.3]),
+        sigma2=sigma2,
         f0=-2.0,
         Q=2.0 * np.eye(2)[None, :, :],
     )
 
 
-def hs7() -> EqConstrainedProblem:
+def hs7(sigma2: float) -> EqConstrainedProblem:
     """min log(1 + x_0^2) - x_1  s.t.  (1 + x_0^2)^2 + x_1^2 = 4.
 
     Solution (0, sqrt(3)) with multiplier 1/(2 sqrt(3)); the tangent
@@ -274,15 +252,16 @@ def hs7() -> EqConstrainedProblem:
         x_star=np.array([0.0, np.sqrt(3.0)]),
         lam_star=np.array([1.0 / (2.0 * np.sqrt(3.0))]),
         x0=np.array([0.5, 1.5]),
+        sigma2=sigma2,
     )
 
 
 _BUILTIN = {"eqqp": equality_qp, "maratos": maratos, "hs7": hs7}
 
 
-def builtin_problem(name: str) -> EqConstrainedProblem:
+def builtin_problem(name: str, sigma2: float) -> EqConstrainedProblem:
     try:
         factory = _BUILTIN[name]
     except KeyError:
         raise ValueError(f"unknown constrained problem {name!r}") from None
-    return factory()
+    return factory(sigma2)

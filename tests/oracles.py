@@ -231,11 +231,12 @@ def newton_replay(model, tau: Optional[int], gaussian_q: Optional[int],
 # stochastic SQP, one replication, written from the KKT step in vector form
 
 
-def sqp_replay(problem, sigma2: float, tau: Optional[int], schedule,
+def sqp_replay(problem, tau: Optional[int], schedule,
                n_iters: int, rngs) -> Tuple[List[np.ndarray], np.ndarray]:
     """Straight-line SQP loop; returns the iterates x_1..x_n and final lam.
 
-    Step t reads d + d(d+1)/2 data normals z: gradient noise
+    Step t reads d + d(d+1)/2 data normals z: with sigma^2 the problem's
+    sigma2, gradient noise
     sigma (I + c 1 1^T) z[:d] with c = (sqrt(d+1) - 1)/d, then the Hessian
     noise's upper triangle, row by row, as sigma z[d:].  The Lagrangian
     Hessian sample H = hess f + noise + sum_i lam_i hess c_i enters the
@@ -246,7 +247,7 @@ def sqp_replay(problem, sigma2: float, tau: Optional[int], schedule,
     """
     d, m = problem.dim, problem.n_cons
     n = d + m
-    sigma = np.sqrt(sigma2)
+    sigma = np.sqrt(problem.sigma2)
     c = (np.sqrt(d + 1.0) - 1.0) / d
     noise_factor = sigma * (np.eye(d) + c * np.ones((d, d)))
     x = np.array(problem.x0, dtype=float)

@@ -8,19 +8,15 @@ reproduces; a pin failure means behaviour changed, a band failure means the
 method stopped delivering.
 """
 
+import dataclasses
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from snewt.cli import tail_slope
-from snewt.config import (
-    ExperimentConfig,
-    ExperimentSection,
-    MethodConfig,
-    ProblemConfig,
-    ScheduleConfig,
-)
+from snewt.config import parse_config
 from snewt.covariance import WscAccumulator, WscInverseTracker
 from snewt.experiment import run_experiment
 from snewt.inference import chi2_quantile, normal_quantile
@@ -43,6 +39,7 @@ from tests.oracles import (
 )
 
 UC = SketchDistribution(kind="uniform_coordinate")
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def _trace(seed, t, d):
@@ -168,20 +165,14 @@ def test_04_exact_solve_limits_half_and_full_sandwich():
 
 
 # ---------------------------------------------------------------------------
-# 5-7. the headline Monte-Carlo study: 200 replications of 1e5 steps on a
-# correlated linear problem with two-coordinate sketching
+# 5-7. the headline Monte-Carlo study (scripts/configs/mean_functional.ini):
+# 200 replications of 1e5 steps on a correlated linear problem with
+# two-coordinate sketching
 
 
 @pytest.fixture(scope="module")
 def mean_functional_study():
-    cfg = ExperimentConfig(
-        problem=ProblemConfig(family="linear", d=5, design="equicorr", r=0.3,
-                              sigma=1.0),
-        method=MethodConfig(solver="newton", tau=2),
-        schedule=ScheduleConfig(c_beta=1.0, beta=0.505, c_chi=1.0, chi=1.01),
-        experiment=ExperimentSection(n_iters=100_000, n_reps=200, base_seed=0,
-                                     record_every=1000, ci_direction="mean",
-                                     estimators=("wsc", "plugin")))
+    cfg = parse_config(CONFIGS / "mean_functional.ini")
     t0 = time.perf_counter()
     result = run_experiment(cfg)
     return result, time.perf_counter() - t0
@@ -225,18 +216,11 @@ def test_07_plugin_underestimates_variance_wsc_does_not(mean_functional_study):
 
 # ---------------------------------------------------------------------------
 # 8. under exact solves, doubling the estimate recovers the sandwich matrix
+# (scripts/configs/exact_solve.ini)
 
 
 def test_08_doubled_estimate_recovers_sandwich_under_exact_solves():
-    cfg = ExperimentConfig(
-        problem=ProblemConfig(family="linear", d=5, design="identity",
-                              sigma=1.0),
-        method=MethodConfig(solver="newton", tau=None),
-        schedule=ScheduleConfig(c_beta=1.0, beta=0.7, c_chi=1.0, chi=1.4),
-        experiment=ExperimentSection(n_iters=100_000, n_reps=50, base_seed=0,
-                                     record_every=10_000, ci_direction="mean",
-                                     estimators=("wsc",)))
-    result = run_experiment(cfg)
+    result = run_experiment(parse_config(CONFIGS / "exact_solve.ini"))
     assert result.n_diverged == 0
     doubled = 2.0 * result.final_estimates["wsc"]
     err = rel_cov_error(doubled, result.oracle_omega)
@@ -245,20 +229,16 @@ def test_08_doubled_estimate_recovers_sandwich_under_exact_solves():
 
 
 # ---------------------------------------------------------------------------
-# 9. constrained runs: intervals for the average of the off-constraint
+# 9. constrained runs (scripts/configs/constrained.ini, at sigma2 = 1e-2
+# and at 1e-4): intervals for the average of the off-constraint
 # coordinates cover at close to the nominal rate
 
 
 @pytest.mark.parametrize("sigma2,pinned", [(1e-4, 0.9700), (1e-2, 0.9400)])
 def test_09_constrained_intervals_cover_inactive_average(sigma2, pinned):
-    cfg = ExperimentConfig(
-        problem=ProblemConfig(family="eqqp", sigma2=sigma2),
-        method=MethodConfig(solver="newton", tau=40),
-        schedule=ScheduleConfig(),
-        experiment=ExperimentSection(n_iters=10_000, n_reps=200, base_seed=0,
-                                     record_every=2000,
-                                     ci_direction="inactive",
-                                     estimators=("wsc",)))
+    cfg = parse_config(CONFIGS / "constrained.ini")
+    cfg = dataclasses.replace(
+        cfg, problem=dataclasses.replace(cfg.problem, sigma2=sigma2))
     result = run_experiment(cfg)
     assert result.n_diverged == 0
     coverage = result.final["cov_wsc"]

@@ -230,6 +230,20 @@ def test_run_command_malformed_direction_is_config_error(tmp_path, capsys):
     assert err.startswith("error:") and "ci_direction" in err
 
 
+def test_run_command_duplicate_estimator_is_config_error(tmp_path, capsys,
+                                                        monkeypatch):
+    # used to exit 0, print the wsc line twice and write two wsc rows
+    monkeypatch.chdir(tmp_path)  # where the default CSV paths point
+    path = _write_config(tmp_path, """\
+        [experiment]
+        estimators = wsc, wsc, plugin
+        """)
+    assert main(["run", path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "estimators" in err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_run_command_non_finite_value_is_config_error(tmp_path, capsys):
     # a NaN chi used to reach the estimators and end in a traceback
     path = _write_config(tmp_path, """\

@@ -113,6 +113,28 @@ def test_estimator_parsing():
         parse_config_string("[experiment]\nestimators = ,\n")
 
 
+def test_an_estimator_listed_twice_is_an_error():
+    # it would print its line twice and write two identical summary rows
+    for text in ("wsc, wsc, plugin", "plugin, wsc, plugin"):
+        with pytest.raises(ConfigError, match="estimators lists .* twice"):
+            parse_config_string(f"[experiment]\nestimators = {text}\n")
+    # other lists may repeat a value
+    cfg = parse_config_string("[problem]\nx_star = 0.5, 0.5\n"
+                              "[experiment]\nci_direction = 1, 1\n")
+    assert cfg.problem.x_star == (0.5, 0.5)
+
+
+def test_every_committed_config_parses():
+    paths = sorted((pathlib.Path(__file__).resolve().parents[1]
+                    / "scripts" / "configs").glob("*.ini"))
+    assert {p.name for p in paths} >= {
+        "constrained.ini", "exact_solve.ini", "mean_functional.ini",
+        "sgd_baseline.ini"}
+    for path in paths:
+        cfg = parse_config(str(path))
+        assert cfg == parse_config_string(serialize_config(cfg)), path.name
+
+
 def test_estimators_are_tied_to_their_solver():
     with pytest.raises(ConfigError, match="batchmeans"):
         parse_config_string("[experiment]\nestimators = batchmeans\n")
@@ -275,6 +297,10 @@ def test_parse_config_reads_files(tmp_path):
 def test_build_problem_and_solver():
     cfg = parse_config_string("[problem]\nfamily = eqqp\n")
     assert isinstance(cfg.build_problem(), EqConstrainedProblem)
+    # a constrained problem holds its noise level, as a regression model does
+    assert cfg.build_problem().sigma2 == 0.01
+    assert parse_config_string("[problem]\nfamily = hs7\nsigma2 = 0.04\n"
+                               ).build_problem().sigma2 == 0.04
     cfg2 = parse_config_string(
         "[problem]\nx_star = 0.5,0.5\nd = 2\n[method]\ntau = 4\n"
         "sketch = gaussian\ngaussian_q = 2\n")

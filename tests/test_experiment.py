@@ -31,7 +31,6 @@ from snewt.experiment import (
 )
 from snewt.inference import directional_ci
 from snewt.optimizer import RngStreams, run
-from snewt.sqp import run_sqp
 from tests.oracles import (batch_means_two_pass, coordinate_sketches,
                            newton_replay, sketch_loop, sqp_replay,
                            uc_sweep_replay, wsc_two_pass)
@@ -155,7 +154,7 @@ def test_sgd_engine_matches_manual_first_order_loop():
 
 
 def _check_sqp_against_replay(method, seed, n_iters):
-    # the harness (one replication) and run_sqp share newton_step and
+    # the harness (one replication) and run share newton_step and
     # sqp.observe; both are checked against the straight-line replay, not
     # against each other
     for family in ("eqqp", "maratos", "hs7"):
@@ -164,7 +163,7 @@ def _check_sqp_against_replay(method, seed, n_iters):
                    seed=seed, n_iters=n_iters)
         problem = cfg.build_problem()
         sched = cfg.build_schedule()
-        xs, lam = sqp_replay(problem, 1e-2, method.tau, sched, n_iters,
+        xs, lam = sqp_replay(problem, method.tau, sched, n_iters,
                              RngStreams.from_seed(seed))
         expected_wsc = wsc_two_pass(xs, [sched.phi(t) for t in range(n_iters)])
 
@@ -174,8 +173,8 @@ def _check_sqp_against_replay(method, seed, n_iters):
         _close(result.final_estimates["wsc"], expected_wsc)
 
         acc = WscAccumulator(problem.dim)
-        final = run_sqp(problem, 1e-2, cfg.build_solve_config(), sched,
-                        n_iters, seed, sinks=(WscSink(sched, acc),))
+        final = run(problem, cfg.build_solve_config(), sched, n_iters, seed,
+                    sinks=(WscSink(sched, acc),))
         _close(final.x, xs[-1])
         _close(final.lam, lam)
         _close(acc.estimate(), expected_wsc)

@@ -11,6 +11,12 @@ catches a class of bugs that per-function references miss:
 - stack independence: replication r of a study does not depend on how many
   replications run beside it, so a gather or a stream that mixes
   replications shows;
+- translation: moving a linearly constrained quadratic problem by s moves
+  the constrained iterates by s and leaves the multipliers, the Hessian
+  average and the estimates alone, up to roundoff, so a term of the
+  objective or the constraints that a step drops or reads at the wrong
+  point shows (noise scaling has no constrained form: the Hessian noise
+  scales with sigma too, so the Hessian average changes);
 - oracle equivariance: the ground truth Xi* moves with a change of
   coordinates, Q Xi*(B, Omega) Q^T = Xi*(Q B Q^T, Q Omega Q^T), for every
   permutation under every sketch whose truth is computed without sampling,
@@ -22,10 +28,12 @@ import numpy as np
 import pytest
 
 from snewt.config import parse_config_string
-from snewt.experiment import run_experiment
+from snewt.experiment import _CHUNK, _run_shard_sqp, run_experiment
+from snewt.optimizer import StepsizeSchedule, run
 from snewt.oracle import (c_star, lambda_matrix,
                           single_step_projection_expectation, xi_star)
-from snewt.sketch import SketchDistribution
+from snewt.sketch import SketchDistribution, SketchSolveConfig
+from snewt.sqp import quadratic_problem
 
 D = 4
 
@@ -109,6 +117,61 @@ def test_a_replication_does_not_depend_on_the_stack(study):
     assert a.final_per_rep.keys() == b.final_per_rep.keys()
     for key, arr in a.final_per_rep.items():
         assert _same_bits(arr, b.final_per_rep[key][:small]), key
+
+
+# ---------------------------------------------------------------------------
+# translation of a linearly constrained problem
+
+_A = np.array([[2.0, 0.4, 0.2], [0.4, 1.5, 0.3], [0.2, 0.3, 1.0]])
+_B, _G, _H = np.array([0.5, -0.3, 0.2]), np.array([[1.0, 1.0, 0.0]]), -1.0
+SHIFT = np.array([0.75, -1.5, 2.25])
+
+
+def _plane(s):
+    """min .5 x'Ax + b'x s.t. x_0 + x_1 = 1, moved by s: b -> b - A s,
+    h -> h - G s, and x* and x0 -> + s (x0 = 0 unmoved)."""
+    kkt = np.block([[_A, _G.T], [_G, np.zeros((1, 1))]])
+    sol = np.linalg.solve(kkt, -np.append(_B, _H))
+    return quadratic_problem("plane", _A, _B - _A @ s, _G, _H - _G @ s,
+                             x_star=sol[:3] + s, lam_star=sol[3:], x0=s,
+                             sigma2=0.01)
+
+
+@pytest.mark.parametrize("tau", [None, 2], ids=["exact", "tau2"])
+def test_moving_the_problem_moves_the_iterates_of_run(tau):
+    cfg = SketchSolveConfig(dist=SketchDistribution(), tau=tau)
+
+    def moved(s):
+        xs = []
+        final = run(_plane(s), cfg, StepsizeSchedule(), 2000, 7,
+                    sinks=[lambda t, x, alpha: xs.append(x)])
+        return final, np.array(xs)
+
+    (one, path_one), (two, path_two) = moved(np.zeros(3)), moved(SHIFT)
+    # every iterate, since an exact run forgets its start within 2000 steps
+    assert np.abs(path_two - SHIFT - path_one).max() <= 1e-14
+    assert np.abs(two.lam - one.lam).max() <= 1e-15
+    # the Hessian of a quadratic does not depend on the point
+    assert _same_bits(two.B, one.B)
+
+
+@pytest.mark.parametrize("tau", ["exact", "2", "40"])
+def test_moving_the_problem_moves_the_iterates_of_the_harness(tau):
+    cfg = parse_config_string(
+        f"[problem]\nfamily = eqqp\n[method]\ntau = {tau}\n[experiment]\n"
+        "n_iters = 1300\nn_reps = 6\nbase_seed = 3\nrecord_every = 250\n")
+    one = _run_shard_sqp(cfg, _plane(np.zeros(3)), None, None, _CHUNK)
+    two = _run_shard_sqp(cfg, _plane(SHIFT), None, None, _CHUNK)
+    assert one.n_diverged == two.n_diverged == 0
+    assert np.abs(two.final_x - SHIFT - one.final_x).max() <= 1e-14
+    assert np.abs(two.final_lam - one.final_lam).max() <= 1e-14
+    est = one.final_estimates["wsc"]
+    gap = np.abs(two.final_estimates["wsc"] - est).max() / np.abs(est).max()
+    assert gap <= 1e-12
+    # the intervals move with the target: the same hits
+    for key, arr in one.final_per_rep.items():
+        assert _same_bits(two.final_per_rep[key], arr), key
+    assert one.rows == two.rows
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,8 @@ def test_draw_reads_the_features_then_the_response(family):
     assert _same_bits(s.xi_a, expected.xi_a)
     assert _same_bits(s.xi_b, expected.xi_b)
     assert model.dim == 3
+    # the harness sizes its data blocks by n_normals
+    assert model.n_normals == (4 if family == "linear" else 3)
 
 
 def test_sigmoid_is_overflow_safe_and_symmetric():
@@ -250,15 +252,14 @@ def test_grad_noise_factor_closed_form_identity():
         assert np.array_equal(L, L.T)
 
 
-def _first_steps(prob, x, lam, sigma2, n):
+def _first_steps(prob, x, lam, n):
     """n independent t = 0 SQP steps from (x, lam) with B = I and alpha = 1."""
     d = prob.dim
     state = NewtonState(t=0, x=np.tile(x, (n, 1)),
                         B=np.tile(np.eye(d), (n, 1, 1)),
                         lam=np.tile(lam, (n, 1)))
-    z = np.random.default_rng(2).standard_normal((n, d + d * (d + 1) // 2))
-    obs = observe(prob, state.x, state.lam, z, sigma2,
-                  grad_noise_factor(d, sigma2))
+    z = np.random.default_rng(2).standard_normal((n, prob.n_normals))
+    obs = observe(prob, state.x, state.lam, z)
     return newton_step(state, StepsizeSchedule(), np.ones(n),
                        lambda K, rhs: np.linalg.solve(K, -rhs[..., None])[..., 0],
                        *obs)
@@ -267,9 +268,9 @@ def _first_steps(prob, x, lam, sigma2, n):
 def test_noisy_grad_covariance_law_monte_carlo():
     # eqqp pins x_0, so with B = I the first step moves the free block by
     # minus its noisy gradient: covariance sigma2 (I + 1 1^T) on that block
-    prob = equality_qp()
+    prob = equality_qp(0.5)
     n = 100_000
-    out = _first_steps(prob, prob.x_star, prob.lam_star, 0.5, n)
+    out = _first_steps(prob, prob.x_star, prob.lam_star, n)
     dev = out.x[:, 1:] - prob.x_star[1:]
     emp = dev.T @ dev / n
     target = 0.5 * (np.eye(2) + np.ones((2, 2)))
@@ -306,10 +307,10 @@ def test_symmetric_noise_index_cache_is_read_only():
 
 def test_noisy_hess_centers_on_true_hessian():
     # at t = 0 the new average is the Lagrangian Hessian sample itself
-    prob = hs7()
+    prob = hs7(0.01)
     x, lam = np.array([0.3, 1.6]), np.array([0.4])
     n = 4000
-    out = _first_steps(prob, x, lam, 0.01, n)
+    out = _first_steps(prob, x, lam, n)
     assert np.array_equal(out.B, out.B.transpose(0, 2, 1))
     lagrangian_hess = prob.hess(x) + prob.weighted_cons_hess(x, lam)
     assert np.allclose(out.B.mean(axis=0), lagrangian_hess,
